@@ -135,7 +135,6 @@ func parseBenchOutput(r io.Reader) (map[string]metrics, error) {
 type storeBench struct {
 	Host  *benchfp.Host `json:"host"`
 	Spill []struct {
-		Mode    string  `json:"mode"`
 		MBPerS  float64 `json:"mb_per_sec"`
 		ChunksS float64 `json:"chunks_per_sec"`
 	} `json:"spill"`
@@ -239,12 +238,7 @@ func loadBaselines(dir string) (out map[string]metrics, hosts []string, err erro
 	} else if ok {
 		host("BENCH_store.json", sb.Host)
 		for _, sp := range sb.Spill {
-			switch sp.Mode {
-			case "sync":
-				add("BenchmarkStoreSpillSync", "MB/s", sp.MBPerS)
-			case "async":
-				add("BenchmarkStoreSpillAsync", "MB/s", sp.MBPerS)
-			}
+			add("BenchmarkStoreSpill", "MB/s", sp.MBPerS)
 		}
 	}
 

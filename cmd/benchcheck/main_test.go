@@ -9,8 +9,8 @@ const sampleBench = `goos: linux
 goarch: amd64
 pkg: scaldift/internal/store
 cpu: Some CPU
-BenchmarkStoreSpillSync-8    	     100	  12345 ns/op	 900.00 MB/s	215716 chunks/s
-BenchmarkStoreSpillAsync     	      50	  23456 ns/op	 400.00 MB/s
+BenchmarkStoreSpill-8        	     100	  12345 ns/op	 900.00 MB/s	215716 chunks/s
+BenchmarkLifecycleRetentionSpill 	      50	  23456 ns/op	 400.00 MB/s
 BenchmarkPipelineStreamAggLineageW2-8 	      10	 1000000 ns/op	 2500000 events/s	       3.100 x-native
 BenchmarkOntracPipelinePsumRecordOnly-8 	       1	 2601718 ns/op	18000000 events/s
 garbage line
@@ -28,9 +28,9 @@ func TestParseBenchOutput(t *testing.T) {
 		name, unit string
 		want       float64
 	}{
-		{"BenchmarkStoreSpillSync", "MB/s", 900},
-		{"BenchmarkStoreSpillSync", "chunks/s", 215716},
-		{"BenchmarkStoreSpillAsync", "MB/s", 400}, // no -P suffix
+		{"BenchmarkStoreSpill", "MB/s", 900},
+		{"BenchmarkStoreSpill", "chunks/s", 215716},
+		{"BenchmarkLifecycleRetentionSpill", "MB/s", 400}, // no -P suffix
 		{"BenchmarkPipelineStreamAggLineageW2", "events/s", 2.5e6},
 		{"BenchmarkPipelineStreamAggLineageW2", "x-native", 3.1},
 		{"BenchmarkOntracPipelinePsumRecordOnly", "events/s", 1.8e7},
@@ -53,8 +53,7 @@ func TestLoadBaselinesFromRepo(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, name := range []string{
-		"BenchmarkStoreSpillSync",
-		"BenchmarkStoreSpillAsync",
+		"BenchmarkStoreSpill",
 		"BenchmarkPipelineStreamAggLineageInline",
 		"BenchmarkPipelineStreamAggLineageW2",
 		"BenchmarkPipelineKeyedMergeLineageW2",

@@ -62,7 +62,6 @@ func main() {
 	deadline := flag.Duration("deadline", 30*time.Second, "default per-query deadline")
 	maxDeadline := flag.Duration("max-deadline", 2*time.Minute, "clamp on requested per-query deadlines")
 	budget := flag.Int64("budget-chunks", 0, "default per-query chunk-load budget (0 = unlimited)")
-	workers := flag.Int("workers", 8, "default traversal shard switch")
 	cacheChunks := flag.Int("cache-chunks", 0, "per-thread decoded-chunk cache bound per trace reader (0 = store default)")
 	attach := flag.Bool("attach-workloads", true, "attach built-in workload programs to traces named after them")
 	readerTTL := flag.Duration("reader-ttl", 15*time.Minute, "evict a cold trace's reader after this much idle time (0 = never)")
@@ -111,7 +110,6 @@ func main() {
 			MaxConcurrent:      *maxQueries,
 			DefaultDeadline:    *deadline,
 			MaxDeadline:        *maxDeadline,
-			Workers:            *workers,
 			BudgetChunkLoads:   *budget,
 			OnRefresh:          onAdded,
 			ResultCacheEntries: *resultCache,

@@ -442,30 +442,3 @@ func (m *Manager) countReachable(r Ref) int {
 
 // Subset reports whether a ⊆ b.
 func (m *Manager) Subset(a, b Ref) bool { return m.Diff(a, b) == False }
-
-// Import copies the set s, owned by src, into m and returns m's Ref
-// for the identical set. memo (src Ref → m Ref) is the structural
-// translation cache; pass the same map when importing many roots from
-// one source manager so shared subgraphs are translated once. This is
-// the translate half of the per-worker-manager strategy for running
-// lineage propagation on concurrent workers: each worker builds sets
-// in a private manager and the merge imports the surviving roots into
-// the canonical one.
-func (m *Manager) Import(src *Manager, s Ref, memo map[Ref]Ref) Ref {
-	if src == m {
-		return s
-	}
-	if src.bits != m.bits {
-		panic(fmt.Sprintf("bdd: import across universes (%d bits into %d)", src.bits, m.bits))
-	}
-	if s <= True {
-		return s
-	}
-	if r, ok := memo[s]; ok {
-		return r
-	}
-	n := src.nodes[s]
-	r := m.mk(n.level, m.Import(src, n.lo, memo), m.Import(src, n.hi, memo))
-	memo[s] = r
-	return r
-}

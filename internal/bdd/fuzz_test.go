@@ -152,36 +152,3 @@ func setSubset(a, b map[int]bool) bool {
 	}
 	return true
 }
-
-// TestImportTranslatesAcrossManagers pins bdd.Import: structurally
-// copying a set into another manager preserves the denoted set, and a
-// shared memo translates shared subgraphs once.
-func TestImportTranslatesAcrossManagers(t *testing.T) {
-	src := NewManager(8)
-	dst := NewManager(8)
-	a := src.Union(src.Interval(3, 40), src.Singleton(200))
-	b := src.Union(a, src.Interval(100, 130)) // shares a's subgraph
-	memo := map[Ref]Ref{}
-	ia := dst.Import(src, a, memo)
-	ib := dst.Import(src, b, memo)
-	for _, c := range []struct{ s, d Ref }{{a, ia}, {b, ib}} {
-		se := src.Elements(c.s, nil)
-		de := dst.Elements(c.d, nil)
-		if len(se) != len(de) {
-			t.Fatalf("imported set size %d, want %d", len(de), len(se))
-		}
-		for i := range se {
-			if se[i] != de[i] {
-				t.Fatalf("imported element %d = %d, want %d", i, de[i], se[i])
-			}
-		}
-	}
-	// Importing again through the same memo is a no-op lookup.
-	if dst.Import(src, a, memo) != ia {
-		t.Fatal("memoized import not stable")
-	}
-	// Same-manager import is the identity.
-	if src.Import(src, a, nil) != a {
-		t.Fatal("same-manager import should be identity")
-	}
-}

@@ -1,7 +1,6 @@
 package lineage
 
 import (
-	"sync"
 	"testing"
 
 	"scaldift/internal/bdd"
@@ -66,74 +65,6 @@ func BenchmarkLineageMapReduce(b *testing.B) {
 // lineage numbers are read against.
 func BenchmarkLineageBoolBaseline(b *testing.B) {
 	benchWorkload(b, func() *prog.Workload { return prog.StreamAgg(32, 4, 21) }, false)
-}
-
-// BenchmarkLineageLockedVsImport compares the two pipeline-safe
-// lineage constructions on the same concurrent workload — 4 workers
-// each folding overlapping interval sets, as pipeline chains do:
-//
-//   - locked-shared: one manager behind LockedDomain's mutex;
-//   - per-worker-import: a private manager per worker, surviving
-//     roots translated into the canonical manager with bdd.Import.
-//
-// The locked shared manager wins (see lineage.LockedDomain's doc
-// comment): shared memoization makes steady-state joins cache hits,
-// while private managers redo every union and then pay the translate
-// pass. internal/pipeline therefore uses LockedDomain.
-func BenchmarkLineageLockedVsImport(b *testing.B) {
-	const workers = 4
-	const joinsPerWorker = 400
-	const bits = 12
-	work := func(join func(w int, a, c bdd.Ref) bdd.Ref, single func(w int, x int64) bdd.Ref) []bdd.Ref {
-		var wg sync.WaitGroup
-		wg.Add(workers)
-		roots := make([]bdd.Ref, workers)
-		for w := 0; w < workers; w++ {
-			go func(w int) {
-				defer wg.Done()
-				acc := bdd.False
-				for i := 0; i < joinsPerWorker; i++ {
-					// Overlapping, clustered indices — the lineage shape.
-					acc = join(w, acc, single(w, int64((w*97+i)%2048)))
-				}
-				roots[w] = acc
-			}(w)
-		}
-		wg.Wait()
-		return roots
-	}
-
-	b.Run("locked-shared", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			d := NewLockedDomain(bits)
-			roots := work(
-				func(_ int, a, c bdd.Ref) bdd.Ref { return d.Join(a, c) },
-				func(_ int, x int64) bdd.Ref {
-					d.mu.Lock()
-					s := d.Domain.m.Singleton(x)
-					d.mu.Unlock()
-					return s
-				})
-			_ = roots
-		}
-	})
-
-	b.Run("per-worker-import", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			canon := bdd.NewManager(bits)
-			privs := make([]*bdd.Manager, workers)
-			for w := range privs {
-				privs[w] = bdd.NewManager(bits)
-			}
-			roots := work(
-				func(w int, a, c bdd.Ref) bdd.Ref { return privs[w].Union(a, c) },
-				func(w int, x int64) bdd.Ref { return privs[w].Singleton(x) })
-			// Translate-and-merge into the canonical manager.
-			for w, r := range roots {
-				canon.Import(privs[w], r, map[bdd.Ref]bdd.Ref{})
-			}
-		}
-	})
 }
 
 // BenchmarkLineageJoinCached isolates the domain's Join on heavily

@@ -14,13 +14,10 @@ import (
 // lineage labels whose Refs all live in a single space — queries and
 // the memory report work exactly as in the inline engine.
 //
-// This is one of the two constructions the paper-spirited design
-// allows; the other is a private manager per worker with a final
-// translate-and-merge via bdd.Import. BenchmarkLineageLockedVsImport
-// compares them: the locked shared manager wins, because the shared
-// operation cache turns the steady-state Join into a cache hit that
-// holds the lock for tens of nanoseconds, while private managers redo
-// every union from scratch and then pay the translate pass on top.
+// The alternative — a private manager per worker, merged by a final
+// cross-manager translate pass — was built, measured slower (private
+// managers redo every union the shared operation cache would have
+// answered, then pay the translation on top), and deleted.
 type LockedDomain struct {
 	*Domain
 	mu sync.Mutex

@@ -104,10 +104,11 @@ func (o *Offloaded) Attach(m *vm.Machine) {
 
 // SpillTo attaches a chunk sink (store.Writer) that every per-thread
 // shard spills sealed chunks into, making the whole execution
-// persistent instead of window-bounded. Call before Attach/Consume;
-// an async sink keeps shard appends (and so the pipeline) from
-// gating on disk I/O. Close flushes the still-open chunks through
-// the sink; the caller closes the sink itself afterwards.
+// persistent instead of window-bounded. Call before Attach/Consume.
+// Chunks spill from the consumer side's shard appends, so the sink's
+// disk I/O never runs on the execution thread. Close flushes the
+// still-open chunks through the sink; the caller closes the sink
+// itself afterwards.
 func (o *Offloaded) SpillTo(sink ddg.ChunkSink) { o.shards.SetSpill(sink) }
 
 // Close flushes and drains the consumer, stops the worker pool, and

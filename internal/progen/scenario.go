@@ -410,7 +410,7 @@ func (s *scenario) offloaded() {
 	s.tb.Helper()
 	root := s.tb.TempDir()
 	dir := filepath.Join(root, fmt.Sprintf("trace-%d", s.g.Seed))
-	wr, err := store.Create(store.Options{Dir: dir, SegmentBytes: 8 << 10, Async: true})
+	wr, err := store.Create(store.Options{Dir: dir, SegmentBytes: 8 << 10})
 	if err != nil {
 		s.tb.Fatal(err)
 	}
@@ -454,7 +454,7 @@ func (s *scenario) served(root, dir string) {
 	if err := reg.AttachProgram(id, s.g.Prog, ontrac.Options{}); err != nil {
 		s.tb.Fatal(err)
 	}
-	srv := httptest.NewServer(query.NewServer(reg, query.ServerOptions{MaxConcurrent: 2, Workers: 2}).Handler())
+	srv := httptest.NewServer(query.NewServer(reg, query.ServerOptions{MaxConcurrent: 2}).Handler())
 	defer srv.Close()
 	cl := query.NewClient(srv.URL, srv.Client())
 	ctx := context.Background()
@@ -610,7 +610,7 @@ func (s *scenario) trimmed(chunks []ddg.RawChunk) {
 	}
 	defer reg.Close()
 	id := filepath.Base(dir)
-	srv := httptest.NewServer(query.NewServer(reg, query.ServerOptions{MaxConcurrent: 2, Workers: 2}).Handler())
+	srv := httptest.NewServer(query.NewServer(reg, query.ServerOptions{MaxConcurrent: 2}).Handler())
 	defer srv.Close()
 	cl := query.NewClient(srv.URL, srv.Client())
 	ctx := context.Background()
@@ -799,7 +799,7 @@ func (s *scenario) liveAttached() {
 	if err := reg.AttachProgram(id, s.g.Prog, ontrac.Options{}); err != nil {
 		s.tb.Fatal(err)
 	}
-	srv := httptest.NewServer(query.NewServer(reg, query.ServerOptions{MaxConcurrent: 2, Workers: 2}).Handler())
+	srv := httptest.NewServer(query.NewServer(reg, query.ServerOptions{MaxConcurrent: 2}).Handler())
 	defer srv.Close()
 	cl := query.NewClient(srv.URL, srv.Client())
 	ctx := context.Background()

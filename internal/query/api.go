@@ -51,8 +51,6 @@ const (
 	// MaxN is the exclusive upper bound on per-thread instance
 	// numbers (48-bit field).
 	MaxN = uint64(1) << 48
-	// MaxWorkers bounds the requested traversal shard count.
-	MaxWorkers = 256
 )
 
 // Criterion is one slicing start point on the wire.
@@ -80,11 +78,9 @@ type SliceRequest struct {
 	FollowControl bool `json:"follow_control,omitempty"`
 	// FollowAnti includes WAR/WAW edges.
 	FollowAnti bool `json:"follow_anti,omitempty"`
-	// MaxNodes bounds the traversal (0 = unbounded; the parallel
-	// traversals enforce it cooperatively).
+	// MaxNodes bounds the traversal (0 = unbounded; the sharded
+	// traversal enforces it cooperatively).
 	MaxNodes int `json:"max_nodes,omitempty"`
-	// Workers requests a traversal shard count (0 = server default).
-	Workers int `json:"workers,omitempty"`
 	// DeadlineMillis requests a per-query deadline; the server clamps
 	// it to its configured maximum (0 = server default).
 	DeadlineMillis int64 `json:"deadline_ms,omitempty"`
@@ -127,9 +123,6 @@ func (r *SliceRequest) Validate() error {
 	}
 	if r.MaxNodes < 0 {
 		return errors.New("query: max_nodes must be >= 0")
-	}
-	if r.Workers < 0 || r.Workers > MaxWorkers {
-		return fmt.Errorf("query: workers must be in [0,%d]", MaxWorkers)
 	}
 	if r.DeadlineMillis < 0 {
 		return errors.New("query: deadline_ms must be >= 0")
@@ -184,7 +177,7 @@ type SliceResponse struct {
 	// WallMillis is the server-side traversal wall time.
 	WallMillis float64 `json:"wall_ms"`
 	// ShardBusyMillis maps thread shard id to that worker's busy time
-	// (parallel traversals only; "-1" is the orphan shard).
+	// ("-1" is the shard for threads the trace never recorded).
 	ShardBusyMillis map[string]float64 `json:"shard_busy_ms,omitempty"`
 }
 
@@ -196,7 +189,6 @@ type ProvenanceRequest struct {
 	Trace            string      `json:"trace"`
 	Criteria         []Criterion `json:"criteria"`
 	MaxNodes         int         `json:"max_nodes,omitempty"`
-	Workers          int         `json:"workers,omitempty"`
 	DeadlineMillis   int64       `json:"deadline_ms,omitempty"`
 	BudgetChunkLoads int64       `json:"budget_chunk_loads,omitempty"`
 	Raw              bool        `json:"raw,omitempty"`
@@ -210,7 +202,6 @@ func (r *ProvenanceRequest) slice() *SliceRequest {
 		Direction:        DirBackward,
 		Criteria:         r.Criteria,
 		MaxNodes:         r.MaxNodes,
-		Workers:          r.Workers,
 		DeadlineMillis:   r.DeadlineMillis,
 		BudgetChunkLoads: r.BudgetChunkLoads,
 		Raw:              r.Raw,

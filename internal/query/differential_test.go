@@ -34,7 +34,7 @@ func recordTrace(t *testing.T, root string, w *prog.Workload, opts ontrac.Option
 		w.Cfg.Quantum = 11
 	}
 	dir := filepath.Join(root, fmt.Sprintf("%s-%d", w.Name, seed))
-	wr, err := store.Create(store.Options{Dir: dir, SegmentBytes: 8 << 10, Async: true})
+	wr, err := store.Create(store.Options{Dir: dir, SegmentBytes: 8 << 10})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -99,7 +99,7 @@ func TestServedSlicesMatchDirect(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	srv := httptest.NewServer(NewServer(reg, ServerOptions{MaxConcurrent: 4, Workers: 4}).Handler())
+	srv := httptest.NewServer(NewServer(reg, ServerOptions{MaxConcurrent: 4}).Handler())
 	defer srv.Close()
 	cl := NewClient(srv.URL, srv.Client())
 	ctx := context.Background()
@@ -140,7 +140,7 @@ func TestServedSlicesMatchDirect(t *testing.T) {
 				resp, err := cl.Slice(ctx, &SliceRequest{
 					Trace: id, Direction: DirBackward,
 					Criteria:      []Criterion{{TID: tid, N: hi}},
-					FollowControl: true, Workers: 4,
+					FollowControl: true,
 				})
 				if err != nil {
 					t.Fatal(err)
@@ -160,7 +160,7 @@ func TestServedSlicesMatchDirect(t *testing.T) {
 				fresp, err := cl.Slice(ctx, &SliceRequest{
 					Trace: id, Direction: DirForward,
 					Criteria:      []Criterion{{TID: tid, N: lo}},
-					FollowControl: true, Workers: 4,
+					FollowControl: true,
 				})
 				if err != nil {
 					t.Fatal(err)
@@ -184,7 +184,7 @@ func TestServedSlicesMatchDirect(t *testing.T) {
 			// Multi-criteria fan-out, both directions.
 			resp, err := cl.Slice(ctx, &SliceRequest{
 				Trace: id, Direction: DirBackward, Criteria: allCrits,
-				FollowControl: true, Workers: 4,
+				FollowControl: true,
 			})
 			if err != nil {
 				t.Fatal(err)
@@ -198,7 +198,7 @@ func TestServedSlicesMatchDirect(t *testing.T) {
 			}
 			fresp, err := cl.Slice(ctx, &SliceRequest{
 				Trace: id, Direction: DirForward, Criteria: fwdCrits,
-				FollowControl: true, Workers: 4,
+				FollowControl: true,
 			})
 			if err != nil {
 				t.Fatal(err)
@@ -210,7 +210,7 @@ func TestServedSlicesMatchDirect(t *testing.T) {
 			// Provenance: served input set vs direct recomputation
 			// (backward data-only slice filtered to IN instructions).
 			prov, err := cl.Provenance(ctx, &ProvenanceRequest{
-				Trace: id, Criteria: allCrits, Workers: 4,
+				Trace: id, Criteria: allCrits,
 			})
 			if err != nil {
 				t.Fatal(err)

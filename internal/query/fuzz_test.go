@@ -6,6 +6,7 @@ import (
 	"encoding/json"
 	"math"
 	"reflect"
+	"strings"
 	"testing"
 	"unicode/utf8"
 )
@@ -26,9 +27,19 @@ func FuzzQueryCodec(f *testing.F) {
 	f.Add([]byte(`{"trace":"t","direction":"backward","criteria":[{"tid":0}],"bogus":1}`),
 		"", "sideways", -1, uint64(1)<<60, true, int32(-7), false, false, -1, 999, int64(-2), int64(-3), false, math.Inf(1))
 
+	// The retired "workers" knob is rejected like any unknown field.
+	if _, err := DecodeSliceRequest(strings.NewReader(
+		`{"trace":"t","direction":"backward","criteria":[{"tid":0}],"workers":4}`)); err == nil {
+		f.Fatal(`slice decoder accepted the retired "workers" field`)
+	}
+	if _, err := DecodeProvenanceRequest(strings.NewReader(
+		`{"trace":"t","criteria":[{"tid":0}],"workers":4}`)); err == nil {
+		f.Fatal(`provenance decoder accepted the retired "workers" field`)
+	}
+
 	f.Fuzz(func(t *testing.T, raw []byte,
 		trace, direction string, tid int, n uint64, hasPC bool, pc int32,
-		followControl, followAnti bool, maxNodes, workers int,
+		followControl, followAnti bool, maxNodes, edges int,
 		deadlineMillis, budget int64, rawFlag bool, wall float64) {
 
 		// Part 1: arbitrary bytes through the strict decoders.
@@ -63,7 +74,6 @@ func FuzzQueryCodec(f *testing.F) {
 			FollowControl:    followControl,
 			FollowAnti:       followAnti,
 			MaxNodes:         maxNodes,
-			Workers:          workers,
 			DeadlineMillis:   deadlineMillis,
 			BudgetChunkLoads: budget,
 			Raw:              rawFlag,
@@ -105,7 +115,7 @@ func FuzzQueryCodec(f *testing.F) {
 				Direction:       direction,
 				PCs:             []int32{pc, pc + 1},
 				Nodes:           maxNodes,
-				Edges:           workers,
+				Edges:           edges,
 				ChunkLoads:      budget,
 				WallMillis:      wall,
 				BudgetExhausted: followAnti,

@@ -21,6 +21,12 @@ import (
 	"scaldift/internal/store"
 )
 
+// sliceWorkers selects slicing's sharded walk (any value > 1 does:
+// the slicers run one goroutine per trace thread, not a pool of this
+// size). Every served source reads through a store.Reader, which is
+// safe for concurrent use.
+const sliceWorkers = 8
+
 // ServerOptions tunes the query service.
 type ServerOptions struct {
 	// MaxConcurrent bounds simultaneously executing slice/provenance
@@ -31,10 +37,6 @@ type ServerOptions struct {
 	DefaultDeadline time.Duration
 	// MaxDeadline clamps requested deadlines (default 2m).
 	MaxDeadline time.Duration
-	// Workers is the default traversal shard switch handed to
-	// slicing.ParallelBackward / ParallelForward (default 8; the Go
-	// scheduler multiplexes shards over the machine).
-	Workers int
 	// BudgetChunkLoads is the default per-query chunk-decode budget;
 	// 0 means unlimited unless the request asks for a budget.
 	BudgetChunkLoads int64
@@ -60,9 +62,6 @@ func (o *ServerOptions) fill() {
 	}
 	if o.MaxDeadline <= 0 {
 		o.MaxDeadline = 2 * time.Minute
-	}
-	if o.Workers <= 0 {
-		o.Workers = 8
 	}
 	if o.ResultCacheEntries == 0 {
 		o.ResultCacheEntries = 256
@@ -158,9 +157,8 @@ func (c *resultCache) invalidateTrace(trace string) {
 
 // sliceCacheKey hashes everything that determines a slice answer: the
 // trace id, its manifest generation (bumped by every trim and seal),
-// the traversal options, and the resolved criteria. Workers and
-// deadline are deliberately excluded — they shape wall time, not the
-// answer.
+// the traversal options, and the resolved criteria. The deadline is
+// deliberately excluded — it shapes wall time, not the answer.
 func sliceCacheKey(trace string, gen uint64, req *SliceRequest, crits []slicing.Criterion) string {
 	h := sha256.New()
 	var buf [8]byte
@@ -443,10 +441,6 @@ func (s *Server) runSlice(ctx context.Context, req *SliceRequest) (*SliceRespons
 			return resp, http.StatusOK, nil
 		}
 	}
-	workers := s.opts.Workers
-	if req.Workers > 0 {
-		workers = req.Workers
-	}
 	sopts := slicing.Options{
 		FollowControl: req.FollowControl,
 		FollowAnti:    req.FollowAnti,
@@ -457,13 +451,13 @@ func (s *Server) runSlice(ctx context.Context, req *SliceRequest) (*SliceRespons
 	start := time.Now()
 	var sl *slicing.Slice
 	if req.Direction == DirBackward {
-		sl = slicing.ParallelBackward(src, t.Program(), crits, sopts, workers)
+		sl = slicing.ParallelBackward(src, t.Program(), crits, sopts, sliceWorkers)
 	} else {
 		ids := make([]ddg.ID, len(crits))
 		for i, c := range crits {
 			ids[i] = c.ID
 		}
-		sl = slicing.ParallelForward(src, t.Program(), ids, sopts, workers)
+		sl = slicing.ParallelForward(src, t.Program(), ids, sopts, sliceWorkers)
 	}
 	wall := time.Since(start)
 	s.served.Add(1)

@@ -1,9 +1,38 @@
 // Package slicing computes dynamic slices over dynamic dependence
 // graphs (§2.1, §3.1): the backward closure of data (and optionally
-// control) dependences from a slicing criterion, reported as a set of
-// statements. It consumes any ddg.Source — the full offline graph,
-// the compact store, or ONTRAC's reconstructing reader (whose elided
-// edges are resolved through the HintedSource extension).
+// control) dependences from a slicing criterion — or the forward
+// closure from a set of instances — reported as a set of statements.
+// It consumes any ddg.Source — the full offline graph, the compact
+// store, or ONTRAC's reconstructing reader (whose elided edges are
+// resolved through the HintedSource extension).
+//
+// Both directions run one traversal core (traverse.go); the workers
+// argument of ParallelBackward / ParallelForward is a switch, not a
+// pool size:
+//
+//   - workers <= 1 (what Backward and Forward pass) is the solo walk:
+//     one shard owning every thread, drained as a LIFO worklist on the
+//     calling goroutine. No goroutine is started, so any source works,
+//     including a lone ddg.Compact or an ontrac.Reader over one
+//     (single-goroutine decode cache). Options.MaxNodes is exact, and
+//     visit order, cancellation point and results are deterministic.
+//   - workers > 1 is the sharded walk: one goroutine per trace thread,
+//     each draining its own thread's frontier depth-first and handing
+//     cross-thread edges to the owning thread's shard, so long
+//     per-thread chains advance in parallel over the per-thread
+//     layouts underneath (store.Reader segments, ddg.Sharded). The
+//     source — DepsOf, DepsOfHinted, NodePC — must be safe for
+//     concurrent reads: store.Reader, ddg.Full and ddg.Sharded are.
+//     Options.MaxNodes and Options.Done are enforced cooperatively, so
+//     a bounded or cancelled walk may visit a few nodes past the cut.
+//
+// Over an exact source the two settings return identical PCs, Lines,
+// Nodes, Edges and TruncatedAtWindow when MaxNodes is 0: the closure
+// is order-independent. The one caveat is a HintedSource whose
+// reconstruction over-approximates (ontrac O2): a node's PC hint
+// depends on which edge discovers it first, so different visit orders
+// can reconstruct marginally different edge sets — each a valid
+// over-approximation of the slice.
 package slicing
 
 import (
@@ -43,10 +72,20 @@ type Options struct {
 	// Done, when non-nil, cancels the traversal cooperatively once it
 	// becomes readable (a context's Done channel: per-query deadlines
 	// in the trace query service). A cancelled traversal returns the
-	// valid partial slice computed so far with Interrupted set; like
-	// MaxNodes, the cut point is approximate under the parallel
-	// slicers.
+	// valid partial slice computed so far with Interrupted set.
 	Done <-chan struct{}
+}
+
+// follows is the edge-kind filter: which dependence kinds the
+// traversal crosses.
+func (o *Options) follows(k ddg.Kind) bool {
+	switch k {
+	case ddg.Control:
+		return o.FollowControl
+	case ddg.WAR, ddg.WAW:
+		return o.FollowAnti
+	}
+	return true
 }
 
 // doneFired reports whether o.Done is readable. Checked every few
@@ -86,11 +125,12 @@ type Slice struct {
 	// stopped early: the slice is a valid under-approximation, like a
 	// window truncation.
 	Interrupted bool
-	// ShardBusy, populated only by the parallel slicers, maps thread
-	// id (-1 for the orphan shard) to that shard worker's processing
-	// time, waits excluded. The max entry is the traversal's critical
-	// path on fully parallel hardware; the sum approximates one
-	// core's sequential cost.
+	// ShardBusy maps a shard's thread id to the time spent processing
+	// its frontier, waits excluded. Key -1 is the shard for threads
+	// the source never recorded — which, solo, is the only shard and
+	// owns every thread. Sharded, the max entry is the traversal's
+	// critical path on fully parallel hardware and the sum
+	// approximates one core's sequential cost.
 	ShardBusy map[int]time.Duration
 }
 
@@ -100,77 +140,146 @@ func (s *Slice) Contains(line int) bool {
 	return i < len(s.Lines) && s.Lines[i] == line
 }
 
-// Backward computes the backward dynamic slice of the criteria.
+// Backward computes the backward dynamic slice of the criteria with
+// the solo walk: ParallelBackward at workers = 1.
 func Backward(src ddg.Source, prog *isa.Program, crits []Criterion, opts Options) *Slice {
+	return ParallelBackward(src, prog, crits, opts, 1)
+}
+
+// ParallelBackward computes the backward dynamic slice of the
+// criteria; workers selects the solo or the sharded walk (see the
+// package comment).
+func ParallelBackward(src ddg.Source, prog *isa.Program, crits []Criterion, opts Options, workers int) *Slice {
+	t := newTraversal(src, opts, workers)
 	hinted, _ := src.(HintedSource)
-	res := &Slice{PCs: make(map[int32]bool)}
-	type item struct {
-		id ddg.ID
-		pc int32
+
+	// Windows are constant during a traversal: snapshot them so the
+	// per-edge window check never touches the source (whose Window
+	// may lock the very thread state another worker is decoding).
+	// Absent tids have no records — lo = 0, like Source.Window.
+	winLo := make(map[int]uint64)
+	for _, tid := range src.Threads() {
+		winLo[tid], _ = src.Window(tid)
 	}
-	visited := make(map[ddg.ID]bool)
-	var work []item
-	push := func(id ddg.ID, pc int32) {
-		if id == 0 || visited[id] {
-			return
+	t.gate = func(s *shard, it item) bool {
+		if it.id == 0 {
+			return false
 		}
-		visited[id] = true
-		lo, _ := src.Window(id.TID())
-		evicted := lo > 0 && id.N() < lo
-		deadEnd := lo == 0 && hinted == nil
-		if evicted || deadEnd {
+		lo := winLo[it.id.TID()]
+		evicted := lo > 0 && it.id.N() < lo
+		if evicted || (lo == 0 && hinted == nil) {
 			// The statement reaches the slice via the incoming edge,
 			// but traversal cannot continue past the buffer window.
-			if evicted {
-				res.TruncatedAtWindow = true
+			s.truncated = s.truncated || evicted
+			if it.pc >= 0 {
+				s.edgePCs[it.pc] = true
 			}
-			if pc >= 0 {
-				res.PCs[pc] = true
-			}
-			return
+			return false
 		}
-		work = append(work, item{id: id, pc: pc})
+		return true
 	}
-	for _, c := range crits {
-		push(c.ID, c.PC)
-	}
-	for len(work) > 0 {
-		it := work[len(work)-1]
-		work = work[:len(work)-1]
-		res.Nodes++
-		if it.pc >= 0 {
-			res.PCs[it.pc] = true
-		}
-		if opts.MaxNodes > 0 && res.Nodes >= opts.MaxNodes {
-			break
-		}
-		if res.Nodes&donePollMask == 0 && opts.doneFired() {
-			res.Interrupted = true
-			break
-		}
+	t.expander = func(_ *shard, edge func(ddg.ID, int32)) func(item) {
 		yield := func(d ddg.Dep) {
-			switch d.Kind {
-			case ddg.Control:
-				if !opts.FollowControl {
-					return
-				}
-			case ddg.WAR, ddg.WAW:
-				if !opts.FollowAnti {
-					return
-				}
+			if opts.follows(d.Kind) {
+				edge(d.Def, d.DefPC)
 			}
-			res.Edges++
-			res.PCs[d.DefPC] = true
-			push(d.Def, d.DefPC)
 		}
 		if hinted != nil {
-			hinted.DepsOfHinted(it.id, it.pc, yield)
-		} else {
-			src.DepsOf(it.id, yield)
+			return func(it item) { hinted.DepsOfHinted(it.id, it.pc, yield) }
+		}
+		return func(it item) { src.DepsOf(it.id, yield) }
+	}
+	for _, c := range crits {
+		t.enqueue(t.shardOf(c.ID.TID()), item{id: c.ID, pc: c.PC})
+	}
+	return t.walk(prog)
+}
+
+// Forward computes the forward dynamic slice of the start instances
+// with the solo walk: ParallelForward at workers = 1.
+func Forward(g ddg.Source, prog *isa.Program, start []ddg.ID, opts Options) *Slice {
+	return ParallelForward(g, prog, start, opts, 1)
+}
+
+// ParallelForward computes the forward dynamic slice (all instances
+// affected by the start instances) over any ddg.Source; workers
+// selects the solo or the sharded walk (see the package comment).
+// Reverse edges are built first, by one scan of the source's retained
+// windows — the dominant cost — which shards per thread like the walk:
+// one scanner per trace thread buckets the edges it finds by the def's
+// owning shard, then each shard merges its buckets into its own
+// reverse map (no shared map). A Done that fires during either phase
+// returns an empty Interrupted slice rather than walking partial
+// buckets.
+//
+// Over a source with elided records (ontrac.Reader under O1/O2), the
+// forward slice under-approximates: reconstruction needs each node's
+// static PC from traversal context, which flows naturally along
+// backward edges but not forward, so flow THROUGH a fully elided
+// instance is not followed. Use the Full graph (or an unoptimized
+// trace) when the exact forward closure matters. The paper computes
+// the forward slice of the inputs online instead (ONTRAC T2); this
+// offline version exists for fault-location experiments and
+// cross-checks.
+func ParallelForward(g ddg.Source, prog *isa.Program, start []ddg.ID, opts Options, workers int) *Slice {
+	t := newTraversal(g, opts, workers)
+	tids := g.Threads()
+	buckets := make([][][]ddg.Dep, len(tids)) // [scanned thread][def's shard]
+	t.each(len(tids), func(i int) {
+		out := make([][]ddg.Dep, len(t.all))
+		lo, hi := g.Window(tids[i])
+		for n := lo; n <= hi && lo != 0; n++ {
+			if (n-lo)&donePollMask == 0 && t.doneFired() {
+				break
+			}
+			g.DepsOf(ddg.MakeID(tids[i], n), func(d ddg.Dep) {
+				if opts.follows(d.Kind) {
+					k := t.shardOf(d.Def.TID()).idx
+					out[k] = append(out[k], d)
+				}
+			})
+		}
+		buckets[i] = out
+	})
+	if !t.doneFired() {
+		t.each(len(t.all), func(k int) {
+			s := t.all[k]
+			s.rev = make(map[ddg.ID][]ddg.Dep)
+			for _, b := range buckets {
+				for i, d := range b[k] {
+					if i&donePollMask == 0 && t.doneFired() {
+						return
+					}
+					s.rev[d.Def] = append(s.rev[d.Def], d)
+				}
+			}
+		})
+	}
+	if t.done.Load() {
+		return t.walk(prog)
+	}
+
+	// A def can have trace-proportional fan-out, so expansion polls
+	// too. A discovered use carries its PC on the edge; only the start
+	// instances need a NodePC lookup.
+	t.expander = func(s *shard, edge func(ddg.ID, int32)) func(item) {
+		return func(it item) {
+			for i, d := range s.rev[it.id] {
+				if i&donePollMask == donePollMask && t.doneFired() {
+					return
+				}
+				edge(d.Use, d.UsePC)
+			}
 		}
 	}
-	res.Lines = pcsToLines(prog, res.PCs)
-	return res
+	for _, id := range start {
+		pc, ok := g.NodePC(id)
+		if !ok {
+			pc = -1
+		}
+		t.enqueue(t.shardOf(id.TID()), item{id: id, pc: pc})
+	}
+	return t.walk(prog)
 }
 
 // pcsToLines maps a PC set to a sorted, deduplicated line set. A nil
@@ -192,82 +301,4 @@ func pcsToLines(prog *isa.Program, pcs map[int32]bool) []int {
 	}
 	sort.Ints(lines)
 	return lines
-}
-
-// Forward computes the forward dynamic slice (all instances affected
-// by the start instances) over any ddg.Source — the full offline
-// graph, a compact store, per-thread shards, or ONTRAC's
-// reconstructing reader. Reverse edges are built by one scan of the
-// source's retained windows.
-//
-// Over a source with elided records (ontrac.Reader under O1/O2), the
-// forward slice under-approximates: reconstruction needs each node's
-// static PC from traversal context, which flows naturally along
-// backward edges but not forward, so flow THROUGH a fully elided
-// instance is not followed. Use the Full graph (or an unoptimized
-// trace) when the exact forward closure matters. The paper computes
-// the forward slice of the inputs online instead (ONTRAC T2); this
-// offline version exists for fault-location experiments and
-// cross-checks.
-func Forward(g ddg.Source, prog *isa.Program, start []ddg.ID, opts Options) *Slice {
-	res := &Slice{PCs: make(map[int32]bool)}
-	// Build reverse adjacency.
-	rev := make(map[ddg.ID][]ddg.Dep)
-	for _, tid := range g.Threads() {
-		lo, hi := g.Window(tid)
-		for n := lo; n <= hi && lo != 0; n++ {
-			if (n-lo)&donePollMask == 0 && opts.doneFired() {
-				res.Interrupted = true
-				res.Lines = pcsToLines(prog, res.PCs)
-				return res
-			}
-			id := ddg.MakeID(tid, n)
-			g.DepsOf(id, func(d ddg.Dep) {
-				switch d.Kind {
-				case ddg.Control:
-					if !opts.FollowControl {
-						return
-					}
-				case ddg.WAR, ddg.WAW:
-					if !opts.FollowAnti {
-						return
-					}
-				}
-				rev[d.Def] = append(rev[d.Def], d)
-			})
-		}
-	}
-	visited := make(map[ddg.ID]bool)
-	var work []ddg.ID
-	for _, id := range start {
-		if !visited[id] {
-			visited[id] = true
-			work = append(work, id)
-		}
-	}
-	for len(work) > 0 {
-		id := work[len(work)-1]
-		work = work[:len(work)-1]
-		res.Nodes++
-		if pc, ok := g.NodePC(id); ok {
-			res.PCs[pc] = true
-		}
-		if opts.MaxNodes > 0 && res.Nodes >= opts.MaxNodes {
-			break
-		}
-		if res.Nodes&donePollMask == 0 && opts.doneFired() {
-			res.Interrupted = true
-			break
-		}
-		for _, d := range rev[id] {
-			res.Edges++
-			res.PCs[d.UsePC] = true
-			if !visited[d.Use] {
-				visited[d.Use] = true
-				work = append(work, d.Use)
-			}
-		}
-	}
-	res.Lines = pcsToLines(prog, res.PCs)
-	return res
 }

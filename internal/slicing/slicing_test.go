@@ -1,6 +1,7 @@
 package slicing
 
 import (
+	"reflect"
 	"testing"
 
 	"scaldift/internal/ddg"
@@ -145,9 +146,18 @@ loop:
     halt
 `, nil, ddg.ExtractorOpts{})
 	out := instanceOf(g, 0, 4)
-	s := Backward(g, p, []Criterion{{ID: out, PC: 4}}, Options{MaxNodes: 10})
-	if s.Nodes > 10 {
-		t.Fatalf("visited %d nodes with MaxNodes=10", s.Nodes)
+	// The solo walk enforces the bound exactly and deterministically:
+	// callers compare truncated answers across repeat runs.
+	first := Backward(g, p, []Criterion{{ID: out, PC: 4}}, Options{MaxNodes: 10})
+	if first.Nodes != 10 {
+		t.Fatalf("visited %d nodes with MaxNodes=10", first.Nodes)
+	}
+	for i := 0; i < 20; i++ {
+		s := Backward(g, p, []Criterion{{ID: out, PC: 4}}, Options{MaxNodes: 10})
+		if s.Nodes != first.Nodes || s.Edges != first.Edges || !reflect.DeepEqual(s.PCs, first.PCs) {
+			t.Fatalf("repeat %d: %d nodes, %d edges, PCs %v; first call %d, %d, %v",
+				i, s.Nodes, s.Edges, s.PCs, first.Nodes, first.Edges, first.PCs)
+		}
 	}
 }
 

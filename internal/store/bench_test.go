@@ -19,8 +19,8 @@ import (
 )
 
 // The BenchmarkStore* suite measures the persistence layer: spill
-// throughput (sync and async writers over a pre-recorded chunk
-// stream), cold-reopen backward-slice latency, and the parallel
+// throughput (a pre-recorded chunk stream through a fresh writer),
+// cold-reopen backward-slice latency, and the parallel
 // offline slicer's speedup over sequential traversal of the same
 // reopened store.
 //
@@ -67,8 +67,8 @@ func benchChunks(b testing.TB) ([]ddg.RawChunk, uint64) {
 }
 
 // spillChunks writes the chunk stream through a fresh writer.
-func spillChunks(b testing.TB, dir string, async bool, chunks []ddg.RawChunk) {
-	w, err := Create(Options{Dir: dir, Async: async})
+func spillChunks(b testing.TB, dir string, chunks []ddg.RawChunk) {
+	w, err := Create(Options{Dir: dir})
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -80,18 +80,15 @@ func spillChunks(b testing.TB, dir string, async bool, chunks []ddg.RawChunk) {
 	}
 }
 
-func benchSpill(b *testing.B, async bool) {
+func BenchmarkStoreSpill(b *testing.B) {
 	chunks, bytes := benchChunks(b)
 	dir := b.TempDir()
 	b.SetBytes(int64(bytes))
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		spillChunks(b, filepath.Join(dir, fmt.Sprint(i)), async, chunks)
+		spillChunks(b, filepath.Join(dir, fmt.Sprint(i)), chunks)
 	}
 }
-
-func BenchmarkStoreSpillSync(b *testing.B)  { benchSpill(b, false) }
-func BenchmarkStoreSpillAsync(b *testing.B) { benchSpill(b, true) }
 
 // benchStoreDir lazily materializes one spilled store for the read
 // benches; TestMain removes it.
@@ -115,7 +112,7 @@ func benchStore(b testing.TB) string {
 		if err != nil {
 			b.Fatal(err)
 		}
-		spillChunks(b, dir, false, chunks)
+		spillChunks(b, dir, chunks)
 		benchStoreDir.dir = dir
 	})
 	return benchStoreDir.dir
@@ -392,7 +389,7 @@ func TestWriteBenchStoreJSON(t *testing.T) {
 		GoMaxProcs: runtime.GOMAXPROCS(0),
 		Host:       benchfp.Current(),
 		Note: "Persistent segmented trace store. spill = writing the workload's pre-recorded " +
-			"chunk stream through a fresh store (async adds the writer goroutine hand-off); " +
+			"chunk stream through a fresh store; " +
 			"cold_reopen = Open from disk + one whole-execution backward slice with a cold " +
 			"chunk cache; parallel_backward = cold whole-store slices from every thread's " +
 			"newest instance, sequential Backward vs ParallelBackward (one goroutine per " +
@@ -415,20 +412,18 @@ func TestWriteBenchStoreJSON(t *testing.T) {
 		},
 	}
 
-	for _, mode := range []string{"sync", "async"} {
-		dir := t.TempDir()
-		i := 0
-		wall := bestOf(reps, func() {
-			spillChunks(t, filepath.Join(dir, fmt.Sprint(i)), mode == "async", chunks)
-			i++
-		})
-		report.Spill = append(report.Spill, storeBenchSpill{
-			Mode:       mode,
-			WallS:      wall,
-			MBPerSec:   float64(bytes) / (1 << 20) / wall,
-			ChunksPerS: float64(len(chunks)) / wall,
-		})
-	}
+	spillDir := t.TempDir()
+	i := 0
+	wall := bestOf(reps, func() {
+		spillChunks(t, filepath.Join(spillDir, fmt.Sprint(i)), chunks)
+		i++
+	})
+	report.Spill = []storeBenchSpill{{
+		Mode:       "sync",
+		WallS:      wall,
+		MBPerSec:   float64(bytes) / (1 << 20) / wall,
+		ChunksPerS: float64(len(chunks)) / wall,
+	}}
 
 	dir := benchStore(t)
 	var s *slicing.Slice

@@ -28,9 +28,9 @@ func runSpilled(t *testing.T, w *prog.Workload, opts ontrac.Options, seed uint64
 		w.Cfg.Quantum = 11
 	}
 	dir := t.TempDir()
-	// Async + small segments: exercise the writer goroutine and
-	// multi-segment layout on every workload.
-	wr, err := Create(Options{Dir: dir, SegmentBytes: 8 << 10, Async: true, QueueDepth: 8})
+	// Small segments: exercise the multi-segment layout on every
+	// workload.
+	wr, err := Create(Options{Dir: dir, SegmentBytes: 8 << 10})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -122,17 +122,6 @@ func TestStoreRoundTrip(t *testing.T) {
 	}
 }
 
-func TestStoreRoundTripAsync(t *testing.T) {
-	dir := t.TempDir()
-	model := spillAll(t, dir, Options{SegmentBytes: 4096, Async: true, QueueDepth: 4}, 4, 300, 128)
-	r, err := Open(dir, ReaderOptions{CacheChunks: 2})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer r.Close()
-	diffSource(t, model, r)
-}
-
 // TestStoreSmallCache forces heavy cache churn: correctness must not
 // depend on the decoded working set fitting the cache.
 func TestStoreSmallCache(t *testing.T) {
@@ -236,32 +225,29 @@ func TestOpenMissingManifest(t *testing.T) {
 }
 
 // TestSpillAfterCloseDropped: a chunk spilled after Close must be
-// silently dropped in both modes — never a panic (async used to send
-// on a closed channel), never a partial write.
+// silently dropped — never a panic, never a partial write.
 func TestSpillAfterCloseDropped(t *testing.T) {
-	for _, async := range []bool{false, true} {
-		dir := t.TempDir()
-		w, err := Create(Options{Dir: dir, Async: async})
-		if err != nil {
-			t.Fatal(err)
-		}
-		c := ddg.NewCompactSized(0, 64)
-		c.SetSpill(w)
-		appendSynthetic(singleTID{c}, 1, 50)
-		c.Flush()
-		if err := w.Close(); err != nil {
-			t.Fatal(err)
-		}
-		before := w.ChunksSpilled()
-		c.Append(ddg.MakeID(0, 1000), 3,
-			[]ddg.Dep{{Use: ddg.MakeID(0, 1000), UsePC: 3, Def: ddg.MakeID(1, 9), DefPC: 2, Kind: ddg.Data}}, 0)
-		c.Flush() // seals + spills into the closed writer
-		if err := w.Close(); err != nil {
-			t.Fatalf("async=%v: second Close: %v", async, err)
-		}
-		if got := w.ChunksSpilled(); got != before {
-			t.Fatalf("async=%v: late chunk written after Close (%d -> %d)", async, before, got)
-		}
+	dir := t.TempDir()
+	w, err := Create(Options{Dir: dir})
+	if err != nil {
+		t.Fatal(err)
+	}
+	c := ddg.NewCompactSized(0, 64)
+	c.SetSpill(w)
+	appendSynthetic(singleTID{c}, 1, 50)
+	c.Flush()
+	if err := w.Close(); err != nil {
+		t.Fatal(err)
+	}
+	before := w.ChunksSpilled()
+	c.Append(ddg.MakeID(0, 1000), 3,
+		[]ddg.Dep{{Use: ddg.MakeID(0, 1000), UsePC: 3, Def: ddg.MakeID(1, 9), DefPC: 2, Kind: ddg.Data}}, 0)
+	c.Flush() // seals + spills into the closed writer
+	if err := w.Close(); err != nil {
+		t.Fatalf("second Close: %v", err)
+	}
+	if got := w.ChunksSpilled(); got != before {
+		t.Fatalf("late chunk written after Close (%d -> %d)", before, got)
 	}
 }
 

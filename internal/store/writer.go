@@ -18,12 +18,6 @@ type Options struct {
 	// SegmentBytes seals a segment once its chunk records reach this
 	// size; <= 0 selects the 1MB default.
 	SegmentBytes int
-	// Async moves file I/O onto a dedicated writer goroutine:
-	// SpillChunk only enqueues, so recording throughput is not gated
-	// on the disk. Close drains the queue.
-	Async bool
-	// QueueDepth bounds the async queue (default 256 chunks).
-	QueueDepth int
 	// SyncOnSeal fsyncs a segment before the manifest marks it
 	// sealed, making sealed data crash-durable at the cost of
 	// throughput.
@@ -40,9 +34,6 @@ type Options struct {
 func (o *Options) fill() {
 	if o.SegmentBytes <= 0 {
 		o.SegmentBytes = 1 << 20
-	}
-	if o.QueueDepth <= 0 {
-		o.QueueDepth = 256
 	}
 }
 
@@ -66,17 +57,6 @@ type Writer struct {
 	now      func() time.Time
 	err      error
 	closed   bool
-
-	// Async plumbing. sendMu (not mu) guards the in-channel lifecycle:
-	// senders hold it shared around the send, Close takes it exclusive
-	// after setting closing, so a late SpillChunk degrades to the sync
-	// path's silent no-op instead of panicking on a closed channel.
-	// The writer goroutine never touches sendMu, so a sender blocked
-	// on a full queue always drains.
-	sendMu  sync.RWMutex
-	closing bool
-	in      chan ddg.RawChunk
-	done    chan struct{}
 }
 
 // openSeg is one thread's active segment file.
@@ -126,34 +106,13 @@ func Create(opts Options) (*Writer, error) {
 	if err := writeManifest(opts.Dir, &w.man); err != nil {
 		return nil, err
 	}
-	if opts.Async {
-		w.in = make(chan ddg.RawChunk, opts.QueueDepth)
-		w.done = make(chan struct{})
-		go func() {
-			for ch := range w.in {
-				w.mu.Lock()
-				w.spill(ch)
-				w.mu.Unlock()
-			}
-			close(w.done)
-		}()
-	}
 	return w, nil
 }
 
-// SpillChunk implements ddg.ChunkSink. Safe for concurrent use; in
-// async mode it only enqueues. The chunk's Buf must be immutable
-// (sealed Compact chunks are). Chunks spilled after Close are
-// dropped.
+// SpillChunk implements ddg.ChunkSink: the chunk record is written
+// before it returns. Safe for concurrent use. Chunks spilled after
+// Close are dropped.
 func (w *Writer) SpillChunk(ch ddg.RawChunk) {
-	if w.in != nil {
-		w.sendMu.RLock()
-		if !w.closing {
-			w.in <- ch
-		}
-		w.sendMu.RUnlock()
-		return
-	}
 	w.mu.Lock()
 	w.spill(ch)
 	w.mu.Unlock()
@@ -329,19 +288,9 @@ func syncDir(dir string) error {
 	return d.Sync()
 }
 
-// Close drains the async queue, seals every open segment, and writes
-// the final manifest. Idempotent; returns the first sticky error.
+// Close seals every open segment and writes the final manifest.
+// Idempotent; returns the first sticky error.
 func (w *Writer) Close() error {
-	if w.in != nil {
-		w.sendMu.Lock()
-		already := w.closing
-		w.closing = true
-		w.sendMu.Unlock()
-		if !already {
-			close(w.in)
-		}
-		<-w.done
-	}
 	w.mu.Lock()
 	defer w.mu.Unlock()
 	if w.closed {
