@@ -176,8 +176,7 @@ type ontracBench struct {
 		RecordOnly struct {
 			EventsPerSec float64 `json:"events_per_sec"`
 		} `json:"record_only"`
-		Offloaded []struct {
-			Workers      int     `json:"workers"`
+		Offloaded struct {
 			EventsPerSec float64 `json:"events_per_sec"`
 		} `json:"offloaded"`
 	} `json:"results"`
@@ -283,9 +282,7 @@ func loadBaselines(dir string) (out map[string]metrics, hosts []string, err erro
 			base := "BenchmarkOntracPipeline" + camelName(res.Workload)
 			add(base+"Inline", "events/s", res.Inline.EventsPerSec)
 			add(base+"RecordOnly", "events/s", res.RecordOnly.EventsPerSec)
-			for _, off := range res.Offloaded {
-				add(fmt.Sprintf("%sOffloadedW%d", base, off.Workers), "events/s", off.EventsPerSec)
-			}
+			add(base+"Offloaded", "events/s", res.Offloaded.EventsPerSec)
 		}
 	}
 	return out, hosts, nil

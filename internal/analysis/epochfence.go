@@ -14,9 +14,9 @@ import (
 //   - Ownership coordination (BeginEpoch, Claim, ClaimAll, View) is
 //     coordinator-only. A call on a shadow.Epoch receiver from a
 //     worker context — a goroutine body or a function literal, the
-//     shapes handed to pipeline.Pool.Run — mutates or mints ownership
-//     concurrently with views that were published under the old
-//     assignment.
+//     shapes the pipeline hands its worker pool — mutates or mints
+//     ownership concurrently with views that were published under the
+//     old assignment.
 //   - The whole-memory accessors (Get, Set, Clear, Tainted, Pages,
 //     SizeWords, Range) are quiescent-only, so the same worker-context
 //     restriction applies to them.

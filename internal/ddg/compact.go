@@ -5,11 +5,13 @@ import (
 	"sort"
 )
 
-// Compact is the delta/varint-encoded dependence store. Records are
-// appended per thread into ~4KB chunks; when a byte capacity is set,
-// the oldest sealed chunks are evicted ring-buffer style — this is
-// ONTRAC's fixed-size circular trace buffer, whose capacity bounds
-// the execution-history window usable for slicing.
+// Compact is the delta/varint-encoded dependence store. It is
+// single-writer and its reads share an unguarded decode cache, so one
+// goroutine at a time may touch it (slice it with workers <= 1).
+// Records are appended per thread into ~4KB chunks; when a byte
+// capacity is set, the oldest sealed chunks are evicted ring-buffer
+// style — this is ONTRAC's fixed-size circular trace buffer, whose
+// capacity bounds the execution-history window usable for slicing.
 //
 // With a ChunkSink attached (SetSpill), every chunk is handed to the
 // sink the moment it seals, before eviction can touch it: the cap
@@ -51,10 +53,12 @@ type RawChunk struct {
 	Buf   []byte
 }
 
-// ChunkSink receives sealed chunks as they close. Compact is
-// single-writer, but shards spill concurrently (ddg.Sharded under the
-// offloaded stage), so implementations must be safe for concurrent
-// calls from multiple goroutines.
+// ChunkSink receives sealed chunks as they close. A Compact calls its
+// sink synchronously from Append and Flush, i.e. from its one writer
+// goroutine, so a sink fed by a single Compact sees no concurrent
+// SpillChunk calls. store.Writer keeps every lock it has all the
+// same: Close, retention trims and live followers still race the
+// spilling goroutine.
 type ChunkSink interface {
 	SpillChunk(ch RawChunk)
 }

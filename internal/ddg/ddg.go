@@ -4,9 +4,17 @@
 //
 // Two representations are provided, mirroring the paper's storage
 // study (§2.1): Full is the naive in-memory graph (the "16 bytes per
-// instruction" end of the spectrum) and Compact is the delta/varint
-// encoded stream with optional ring eviction that ONTRAC's circular
-// trace buffer uses (the "0.8 bytes per instruction" end).
+// instruction" end of the spectrum; here the tests' reference model)
+// and Compact is the delta/varint encoded stream with optional ring
+// eviction that ONTRAC's circular trace buffer uses (the "0.8 bytes
+// per instruction" end) — one buffer per trace, inline or offloaded,
+// whose sealed chunks internal/store persists and serves back as the
+// third Source, store.Reader.
+//
+// The Extractor (track.go) is the one front end that turns the event
+// stream into dependences. It and Compact are single-goroutine state:
+// the machine's execution thread drives them inline, the ONTRAC
+// helper goroutine drives them offloaded.
 package ddg
 
 import "fmt"
@@ -78,7 +86,8 @@ type Dep struct {
 }
 
 // Source is the read interface dynamic slicing consumes. Both graph
-// representations and ONTRAC's reconstructing reader implement it.
+// representations, store.Reader and ONTRAC's reconstructing reader
+// over any of them implement it.
 type Source interface {
 	// Threads lists thread ids with any recorded nodes.
 	Threads() []int

@@ -62,16 +62,16 @@ func runOntracRecordOnly(b testing.TB, w *prog.Workload) uint64 {
 
 // runOntracOffloaded executes w's machine with the full concurrent
 // offloaded stage attached.
-func runOntracOffloaded(b testing.TB, w *prog.Workload, opts Options, workers int) uint64 {
+func runOntracOffloaded(b testing.TB, w *prog.Workload, opts Options) uint64 {
 	m := w.NewMachine()
-	off := NewOffloaded(w.Prog, opts, pipeline.Options{Workers: workers})
+	off := NewOffloaded(w.Prog, opts, pipeline.Options{})
 	if res := Trace(m, off); res.Failed {
 		b.Fatal(res.FailMsg)
 	}
 	return m.Steps()
 }
 
-func benchOntrac(b *testing.B, name, mode string, workers int) {
+func benchOntrac(b *testing.B, name, mode string) {
 	mk := benchWorkloads()[name]
 	opts := AllOptimizations()
 	b.ResetTimer()
@@ -84,7 +84,7 @@ func benchOntrac(b *testing.B, name, mode string, workers int) {
 		case "record":
 			steps += runOntracRecordOnly(b, w)
 		case "offloaded":
-			steps += runOntracOffloaded(b, w, opts, workers)
+			steps += runOntracOffloaded(b, w, opts)
 		}
 	}
 	if el := b.Elapsed().Seconds(); el > 0 {
@@ -92,26 +92,19 @@ func benchOntrac(b *testing.B, name, mode string, workers int) {
 	}
 }
 
-func BenchmarkOntracPipelineCompressInline(b *testing.B) { benchOntrac(b, "compress", "inline", 0) }
+func BenchmarkOntracPipelineCompressInline(b *testing.B) { benchOntrac(b, "compress", "inline") }
 func BenchmarkOntracPipelineCompressRecordOnly(b *testing.B) {
-	benchOntrac(b, "compress", "record", 0)
+	benchOntrac(b, "compress", "record")
 }
-func BenchmarkOntracPipelineCompressOffloadedW2(b *testing.B) {
-	benchOntrac(b, "compress", "offloaded", 2)
+func BenchmarkOntracPipelineCompressOffloaded(b *testing.B) {
+	benchOntrac(b, "compress", "offloaded")
 }
-func BenchmarkOntracPipelineCompressOffloadedW4(b *testing.B) {
-	benchOntrac(b, "compress", "offloaded", 4)
-}
-func BenchmarkOntracPipelineMatmulInline(b *testing.B)     { benchOntrac(b, "matmul", "inline", 0) }
-func BenchmarkOntracPipelineMatmulRecordOnly(b *testing.B) { benchOntrac(b, "matmul", "record", 0) }
-func BenchmarkOntracPipelineMatmulOffloadedW2(b *testing.B) {
-	benchOntrac(b, "matmul", "offloaded", 2)
-}
-func BenchmarkOntracPipelinePsumInline(b *testing.B)     { benchOntrac(b, "psum", "inline", 0) }
-func BenchmarkOntracPipelinePsumRecordOnly(b *testing.B) { benchOntrac(b, "psum", "record", 0) }
-func BenchmarkOntracPipelinePsumOffloadedW2(b *testing.B) {
-	benchOntrac(b, "psum", "offloaded", 2)
-}
+func BenchmarkOntracPipelineMatmulInline(b *testing.B)     { benchOntrac(b, "matmul", "inline") }
+func BenchmarkOntracPipelineMatmulRecordOnly(b *testing.B) { benchOntrac(b, "matmul", "record") }
+func BenchmarkOntracPipelineMatmulOffloaded(b *testing.B)  { benchOntrac(b, "matmul", "offloaded") }
+func BenchmarkOntracPipelinePsumInline(b *testing.B)       { benchOntrac(b, "psum", "inline") }
+func BenchmarkOntracPipelinePsumRecordOnly(b *testing.B)   { benchOntrac(b, "psum", "record") }
+func BenchmarkOntracPipelinePsumOffloaded(b *testing.B)    { benchOntrac(b, "psum", "offloaded") }
 
 // --- BENCH_ontrac.json ---------------------------------------------
 
@@ -121,7 +114,6 @@ type ontracBenchStage struct {
 }
 
 type ontracBenchOffloaded struct {
-	Workers int `json:"workers"`
 	// Stage walls measured separately on an offline trace; the
 	// concurrent end-to-end wall alongside.
 	RecordS      float64 `json:"record_s"`
@@ -131,13 +123,13 @@ type ontracBenchOffloaded struct {
 }
 
 type ontracBenchRow struct {
-	Workload   string                 `json:"workload"`
-	Events     uint64                 `json:"events"`
-	NativeS    float64                `json:"native_s"`
-	BytesInstr float64                `json:"bytes_per_instr"`
-	Inline     ontracBenchStage       `json:"inline"`
-	RecordOnly ontracBenchStage       `json:"record_only"`
-	Offloaded  []ontracBenchOffloaded `json:"offloaded"`
+	Workload   string               `json:"workload"`
+	Events     uint64               `json:"events"`
+	NativeS    float64              `json:"native_s"`
+	BytesInstr float64              `json:"bytes_per_instr"`
+	Inline     ontracBenchStage     `json:"inline"`
+	RecordOnly ontracBenchStage     `json:"record_only"`
+	Offloaded  ontracBenchOffloaded `json:"offloaded"`
 }
 
 type ontracBenchReport struct {
@@ -173,9 +165,10 @@ func TestWriteBenchOntracJSON(t *testing.T) {
 		Host:       benchfp.Current(),
 		Note: "events = VM instructions executed. record_only is the execution-thread cost of " +
 			"the offloaded design (batching recorder, ddg.TraceRelevant filter); inline carries " +
-			"the full ONTRAC extractor on the execution thread. Offloaded events_per_sec is " +
-			"sustained pipeline throughput events/max(record_s, trace_s); concurrent_s is the " +
-			"end-to-end wall of the live pipeline on this host.",
+			"the full ONTRAC extractor on the execution thread. Offloaded runs the same tracer on " +
+			"one helper goroutine: trace_s is that stage alone on an offline trace, " +
+			"events_per_sec the sustained throughput events/max(record_s, trace_s), and " +
+			"concurrent_s the end-to-end wall of the live pipeline on this host.",
 	}
 	for _, name := range []string{"compress", "matmul", "psum"} {
 		mk := benchWorkloads()[name]
@@ -215,21 +208,15 @@ func TestWriteBenchOntracJSON(t *testing.T) {
 			Inline:     ontracBenchStage{WallS: inlineS, EventsPerSec: float64(steps) / inlineS},
 			RecordOnly: ontracBenchStage{WallS: recordS, EventsPerSec: float64(steps) / recordS},
 		}
-		for _, workers := range []int{1, 2, 4} {
-			traceS := bestOf(reps, func() {
-				off := NewOffloaded(wTrace.Prog, opts, pipeline.Options{Workers: workers})
-				off.Consume(trace)
-				off.Close()
-			})
-			concurrentS := bestOf(reps, func() { runOntracOffloaded(t, mk(), opts, workers) })
-			bottleneck := recordS
-			if traceS > bottleneck {
-				bottleneck = traceS
-			}
-			row.Offloaded = append(row.Offloaded, ontracBenchOffloaded{
-				Workers: workers, RecordS: recordS, TraceS: traceS,
-				ConcurrentS: concurrentS, EventsPerSec: float64(steps) / bottleneck,
-			})
+		traceS := bestOf(reps, func() {
+			off := NewOffloaded(wTrace.Prog, opts, pipeline.Options{})
+			off.Consume(trace)
+			off.Close()
+		})
+		concurrentS := bestOf(reps, func() { runOntracOffloaded(t, mk(), opts) })
+		row.Offloaded = ontracBenchOffloaded{
+			RecordS: recordS, TraceS: traceS, ConcurrentS: concurrentS,
+			EventsPerSec: float64(steps) / max(recordS, traceS),
 		}
 		report.Results = append(report.Results, row)
 	}
@@ -245,8 +232,8 @@ func TestWriteBenchOntracJSON(t *testing.T) {
 			t.Errorf("%s: record-only (%.0f ev/s) did not beat inline tracing (%.0f ev/s)",
 				r.Workload, r.RecordOnly.EventsPerSec, r.Inline.EventsPerSec)
 		}
-		fmt.Printf("%s: native %.3fs, inline %.0f ev/s, record-only %.0f ev/s, offloaded-w2 sustained %.0f ev/s, %.2f bytes/instr\n",
+		fmt.Printf("%s: native %.3fs, inline %.0f ev/s, record-only %.0f ev/s, offloaded sustained %.0f ev/s, %.2f bytes/instr\n",
 			r.Workload, r.NativeS, r.Inline.EventsPerSec, r.RecordOnly.EventsPerSec,
-			r.Offloaded[1].EventsPerSec, r.BytesInstr)
+			r.Offloaded.EventsPerSec, r.BytesInstr)
 	}
 }

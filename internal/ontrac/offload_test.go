@@ -22,7 +22,8 @@ import (
 const offSchedules = 4
 
 // offOpts varies the pipeline shape with the schedule seed so the
-// suite also sweeps worker counts and batch sizes.
+// suite also sweeps window sizes (the stage has no workers: Workers
+// only sets the default WindowBatches, 2 to 8 here) and batch sizes.
 func offOpts(seed uint64) pipeline.Options {
 	return pipeline.Options{
 		Workers:     1 + int(seed)%4,
@@ -104,9 +105,9 @@ func diffSlices(t *testing.T, seed uint64, w *prog.Workload, opts Options, tr *T
 			t.Fatalf("seed %d tid %d: backward slices diverged:\ninline    %v\noffloaded %v",
 				seed, tid, bi.Lines, bo.Lines)
 		}
-		if bi.Nodes != bo.Nodes || bi.Edges != bo.Edges {
-			t.Fatalf("seed %d tid %d: backward traversal diverged: %d/%d nodes, %d/%d edges",
-				seed, tid, bi.Nodes, bo.Nodes, bi.Edges, bo.Edges)
+		if bi.Nodes != bo.Nodes || bi.Edges != bo.Edges || bi.TruncatedAtWindow != bo.TruncatedAtWindow {
+			t.Fatalf("seed %d tid %d: backward traversal diverged: %d/%d nodes, %d/%d edges, truncated %v/%v",
+				seed, tid, bi.Nodes, bo.Nodes, bi.Edges, bo.Edges, bi.TruncatedAtWindow, bo.TruncatedAtWindow)
 		}
 		sliceLines += len(bo.Lines)
 
@@ -131,7 +132,6 @@ func diffSlices(t *testing.T, seed uint64, w *prog.Workload, opts Options, tr *T
 
 func TestOffloadedDifferentialAllWorkloads(t *testing.T) {
 	opts := AllOptimizations()
-	opts.BufferBytes = 0 // unbounded: eviction policies differ by design
 	elided := uint64(0)
 	for _, w := range prog.All() {
 		w := w
@@ -162,6 +162,34 @@ func TestOffloadedDifferentialUnoptimized(t *testing.T) {
 				tr, off := runOffDiff(t, w, Unoptimized(), seed)
 				diffStats(t, seed, tr, off)
 				diffSlices(t, seed, w, Unoptimized(), tr, off)
+			}
+		})
+	}
+}
+
+// TestOffloadedRingEquivalence pins the bounded case: with a buffer
+// far smaller than the trace, the offloaded stage evicts exactly what
+// the inline tracer evicts — one global ring over cross-thread append
+// order — so the retained per-thread windows, the eviction count, the
+// resident bytes and the (window-truncated) slices are identical.
+func TestOffloadedRingEquivalence(t *testing.T) {
+	opts := Unoptimized()
+	opts.BufferBytes = 8 << 10
+	for _, w := range []*prog.Workload{prog.MapReduceSquares(4, 400, 1), prog.PSum(4, 400, 1)} {
+		w := w
+		t.Run(w.Name, func(t *testing.T) {
+			for seed := uint64(0); seed < offSchedules; seed++ {
+				tr, off := runOffDiff(t, w, opts, seed)
+				diffStats(t, seed, tr, off)
+				bi, bo := tr.Buffer(), off.Buffer()
+				if bi.EvictedChunks() == 0 {
+					t.Fatalf("seed %d: the ring never evicted — vacuous", seed)
+				}
+				if bi.EvictedChunks() != bo.EvictedChunks() || bi.CurrentBytes() != bo.CurrentBytes() {
+					t.Errorf("seed %d: ring diverged: evicted %d vs %d chunks, resident %d vs %d bytes", seed,
+						bi.EvictedChunks(), bo.EvictedChunks(), bi.CurrentBytes(), bo.CurrentBytes())
+				}
+				diffSlices(t, seed, w, opts, tr, off)
 			}
 		})
 	}

@@ -106,31 +106,50 @@ type loadState struct {
 	def   ddg.ID // its memory dependence def
 }
 
-// depAppender is where Deps sends the records that survive elision:
-// the circular buffer inline, or the offloaded stage's per-window
-// staging area (which later writes per-thread ddg.Sharded shards).
-type depAppender interface {
-	Append(use ddg.ID, usePC int32, deps []ddg.Dep, rlDelta uint64)
+// tables is the reconstruction state a Reader needs to re-synthesize
+// elided edges: O1's static in-block dependences (derivable from the
+// binary alone, see Reconstructor) and O2's learned dictionary (run
+// state of the recording Tracer), both indexed by use PC.
+type tables struct {
+	staticByUse map[int32][]isa.StaticDep
+	dictByUse   map[int32][]dictKey
 }
 
-// Tracer is the ONTRAC elision/storage core. Inline (New) it is
-// driven by its own extractor — attach via Tool() to a vm.Machine;
-// offloaded (NewOffloaded) the batched pipeline drives Node/Deps
-// downstream of the execution thread, with ex and buf nil.
+// staticByUse builds the O1 table — the part of tables the program
+// text determines; nil when O1 is off.
+func staticByUse(prog *isa.Program, opts Options) map[int32][]isa.StaticDep {
+	if !opts.ElideStaticBlockDeps {
+		return nil
+	}
+	byUse := make(map[int32][]isa.StaticDep)
+	for _, deps := range isa.BlockStaticDeps(isa.BuildCFG(prog)) {
+		for _, d := range deps {
+			byUse[int32(d.Use)] = append(byUse[int32(d.Use)], d)
+		}
+	}
+	return byUse
+}
+
+// Tracer is ONTRAC: the dependence extractor (ddg.Extractor) feeding
+// the elision core (T1/T2/O1/O2/O3, the ddg.Sink methods below),
+// whose surviving records land in one circular ddg.Compact buffer.
+// It has one shape and two drivers: inline, attach Tool() to a
+// vm.Machine and every instruction pays for the analysis on the
+// execution thread; offloaded (NewOffloaded), the execution thread
+// only records, and a helper goroutine feeds the same extractor the
+// same events in the same order.
 type Tracer struct {
 	prog *isa.Program
 	opts Options
-	buf  *ddg.Compact // inline circular buffer; nil when offloaded
-	out  depAppender
-	ex   *ddg.Extractor // inline front end; nil when offloaded
+	buf  *ddg.Compact
+	ex   *ddg.Extractor
 
+	tables
 	// O1 state.
 	staticPairs map[[2]int32]bool
-	staticByUse map[int32][]isa.StaticDep
 	// O2 state.
 	dictCounts map[dictKey]int
 	dict       map[dictKey]bool
-	dictByUse  map[int32][]dictKey
 	// O3 state: per (tid, pc).
 	loads map[[2]int32]*loadState
 	// T1 state.
@@ -142,37 +161,26 @@ type Tracer struct {
 	stats Stats
 }
 
-// New builds an inline tracer for prog.
+// New builds a tracer for prog.
 func New(prog *isa.Program, opts Options) *Tracer {
-	t := newTracer(prog, opts)
-	t.buf = ddg.NewCompact(opts.BufferBytes)
-	t.out = t.buf
-	t.ex = ddg.NewExtractor(prog, t, ddg.ExtractorOpts{ControlDeps: opts.ControlDeps})
-	return t
-}
-
-// newTracer builds the elision/filter state shared by the inline and
-// offloaded front ends; the caller wires buf/out/ex.
-func newTracer(prog *isa.Program, opts Options) *Tracer {
 	if opts.DictThreshold <= 0 {
 		opts.DictThreshold = 2
 	}
 	t := &Tracer{
 		prog:       prog,
 		opts:       opts,
+		buf:        ddg.NewCompact(opts.BufferBytes),
+		tables:     tables{staticByUse: staticByUse(prog, opts), dictByUse: make(map[int32][]dictKey)},
 		dictCounts: make(map[dictKey]int),
 		dict:       make(map[dictKey]bool),
-		dictByUse:  make(map[int32][]dictKey),
 		loads:      make(map[[2]int32]*loadState),
 	}
-	if opts.ElideStaticBlockDeps {
-		cfg := isa.BuildCFG(prog)
+	t.ex = ddg.NewExtractor(prog, t, ddg.ExtractorOpts{ControlDeps: opts.ControlDeps})
+	if t.staticByUse != nil {
 		t.staticPairs = make(map[[2]int32]bool)
-		t.staticByUse = make(map[int32][]isa.StaticDep)
-		for _, deps := range isa.BlockStaticDeps(cfg) {
+		for _, deps := range t.staticByUse {
 			for _, d := range deps {
 				t.staticPairs[[2]int32{int32(d.Use), int32(d.Def)}] = true
-				t.staticByUse[int32(d.Use)] = append(t.staticByUse[int32(d.Use)], d)
 			}
 		}
 	}
@@ -192,28 +200,22 @@ func newTracer(prog *isa.Program, opts Options) *Tracer {
 	return t
 }
 
-// Tool returns the vm.Tool to attach (the underlying extractor).
-// Inline tracers only.
+// Tool returns the vm.Tool to attach for an inline run (the
+// underlying extractor).
 func (t *Tracer) Tool() vm.Tool { return t.ex }
 
-// Buffer exposes the circular buffer (statistics, window). Inline
-// tracers only; the offloaded stage exposes Shards instead.
+// Buffer exposes the circular buffer (statistics, window).
 func (t *Tracer) Buffer() *ddg.Compact { return t.buf }
 
 // LastID returns the most recent instance id of a thread, usable as
 // a slicing criterion.
 func (t *Tracer) LastID(tid int) ddg.ID { return t.ex.LastID(tid) }
 
-// Stats returns a snapshot of the tracer's counters. The offloaded
-// stage fills Instrs and BytesWritten from its own accounting.
+// Stats returns a snapshot of the tracer's counters.
 func (t *Tracer) Stats() Stats {
 	s := t.stats
-	if t.ex != nil {
-		s.Instrs = t.ex.Instrs()
-	}
-	if t.buf != nil {
-		s.BytesWritten = t.buf.BytesWritten()
-	}
+	s.Instrs = t.ex.Instrs()
+	s.BytesWritten = t.buf.BytesWritten()
 	s.DictSize = len(t.dict)
 	return s
 }
@@ -320,7 +322,7 @@ func (t *Tracer) Deps(id ddg.ID, pc int32, deps []ddg.Dep) {
 		return
 	}
 	t.stats.DepsStored += uint64(len(keep))
-	t.out.Append(id, pc, keep, rlDelta)
+	t.buf.Append(id, pc, keep, rlDelta)
 }
 
 var _ ddg.Sink = (*Tracer)(nil)

@@ -4,24 +4,25 @@ import "scaldift/internal/ddg"
 
 // Reader adapts a dependence store into a ddg.Source for slicing,
 // re-synthesizing the edges O1 and O2 elided. It reads raw records
-// from any ddg.Source — the inline tracer's circular buffer or the
-// offloaded stage's per-thread shards — plus the owning tracer's
-// reconstruction tables. Because fully elided instances have no
-// record at all, reconstruction needs the node's static PC from the
-// traversal context; DepsOfHinted supplies it (the slicer learns each
-// def's PC from the incoming edge).
+// from any ddg.Source — the tracer's circular buffer, or a
+// store.Reader over the directory it spilled into — plus the
+// reconstruction tables of the owning tracer (or a Reconstructor).
+// Because fully elided instances have no record at all,
+// reconstruction needs the node's static PC from the traversal
+// context; DepsOfHinted supplies it (the slicer learns each def's PC
+// from the incoming edge).
 type Reader struct {
-	t   *Tracer
+	t   *tables
 	src ddg.Source
 }
 
 // Reader returns the reconstructing view of the tracer's buffer.
-func (t *Tracer) Reader() *Reader { return &Reader{t: t, src: t.buf} }
+func (t *Tracer) Reader() *Reader { return t.ReaderOver(t.buf) }
 
 // ReaderOver returns the reconstructing view over any raw record
 // source carrying this tracer's records (e.g. a store.Reader over
 // the directory the inline buffer spilled into).
-func (t *Tracer) ReaderOver(src ddg.Source) *Reader { return &Reader{t: t, src: src} }
+func (t *Tracer) ReaderOver(src ddg.Source) *Reader { return &Reader{t: &t.tables, src: src} }
 
 // Threads implements ddg.Source.
 func (r *Reader) Threads() []int { return r.src.Threads() }

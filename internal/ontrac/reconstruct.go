@@ -21,18 +21,16 @@ import (
 // Reconstructor over such a trace under-approximates. Record service
 // traces with TraceDictionary off (see StaticOptions).
 type Reconstructor struct {
-	t *Tracer
+	t tables
 }
 
 // NewStaticReconstructor builds reconstruction tables for prog. Only
-// the option fields that shape reconstruction matter (principally
-// ElideStaticBlockDeps); TraceDictionary is forced off since no
-// learned dictionary exists, and the T2 taint engine is never built
-// (reconstruction reads, it does not record).
+// the option fields that shape static reconstruction matter
+// (ElideStaticBlockDeps); no learned dictionary exists, and nothing
+// of the recording side — extractor, buffer, T2 taint engine — is
+// built (reconstruction reads, it does not record).
 func NewStaticReconstructor(prog *isa.Program, opts Options) *Reconstructor {
-	opts.TraceDictionary = false
-	opts.ForwardSliceOfInputs = false
-	return &Reconstructor{t: newTracer(prog, opts)}
+	return &Reconstructor{t: tables{staticByUse: staticByUse(prog, opts)}}
 }
 
 // StaticOptions is the recording configuration whose traces a static
@@ -52,5 +50,5 @@ func StaticOptions() Options {
 // store.Reader (or a per-query budgeted view of one) reopened from a
 // trace directory.
 func (r *Reconstructor) ReaderOver(src ddg.Source) *Reader {
-	return &Reader{t: r.t, src: src}
+	return &Reader{t: &r.t, src: src}
 }

@@ -29,15 +29,15 @@ func TestStaticReconstructorMatchesRecordingReader(t *testing.T) {
 				t.Fatal(res.FailMsg)
 			}
 			live := off.Reader()
-			static := NewStaticReconstructor(w.Prog, StaticOptions()).ReaderOver(off.Shards())
+			static := NewStaticReconstructor(w.Prog, StaticOptions()).ReaderOver(off.Buffer())
 			sopts := slicing.Options{FollowControl: true}
 			checked := 0
-			for _, tid := range off.Shards().Threads() {
+			for _, tid := range off.Buffer().Threads() {
 				crit := off.LastID(tid)
 				if crit == 0 {
 					continue
 				}
-				pc, ok := off.Shards().NodePC(crit)
+				pc, ok := off.Buffer().NodePC(crit)
 				if !ok {
 					pc = -1
 				}
@@ -52,7 +52,7 @@ func TestStaticReconstructorMatchesRecordingReader(t *testing.T) {
 				// Reconstruction must actually fire for the comparison to
 				// mean anything: the raw source alone yields a smaller
 				// closure whenever O1 elided edges on this chain.
-				var rawSrc ddg.Source = off.Shards()
+				var rawSrc ddg.Source = off.Buffer()
 				raw := slicing.Backward(rawSrc, w.Prog, crits, sopts)
 				if raw.Edges > want.Edges {
 					t.Fatalf("tid %d: raw slice larger than reconstructed", tid)

@@ -11,7 +11,7 @@ import (
 // the ONTRAC dependence-tracing stage (internal/ontrac). A
 // BatchHandler supplies the analysis; Consumer supplies windowing,
 // group alignment, sync ordering, channel plumbing, and pool
-// recycling; Pool supplies worker goroutines.
+// recycling; WalkSeq replays a window in the inline event order.
 
 // BatchHandler consumes whole windows of recorded batches. Both
 // methods run on the consumer goroutine; Window owns the batches only
@@ -134,20 +134,87 @@ func (c *Consumer) free(b *vm.Batch) {
 	}
 }
 
-// Pool is a fixed worker pool for window-internal parallelism.
-// Submitted tasks must be independent; callers coordinate with their
-// own WaitGroups (windows are barriered by their handlers).
-type Pool struct {
+// WalkSeq calls visit for every event of window w in ascending global
+// Seq order — the exact order an inline tool saw them. Each thread's
+// batches are already Seq-ascending in window order, so the walk is a
+// k-way merge over the per-thread chains (k is the thread count; a
+// lone chain is a straight walk): it repeatedly takes the chain with
+// the smallest head and runs it up to the next chain's head. visit
+// receives a pointer into the batch itself, valid only for the call.
+// This is the one ordered walk both offloaded analyses share: the
+// DIFT pipeline's ordered merge and the whole of the ONTRAC stage.
+func WalkSeq(w []*vm.Batch, visit func(ev *vm.Event)) {
+	chains, _ := groupChains(w)
+	if len(chains) == 1 {
+		for _, b := range chains[0] {
+			for i := range b.Events {
+				visit(&b.Events[i])
+			}
+		}
+		return
+	}
+	cur := make([]seqCursor, 0, len(chains))
+	for _, ch := range chains {
+		if c := (seqCursor{rest: ch}); c.settle() {
+			cur = append(cur, c)
+		}
+	}
+	for len(cur) > 0 {
+		// lo is the chain to run, bound the smallest head among the
+		// others: lo's events below bound precede every other chain.
+		lo, bound := 0, ^uint64(0)
+		for i := 1; i < len(cur); i++ {
+			switch s := cur[i].seq(); {
+			case s < cur[lo].seq():
+				lo, bound = i, cur[lo].seq()
+			case s < bound:
+				bound = s
+			}
+		}
+		c := &cur[lo]
+		live := true
+		for live && c.seq() < bound {
+			visit(&c.rest[0].Events[c.i])
+			c.i++
+			live = c.settle()
+		}
+		if !live {
+			cur = append(cur[:lo], cur[lo+1:]...)
+		}
+	}
+}
+
+// seqCursor is one chain's position in a WalkSeq merge: event i of
+// the first remaining batch.
+type seqCursor struct {
+	rest []*vm.Batch
+	i    int
+}
+
+func (c *seqCursor) seq() uint64 { return c.rest[0].Events[c.i].Seq }
+
+// settle steps past exhausted (or empty) batches and reports whether
+// the chain has an event left.
+func (c *seqCursor) settle() bool {
+	for len(c.rest) > 0 && c.i >= len(c.rest[0].Events) {
+		c.rest, c.i = c.rest[1:], 0
+	}
+	return len(c.rest) > 0
+}
+
+// pool is a fixed worker pool for window-internal parallelism.
+// Submitted tasks must be independent; run is the barrier.
+type pool struct {
 	tasks chan func()
 	wg    sync.WaitGroup
 }
 
-// NewPool starts workers goroutines (minimum 1).
-func NewPool(workers int) *Pool {
+// newPool starts workers goroutines (minimum 1).
+func newPool(workers int) *pool {
 	if workers <= 0 {
 		workers = 1
 	}
-	p := &Pool{tasks: make(chan func(), 16)}
+	p := &pool{tasks: make(chan func(), 16)}
 	p.wg.Add(workers)
 	for i := 0; i < workers; i++ {
 		go func() {
@@ -160,14 +227,10 @@ func NewPool(workers int) *Pool {
 	return p
 }
 
-// Go submits a task.
-func (p *Pool) Go(f func()) { p.tasks <- f }
-
-// Run executes independent tasks to completion behind a barrier: a
+// run executes independent tasks to completion behind a barrier: a
 // single task runs inline on the caller (no dispatch overhead),
-// several run on the pool. This is the window-internal fan-out shape
-// both offloaded analyses use.
-func (p *Pool) Run(tasks []func()) {
+// several run on the pool.
+func (p *pool) run(tasks []func()) {
 	if len(tasks) == 1 {
 		tasks[0]()
 		return
@@ -176,16 +239,16 @@ func (p *Pool) Run(tasks []func()) {
 	wg.Add(len(tasks))
 	for _, f := range tasks {
 		f := f
-		p.Go(func() {
+		p.tasks <- func() {
 			defer wg.Done()
 			f()
-		})
+		}
 	}
 	wg.Wait()
 }
 
-// Close stops the workers after draining submitted tasks.
-func (p *Pool) Close() {
+// close stops the workers after draining submitted tasks.
+func (p *pool) close() {
 	if p.tasks != nil {
 		close(p.tasks)
 		p.wg.Wait()
@@ -193,10 +256,10 @@ func (p *Pool) Close() {
 	}
 }
 
-// GroupChains splits a window into per-thread chains, preserving each
+// groupChains splits a window into per-thread chains, preserving each
 // thread's batch order, and reports the largest TID seen. Chains are
-// the unit both offloaded analyses dispatch to workers.
-func GroupChains(w []*vm.Batch) (chains [][]*vm.Batch, maxTID int) {
+// the unit the pipeline dispatches to workers and WalkSeq merges.
+func groupChains(w []*vm.Batch) (chains [][]*vm.Batch, maxTID int) {
 	byTID := make(map[int]int) // tid → chain index
 	for _, b := range w {
 		if b.TID > maxTID {

@@ -31,7 +31,7 @@ const pcWide = 0xFF
 
 // pcFoot is one instruction's learned page footprint, plus the
 // precomputed conflict-mask contribution of those pages (bit i set ⇔
-// some learned page maps to shard-group i, see maskBit).
+// some learned page maps to shard i, see maskBit).
 type pcFoot struct {
 	pages [footPages]int64
 	n     uint8
@@ -81,9 +81,8 @@ type LearnerStats struct {
 // used to classify one window. It belongs to the consumer goroutine;
 // nothing here is safe for concurrent use.
 type conflictLearner struct {
-	shardMask int64      // epoch shard count - 1
-	foots     [][]pcFoot // [tid][pc]
-	stats     LearnerStats
+	foots [][]pcFoot // [tid][pc]
+	stats LearnerStats
 
 	// Window scratch, reused across windows. A returned windowPlan
 	// aliases groupsBuf/idxBuf and is valid only until the next
@@ -96,19 +95,10 @@ type conflictLearner struct {
 	idxBuf    []int
 }
 
-func newConflictLearner(shards int) conflictLearner {
-	return conflictLearner{shardMask: int64(shards - 1)}
-}
-
-// maskBit folds a page's shard index into the 64-bit conflict mask:
-// bit i covers the shards ≡ i (mod 64). With ≤64 shards (the default
-// is 64) the bit IS the shard index, so disjoint masks mean disjoint
-// shards exactly; with more shards distinct shards can alias a bit,
-// which only ever fuses groups or forces a precise scan, never misses
-// a conflict.
-func (cl *conflictLearner) maskBit(pg int64) uint64 {
-	return 1 << (uint64(pg&cl.shardMask) & 63)
-}
+// maskBit maps a page to its bit of the 64-bit conflict mask: the
+// page's shard index (epochShards <= 64), so disjoint masks mean
+// disjoint shards exactly.
+func maskBit(pg int64) uint64 { return 1 << (uint64(pg) & (epochShards - 1)) }
 
 // foot returns the footprint cell for (tid, pc), growing the tables.
 func (cl *conflictLearner) foot(tid, pc int) *pcFoot {
@@ -140,7 +130,7 @@ func (cl *conflictLearner) verify(tid, pc int, pg int64) (mask uint64, wide bool
 		}
 		f.pages[f.n] = pg
 		f.n++
-		f.mask |= cl.maskBit(pg)
+		f.mask |= maskBit(pg)
 	}
 	return f.mask, false
 }
@@ -271,10 +261,10 @@ func (cl *conflictLearner) precise(chains [][]*vm.Batch) windowPlan {
 	for i := range accs {
 		var m uint64
 		for a := range accs[i].reads {
-			m |= cl.maskBit(a >> shadow.PageBits)
+			m |= maskBit(a >> shadow.PageBits)
 		}
 		for a := range accs[i].writes {
-			m |= cl.maskBit(a >> shadow.PageBits)
+			m |= maskBit(a >> shadow.PageBits)
 		}
 		masks = append(masks, m)
 	}

@@ -7,17 +7,19 @@
 // Two analysis kinds run on this machinery today: the DIFT
 // propagation pipeline in this package (taint labels over the
 // epoch-sharded shadow.Epoch memory) and the ONTRAC dependence-
-// tracing stage in internal/ontrac (per-thread dependence extraction
-// into sharded compact buffers). Both plug a BatchHandler into the
-// shared Consumer (consumer.go), which owns windowing, flush-group
-// alignment, sync ordering, and batch recycling.
+// tracing stage in internal/ontrac (the inline tracer, driven from
+// the consumer goroutine — the paper's one helper thread). Both plug
+// a BatchHandler into the shared Consumer (consumer.go), which owns
+// windowing, flush-group alignment, sync ordering, and batch
+// recycling, and both replay events in inline order through the one
+// Seq-ordered window walk, WalkSeq.
 //
 // The analyze side is organized around the shadow.Epoch ownership
 // contract (see internal/shadow/epoch.go, enforced by the epochfence
 // analyzer): before dispatching a window, the consumer goroutine
 // assigns every shard the window touches to exactly one worker, and
 // workers then propagate through owner Views with zero atomics — the
-// Pool.Run dispatch/barrier pair is the only fence. Which windows can
+// pool.run dispatch/barrier pair is the only fence. Which windows can
 // be dispatched that way is decided by the adaptive conflict learner
 // (learner.go): it learns per-(thread,PC) address footprints so that
 // repeat windows of a loopy program skip the full address scan, and
@@ -54,8 +56,10 @@ import (
 
 // Options parameterizes a Pipeline.
 type Options struct {
-	// Workers is the number of propagation worker goroutines
-	// (default 2).
+	// Workers is the number of DIFT propagation worker goroutines
+	// (default 2). The ONTRAC stage has no workers — it is one helper
+	// goroutine — and reads this only through the WindowBatches
+	// default.
 	Workers int
 	// BatchEvents is the recorder's per-batch capacity (default
 	// vm.DefaultBatchEvents).
@@ -67,15 +71,16 @@ type Options struct {
 	// QueueDepth bounds the recorder→consumer channel; a full queue
 	// applies backpressure to the execution thread (default 64).
 	QueueDepth int
-	// Shards is the epoch-sharded shadow memory's shard count
-	// (default 64, rounded up to a power of two). At 64 or fewer
-	// shards every conflict-mask bit names exactly one shard, so the
-	// window analysis never fuses ownership groups spuriously.
-	Shards int
 }
 
-// Fill applies defaults in place; callers outside the package (the
-// ONTRAC stage) share the same knobs.
+// epochShards is the epoch-sharded shadow memory's shard count. It
+// must not exceed 64: every bit of a uint64 conflict mask then names
+// exactly one shard, so disjoint masks mean disjoint shards and the
+// window analysis never fuses ownership groups spuriously.
+const epochShards = 64
+
+// Fill applies defaults in place; the ONTRAC stage shapes its
+// recorder and windows with the same knobs.
 func (o *Options) Fill() {
 	if o.Workers <= 0 {
 		o.Workers = 2
@@ -88,9 +93,6 @@ func (o *Options) Fill() {
 	}
 	if o.QueueDepth <= 0 {
 		o.QueueDepth = 64
-	}
-	if o.Shards <= 0 {
-		o.Shards = 64
 	}
 }
 
@@ -108,11 +110,10 @@ type Pipeline[L comparable] struct {
 	sinks []dift.Sink[L]
 
 	cons    *Consumer
-	pool    *Pool
+	pool    *pool
 	learner conflictLearner
 
 	events  uint64
-	seqBuf  []*vm.Event
 	recsBuf []sinkRec[L]
 	// capBuf is the window-scoped sink capture and sinkBuf the
 	// one-element dift.Sink slice wrapping it, hoisted here so the
@@ -141,10 +142,9 @@ func New[L comparable](dom dift.Domain[L], pol dift.Policy, opt Options) *Pipeli
 		dom:  dom,
 		pol:  pol,
 		opt:  opt,
-		mem:  shadow.NewEpoch[L](opt.Shards),
-		pool: NewPool(opt.Workers),
+		mem:  shadow.NewEpoch[L](epochShards),
+		pool: newPool(opt.Workers),
 	}
-	p.learner = newConflictLearner(p.mem.Shards())
 	p.sinkBuf = []dift.Sink[L]{&p.capBuf}
 	p.cons = NewConsumer(difthandler[L]{p}, opt.WindowBatches)
 	p.ensureTID(0)
@@ -167,7 +167,7 @@ func (p *Pipeline[L]) Attach(m *vm.Machine) {
 // `defer p.Close()` composes with Run (which closes on return).
 func (p *Pipeline[L]) Close() {
 	p.cons.Close()
-	p.pool.Close()
+	p.pool.close()
 }
 
 // Consume propagates an offline batch stream (from Collect)

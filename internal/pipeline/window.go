@@ -49,7 +49,7 @@ func (h difthandler[L]) Sync(b *vm.Batch) {
 // conflict analysis in learner.go), otherwise as an ordered
 // sequential merge.
 func (p *Pipeline[L]) processWindow(w []*vm.Batch) {
-	chains, maxTID := GroupChains(w)
+	chains, maxTID := groupChains(w)
 	p.ensureTID(maxTID)
 	if len(chains) == 1 {
 		// One thread: its batches are already in both program and
@@ -82,41 +82,28 @@ func (p *Pipeline[L]) applyChain(ch []*vm.Batch) {
 	p.recsBuf = p.capBuf.recs[:0]
 }
 
-// applyOrdered merges the batches' events by global sequence number
-// and propagates them one by one — the exact inline order — then
-// delivers the captured sink observations. Used for sync batches and
+// applyOrdered propagates the batches' events one by one in global
+// sequence order (WalkSeq) — the exact inline order — then delivers
+// the captured sink observations. Used for sync batches and
 // conflicting windows.
 func (p *Pipeline[L]) applyOrdered(w []*vm.Batch) {
-	evs := p.seqBuf[:0]
-	for _, b := range w {
-		for i := range b.Events {
-			evs = append(evs, &b.Events[i])
-		}
-	}
-	sort.Slice(evs, func(i, j int) bool { return evs[i].Seq < evs[j].Seq })
 	sh := p.mem.ClaimAll()
 	p.capBuf.recs = p.recsBuf[:0]
-	for _, ev := range evs {
+	WalkSeq(w, func(ev *vm.Event) {
 		if ev.Kind == vm.EvSpawn {
 			p.ensureTID(int(ev.DstVal))
 		}
 		dift.Step(p.dom, p.pol, p, sh, p.sinkBuf, ev)
-	}
-	p.events += uint64(len(evs))
+		p.events++
+	})
 	p.deliver(p.capBuf.recs)
 	p.recsBuf = p.capBuf.recs[:0]
-	// Drop the event pointers before keeping the buffer: its batches
-	// return to the recorder pool as soon as this window ends.
-	for i := range evs {
-		evs[i] = nil
-	}
-	p.seqBuf = evs[:0] //scaldift:ignore poolescape reslice of the nil-cleared scratch: length 0, pointers already dropped above
 }
 
 // applyParallel dispatches the plan's ownership groups to the worker
 // pool — each group claims its shards before dispatch and propagates
 // its chains through a lock-free owner View — then replays the
-// recorded sink observations in sequence order. The Pool.Run
+// recorded sink observations in sequence order. The pool.run
 // dispatch/barrier pair is the fence required by the shadow.Epoch
 // contract: ownership is assigned before it and revised only after.
 // All per-owner machinery (views, captures, task closures) is cached
@@ -130,7 +117,7 @@ func (p *Pipeline[L]) applyParallel(chains [][]*vm.Batch, plan windowPlan, w []*
 		p.caps[g].recs = p.caps[g].recs[:0]
 	}
 	p.curChains, p.curGroups = chains, plan.groups
-	p.pool.Run(p.tasks[:n])
+	p.pool.run(p.tasks[:n])
 	recs := p.recsBuf[:0]
 	for g := 0; g < n; g++ {
 		recs = append(recs, p.caps[g].recs...)
@@ -218,16 +205,11 @@ func chainAccess(ch []*vm.Batch) access {
 	return a
 }
 
-// claimMask claims every shard covered by a conflict mask for owner:
-// bit i of the mask covers the shards ≡ i (mod 64) (see
-// conflictLearner.maskBit).
+// claimMask claims every shard named by a conflict mask for owner:
+// bit i of the mask is shard i (see maskBit).
 func (p *Pipeline[L]) claimMask(mask uint64, owner int32) {
-	n := p.mem.Shards()
-	for bit := 0; bit < 64 && bit < n; bit++ {
-		if mask&(1<<bit) == 0 {
-			continue
-		}
-		for s := bit; s < n; s += 64 {
+	for s := 0; s < epochShards; s++ {
+		if mask&(1<<s) != 0 {
 			p.mem.Claim(s, owner)
 		}
 	}

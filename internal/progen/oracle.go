@@ -799,7 +799,7 @@ func b2i(v bool) int64 {
 
 // observe applies the analysis effects of one completed instruction:
 // taint in all three domains (mirroring dift.Step), the DDG node and
-// its data dependences (mirroring ddg.ThreadExtractor + MemResolver),
+// its data dependences (mirroring ddg.Extractor.OnEvent),
 // and sink records for OUT and indirect branches.
 func (o *oracle) observe(t *othread, ins *isa.Instr, pc int, b *obs) {
 	o.taint(t, ins, pc, b)
@@ -929,9 +929,9 @@ func (o *oracle) setMemLin(addr int64, s lset) {
 }
 
 // ddg records the node and data dependences of instance (t.id,
-// t.steps), mirroring ddg.ThreadExtractor.Extract (register sources
-// with two-slot dedup, then the destination tag) and
-// ddg.MemResolver.Resolve (memory source, then the destination tag).
+// t.steps), mirroring ddg.Extractor.OnEvent: register sources with
+// two-slot dedup, then the destination register tag, then the memory
+// source, then the destination memory tag.
 func (o *oracle) ddg(t *othread, pc int, b *obs) {
 	tid := t.id
 	n := t.steps // post-increment: this instance's 1-based number

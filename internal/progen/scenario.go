@@ -388,21 +388,20 @@ func sortPCSet(m map[int32]bool) []int32 {
 // copy, so later legs can replay the identical recording through
 // differently-configured stores.
 type recordSink struct {
-	mu     sync.Mutex
 	next   ddg.ChunkSink
 	chunks []ddg.RawChunk
 }
 
+// SpillChunk runs on the tracer's one writer goroutine; the copy is
+// read only after the run has closed.
 func (rs *recordSink) SpillChunk(ch ddg.RawChunk) {
-	rs.mu.Lock()
 	rs.chunks = append(rs.chunks, ch)
-	rs.mu.Unlock()
 	rs.next.SpillChunk(ch)
 }
 
 // offloaded runs ONTRAC offloaded with an exact (unelided) recording
 // spilled to disk, then compares five views of the same graph: the
-// in-memory shards, the reopened store.Reader (parallel slicers), the
+// in-memory buffer, the reopened store.Reader (parallel slicers), the
 // query service over real HTTP, an elided O1+O3 recording sliced
 // through reconstruction, and a replay into a retention-budgeted
 // store trimmed mid-run.

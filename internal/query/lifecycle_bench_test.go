@@ -40,7 +40,7 @@ var lifecycleOnce struct {
 func lifecycleChunks() ([]ddg.RawChunk, uint64) {
 	lifecycleOnce.Do(func() {
 		var sink lifecycleSink
-		c := ddg.NewShardedSized(0, 64)
+		c := ddg.NewCompactSized(0, 64)
 		c.SetSpill(&sink)
 		// Interleave threads so their segments alternate in global
 		// append order and a byte budget leaves every thread a suffix.

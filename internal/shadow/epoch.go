@@ -13,7 +13,7 @@ import "fmt"
 // assigns every shard the window touches to exactly one owner id, and
 // each worker accesses its owned shards through a View with zero
 // atomics — the happens-before edges of the dispatch/barrier pair
-// (pipeline.Pool.Run) are the only fences.
+// (the pipeline pool's run) are the only fences.
 //
 // Concurrency contract (enforced statically by the epochfence
 // analyzer in internal/analysis and dynamically by the ownership

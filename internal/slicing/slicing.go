@@ -20,9 +20,9 @@
 //     each draining its own thread's frontier depth-first and handing
 //     cross-thread edges to the owning thread's shard, so long
 //     per-thread chains advance in parallel over the per-thread
-//     layouts underneath (store.Reader segments, ddg.Sharded). The
-//     source — DepsOf, DepsOfHinted, NodePC — must be safe for
-//     concurrent reads: store.Reader, ddg.Full and ddg.Sharded are.
+//     layout underneath (store.Reader segments). The source — DepsOf,
+//     DepsOfHinted, NodePC — must be safe for concurrent reads:
+//     store.Reader and ddg.Full are; a ddg.Compact is not.
 //     Options.MaxNodes and Options.Done are enforced cooperatively, so
 //     a bounded or cancelled walk may visit a few nodes past the cut.
 //

@@ -239,7 +239,7 @@ func benchSyntheticStore(t *testing.T) (string, *isa.Program) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	c := ddg.NewSharded(0)
+	c := ddg.NewCompact(0)
 	c.SetSpill(w)
 	for tid := 0; tid < threads; tid++ {
 		for n := uint64(1); n <= uint64(perThread); n++ {

@@ -278,7 +278,7 @@ func TestStoreCrashWriterNeverClosed(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	c := ddg.NewShardedSized(0, 128)
+	c := ddg.NewCompactSized(0, 128)
 	c.SetSpill(w)
 	model := appendSynthetic(c, 2, 600)
 	c.Flush()

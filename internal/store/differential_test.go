@@ -43,9 +43,9 @@ func runSpilled(t *testing.T, w *prog.Workload, opts ontrac.Options, seed uint64
 	if err := wr.Close(); err != nil {
 		t.Fatalf("seed %d: writer close: %v", seed, err)
 	}
-	if off.Shards().SpilledChunks() != wr.ChunksSpilled() {
+	if off.Buffer().SpilledChunks() != wr.ChunksSpilled() {
 		t.Fatalf("seed %d: %d chunks sealed, %d written", seed,
-			off.Shards().SpilledChunks(), wr.ChunksSpilled())
+			off.Buffer().SpilledChunks(), wr.ChunksSpilled())
 	}
 	r, err := Open(dir, ReaderOptions{CacheChunks: 4})
 	if err != nil {
@@ -61,7 +61,7 @@ func runSpilled(t *testing.T, w *prog.Workload, opts ontrac.Options, seed uint64
 // to the sequential result.
 func diffSlices(t *testing.T, seed uint64, w *prog.Workload, opts ontrac.Options, off *ontrac.Offloaded, r *Reader) {
 	t.Helper()
-	mem := off.Shards()
+	mem := off.Buffer()
 	memR, diskR := off.Reader(), off.ReaderOver(r)
 	if fmt.Sprint(mem.Threads()) != fmt.Sprint(r.Threads()) {
 		t.Fatalf("seed %d: threads diverged: mem %v, disk %v", seed, mem.Threads(), r.Threads())

@@ -24,8 +24,8 @@ func FuzzCompactRoundTrip(f *testing.F) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		shards := ddg.NewShardedSized(0, int(chunkSize))
-		shards.SetSpill(w)
+		buf := ddg.NewCompactSized(0, int(chunkSize))
+		buf.SetSpill(w)
 		model := ddg.NewFull()
 
 		pos := 0
@@ -77,7 +77,7 @@ func FuzzCompactRoundTrip(f *testing.F) {
 				continue
 			}
 
-			shards.Append(use, usePC, deps, rlDelta)
+			buf.Append(use, usePC, deps, rlDelta)
 			// The model stores what decode must yield: data deps in
 			// order, then the control dep, then the SameAs marker.
 			for _, d := range deps {
@@ -95,7 +95,7 @@ func FuzzCompactRoundTrip(f *testing.F) {
 					Def: ddg.MakeID(tid, n-rlDelta), DefPC: usePC, Kind: ddg.SameAs})
 			}
 		}
-		shards.Flush()
+		buf.Flush()
 		if err := w.Close(); err != nil {
 			t.Fatal(err)
 		}

@@ -25,7 +25,7 @@ func TestStoreLiveFollowTail(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	c := ddg.NewShardedSized(0, 128)
+	c := ddg.NewCompactSized(0, 128)
 	c.SetSpill(w)
 	model := ddg.NewFull()
 

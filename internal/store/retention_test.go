@@ -83,7 +83,7 @@ func TestStoreRetentionByteBudget(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	c := ddg.NewShardedSized(0, 256)
+	c := ddg.NewCompactSized(0, 256)
 	c.SetSpill(w)
 	model := appendSynthetic(c, 3, 400)
 	c.Flush()
@@ -145,7 +145,7 @@ func TestStoreRetentionAge(t *testing.T) {
 	}
 	base := time.Now()
 	w.now = func() time.Time { return base }
-	c := ddg.NewShardedSized(0, 128)
+	c := ddg.NewCompactSized(0, 128)
 	c.SetSpill(w)
 	model := ddg.NewFull()
 	appendPhase(c, model, 2, 1, 300)
@@ -387,7 +387,7 @@ func TestStoreLiveFollowAcrossTrim(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	c := ddg.NewShardedSized(0, 128)
+	c := ddg.NewCompactSized(0, 128)
 	c.SetSpill(w)
 	model := ddg.NewFull()
 	const threads = 2
@@ -478,7 +478,7 @@ func TestStoreFollowerClosesTailFDsOnFlip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	c := ddg.NewShardedSized(0, 64)
+	c := ddg.NewCompactSized(0, 64)
 	c.SetSpill(w)
 	model := ddg.NewFull()
 	const threads = 3

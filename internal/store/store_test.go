@@ -85,7 +85,7 @@ func spillAll(t *testing.T, dir string, opts Options, threads, perThread, chunkS
 	if err != nil {
 		t.Fatal(err)
 	}
-	c := ddg.NewShardedSized(0, chunkSize)
+	c := ddg.NewCompactSized(0, chunkSize)
 	c.SetSpill(w)
 	model := appendSynthetic(c, threads, perThread)
 	c.Flush()
@@ -96,7 +96,7 @@ func spillAll(t *testing.T, dir string, opts Options, threads, perThread, chunkS
 		t.Fatal("nothing spilled")
 	}
 	if got := c.SpilledChunks(); got != w.ChunksSpilled() {
-		t.Fatalf("spill accounting: shards %d, writer %d", got, w.ChunksSpilled())
+		t.Fatalf("spill accounting: buffer %d, writer %d", got, w.ChunksSpilled())
 	}
 	return model
 }

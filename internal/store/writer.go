@@ -39,8 +39,8 @@ func (o *Options) fill() {
 
 // Writer spills sealed compact chunks into per-thread segment files
 // under one directory. It implements ddg.ChunkSink and is safe for
-// concurrent SpillChunk calls (the offloaded stage's per-thread
-// append workers all feed one Writer). I/O errors are sticky: the
+// concurrent use: one ddg.Compact spills from a single goroutine, but
+// Close, retention and the counters race it. I/O errors are sticky: the
 // first one stops further writes and surfaces from Err and Close.
 type Writer struct {
 	opts Options
