@@ -1,10 +1,8 @@
 // Command benchcheck guards the checked-in benchmark baselines: it
 // parses `go test -bench` output, maps benchmark names to the
-// throughput numbers recorded in BENCH_store.json,
-// BENCH_pipeline.json, BENCH_ontrac.json, and BENCH_lifecycle.json,
-// and reports any
-// benchmark whose events/s or MB/s dropped more than the threshold
-// below its baseline.
+// throughput numbers recorded in BENCH_store.json, BENCH_ontrac.json,
+// and BENCH_lifecycle.json, and reports any benchmark whose events/s
+// or MB/s dropped more than the threshold below its baseline.
 //
 //	go test -bench . -benchtime 1x -run '^$' ./... | benchcheck -baseline-dir .
 //
@@ -150,22 +148,6 @@ type lifecycleBench struct {
 	} `json:"cache"`
 }
 
-type pipelineBench struct {
-	Host    *benchfp.Host `json:"host"`
-	Results []struct {
-		Workload string `json:"workload"`
-		Domain   string `json:"domain"`
-		Inline   struct {
-			EventsPerSec float64 `json:"events_per_sec"`
-		} `json:"inline"`
-		Offloaded []struct {
-			Workers      int     `json:"workers"`
-			EventsPerSec float64 `json:"events_per_sec"`
-			AnalyzeEPS   float64 `json:"analyze_events_per_sec"`
-		} `json:"offloaded"`
-	} `json:"results"`
-}
-
 type ontracBench struct {
 	Host    *benchfp.Host `json:"host"`
 	Results []struct {
@@ -182,24 +164,9 @@ type ontracBench struct {
 	} `json:"results"`
 }
 
-// camel maps the baseline files' lowercase workload/domain names to
-// the benchmark-name fragments.
-var camel = map[string]string{
-	"streamagg":  "StreamAgg",
-	"keyedmerge": "KeyedMerge",
-	"mapreduce":  "MapReduce",
-	"lineage":    "Lineage",
-	"bool":       "Bool",
-	"pc":         "PC",
-	"compress":   "Compress",
-	"matmul":     "Matmul",
-	"psum":       "Psum",
-}
-
+// camelName maps the baseline files' lowercase workload names to the
+// benchmark-name fragments.
 func camelName(s string) string {
-	if c, ok := camel[s]; ok {
-		return c
-	}
 	if s == "" {
 		return s
 	}
@@ -248,29 +215,6 @@ func loadBaselines(dir string) (out map[string]metrics, hosts []string, err erro
 		host("BENCH_lifecycle.json", lb.Host)
 		add("BenchmarkLifecycleRetentionSpill", "MB/s", lb.Retention.MBPerS)
 		add("BenchmarkLifecycleCacheHit", "queries/s", lb.Cache.HitQueriesPS)
-	}
-
-	var pb pipelineBench
-	if ok, err := readJSON(filepath.Join(dir, "BENCH_pipeline.json"), &pb); err != nil {
-		return nil, nil, err
-	} else if ok {
-		host("BENCH_pipeline.json", pb.Host)
-		for _, res := range pb.Results {
-			base := "BenchmarkPipeline" + camelName(res.Workload) + camelName(res.Domain)
-			add(base+"Inline", "events/s", res.Inline.EventsPerSec)
-			for _, off := range res.Offloaded {
-				add(fmt.Sprintf("%sW%d", base, off.Workers), "events/s", off.EventsPerSec)
-				// The analyze-side rate (propagation only, record cost
-				// excluded) is tracked by the BenchmarkPipelineEpoch*
-				// suite, which runs the W2 configuration; the other
-				// worker counts stay recorded in the JSON without a
-				// benchmark counterpart.
-				if off.Workers == 2 {
-					add("BenchmarkPipelineEpoch"+camelName(res.Workload)+camelName(res.Domain)+"W2",
-						"events/s", off.AnalyzeEPS)
-				}
-			}
-		}
 	}
 
 	var ob ontracBench

@@ -11,7 +11,7 @@ pkg: scaldift/internal/store
 cpu: Some CPU
 BenchmarkStoreSpill-8        	     100	  12345 ns/op	 900.00 MB/s	215716 chunks/s
 BenchmarkLifecycleRetentionSpill 	      50	  23456 ns/op	 400.00 MB/s
-BenchmarkPipelineStreamAggLineageW2-8 	      10	 1000000 ns/op	 2500000 events/s	       3.100 x-native
+BenchmarkPipelineStreamAggLineageOffloaded-8 	      10	 1000000 ns/op	 2500000 events/s	       3.100 x-native
 BenchmarkOntracPipelinePsumRecordOnly-8 	       1	 2601718 ns/op	18000000 events/s
 garbage line
 BenchmarkBroken abc
@@ -31,8 +31,8 @@ func TestParseBenchOutput(t *testing.T) {
 		{"BenchmarkStoreSpill", "MB/s", 900},
 		{"BenchmarkStoreSpill", "chunks/s", 215716},
 		{"BenchmarkLifecycleRetentionSpill", "MB/s", 400}, // no -P suffix
-		{"BenchmarkPipelineStreamAggLineageW2", "events/s", 2.5e6},
-		{"BenchmarkPipelineStreamAggLineageW2", "x-native", 3.1},
+		{"BenchmarkPipelineStreamAggLineageOffloaded", "events/s", 2.5e6},
+		{"BenchmarkPipelineStreamAggLineageOffloaded", "x-native", 3.1},
 		{"BenchmarkOntracPipelinePsumRecordOnly", "events/s", 1.8e7},
 	}
 	for _, c := range cases {
@@ -54,15 +54,6 @@ func TestLoadBaselinesFromRepo(t *testing.T) {
 	}
 	for _, name := range []string{
 		"BenchmarkStoreSpill",
-		"BenchmarkPipelineStreamAggLineageInline",
-		"BenchmarkPipelineStreamAggLineageW2",
-		"BenchmarkPipelineKeyedMergeLineageW2",
-		"BenchmarkPipelineMapReduceLineageInline",
-		"BenchmarkPipelineStreamAggBoolW2",
-		"BenchmarkPipelineEpochStreamAggLineageW2",
-		"BenchmarkPipelineEpochKeyedMergeLineageW2",
-		"BenchmarkPipelineEpochMapReduceLineageW2",
-		"BenchmarkPipelineEpochStreamAggBoolW2",
 		"BenchmarkOntracPipelineCompressInline",
 		"BenchmarkOntracPipelineCompressRecordOnly",
 		"BenchmarkOntracPipelineCompressOffloaded",
@@ -83,16 +74,14 @@ func TestLoadBaselinesFromRepo(t *testing.T) {
 		}
 	}
 	// The regenerated baselines record the host they were measured on.
-	for _, file := range []string{"BENCH_pipeline.json", "BENCH_ontrac.json"} {
-		found := false
-		for _, h := range hosts {
-			if strings.HasPrefix(h, file+":") {
-				found = true
-			}
+	found := false
+	for _, h := range hosts {
+		if strings.HasPrefix(h, "BENCH_ontrac.json:") {
+			found = true
 		}
-		if !found {
-			t.Errorf("no host fingerprint recorded for %s (hosts: %v)", file, hosts)
-		}
+	}
+	if !found {
+		t.Errorf("no host fingerprint recorded for BENCH_ontrac.json (hosts: %v)", hosts)
 	}
 }
 

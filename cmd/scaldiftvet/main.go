@@ -1,6 +1,6 @@
 // Command scaldiftvet runs the repo's project-specific analyzer suite
-// (poolescape, lockio, cancelpoll, stickyerr, trimpin, epochfence —
-// see internal/analysis).
+// (poolescape, lockio, cancelpoll, stickyerr, trimpin — see
+// internal/analysis).
 //
 // Two modes:
 //

@@ -2,9 +2,7 @@
 // suite: a set of analyzers that machine-check the hard-won
 // concurrency and I/O invariants this codebase keeps re-learning from
 // bugs (pooled-event pointer retention in PR 3, chunk I/O under ts.mu
-// in PR 5, negative-caching transient read errors in PR 7, the
-// shadow.Epoch ownership-fence contract that replaced mutex sharding),
-// plus the
+// in PR 5, negative-caching transient read errors in PR 7), plus the
 // driver machinery to run them as a `go vet -vettool=` unitchecker
 // (cmd/scaldiftvet) and as in-repo fixture tests (antest).
 //

@@ -54,7 +54,6 @@ func Suite() []*Analyzer {
 		CancelPoll,
 		StickyErr,
 		TrimPin,
-		EpochFence,
 	}
 }
 

@@ -27,10 +27,6 @@ func TestTrimPin(t *testing.T) {
 	antest.Run(t, "testdata/trimpin", analysis.TrimPin, "store")
 }
 
-func TestEpochFence(t *testing.T) {
-	antest.Run(t, "testdata/epochfence", analysis.EpochFence, "a")
-}
-
 func TestSuiteNamesAreUnique(t *testing.T) {
 	seen := map[string]bool{}
 	for _, a := range analysis.Suite() {

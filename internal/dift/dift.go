@@ -127,7 +127,7 @@ func (e *Engine[L]) Regs(tid int) *[isa.NumRegs]L {
 
 // OnEvent implements vm.Tool: propagate taint for one instruction.
 // The propagation semantics live in Step, which the offloaded
-// pipeline workers (internal/pipeline) share.
+// pipeline (internal/pipeline) shares.
 func (e *Engine[L]) OnEvent(m *vm.Machine, ev *vm.Event) {
 	if ev.Blocked {
 		return

@@ -6,8 +6,8 @@ import (
 )
 
 // Store abstracts the memory-label container a propagation step reads
-// and writes: the paged shadow.Mem inline, or the sharded variant the
-// offloaded pipeline's workers share (internal/pipeline).
+// and writes: a paged shadow.Mem, inline and in the offloaded pipeline
+// (internal/pipeline) alike.
 type Store[L comparable] interface {
 	Get(addr int64) L
 	Set(addr int64, l L)
@@ -33,7 +33,7 @@ func joinSrc[L comparable](dom Domain[L], regs *[isa.NumRegs]L, ev *vm.Event) L 
 // given register bank and memory store, firing sinks as it goes. It
 // is the DIFT propagation transfer function — the single place the
 // semantics live — shared verbatim by the inline Engine and by the
-// offloaded pipeline's workers, so the two cannot drift apart (the
+// offloaded pipeline, so the two cannot drift apart (the
 // differential suite in internal/pipeline checks that they do not).
 //
 // Step is pure with respect to everything except (regs, mem, sinks):

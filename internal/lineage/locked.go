@@ -8,16 +8,15 @@ import (
 	"scaldift/internal/vm"
 )
 
-// LockedDomain is the pipeline-safe lineage domain: Source and Join
-// serialize on a mutex around the one shared roBDD manager, so
-// concurrent pipeline workers (internal/pipeline) can propagate
-// lineage labels whose Refs all live in a single space — queries and
-// the memory report work exactly as in the inline engine.
+// LockedDomain is the lineage domain safe for concurrent use: Source
+// and Join serialize on a mutex around the one shared roBDD manager,
+// so several goroutines can propagate lineage labels whose Refs all
+// live in a single space.
 //
-// The alternative — a private manager per worker, merged by a final
-// cross-manager translate pass — was built, measured slower (private
-// managers redo every union the shared operation cache would have
-// answered, then pay the translation on top), and deleted.
+// Deprecated: the offloaded pipeline analyzes on one goroutine and
+// takes a plain Domain, so nothing in the repo but the frozen bench/
+// directory uses this; the next benchmark PR removes it (ROADMAP
+// item 5).
 type LockedDomain struct {
 	*Domain
 	mu sync.Mutex

@@ -96,7 +96,11 @@ func (o *Offloaded) Stats() Stats { return o.tr.Stats() }
 type offHandler struct{ ex *ddg.Extractor }
 
 func (h offHandler) Window(w []*vm.Batch) {
-	pipeline.WalkSeq(w, func(ev *vm.Event) { h.ex.OnEvent(nil, ev) })
+	pipeline.WalkSeq(w, func(run []vm.Event) {
+		for i := range run {
+			h.ex.OnEvent(nil, &run[i])
+		}
+	})
 }
 
 // Sync batches (spawn) arrive solo after a drain: a one-batch window.

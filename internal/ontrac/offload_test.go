@@ -22,12 +22,11 @@ import (
 const offSchedules = 4
 
 // offOpts varies the pipeline shape with the schedule seed so the
-// suite also sweeps window sizes (the stage has no workers: Workers
-// only sets the default WindowBatches, 2 to 8 here) and batch sizes.
+// suite also sweeps window sizes (2 to 8 batches) and batch sizes.
 func offOpts(seed uint64) pipeline.Options {
 	return pipeline.Options{
-		Workers:     1 + int(seed)%4,
-		BatchEvents: []int{32, 64, 256}[int(seed)%3],
+		WindowBatches: 2 * (1 + int(seed)%4),
+		BatchEvents:   []int{32, 64, 256}[int(seed)%3],
 	}
 }
 

@@ -24,7 +24,7 @@ func TestStaticReconstructorMatchesRecordingReader(t *testing.T) {
 				w.Cfg.Quantum = 17
 			}
 			m := w.NewMachine()
-			off := NewOffloaded(w.Prog, StaticOptions(), pipeline.Options{Workers: 2})
+			off := NewOffloaded(w.Prog, StaticOptions(), pipeline.Options{})
 			if res := Trace(m, off); res.Failed {
 				t.Fatal(res.FailMsg)
 			}

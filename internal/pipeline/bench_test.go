@@ -1,15 +1,10 @@
 package pipeline
 
 import (
-	"encoding/json"
-	"fmt"
-	"os"
-	"runtime"
 	"testing"
 	"time"
 
 	"scaldift/internal/bdd"
-	"scaldift/internal/benchfp"
 	"scaldift/internal/dift"
 	"scaldift/internal/lineage"
 	"scaldift/internal/prog"
@@ -20,15 +15,8 @@ import (
 // prog workloads: events/s (VM instructions analyzed per second of
 // wall time) and slowdown-vs-native (instrumented wall time over the
 // tool-free run). Offloaded variants run the full concurrent
-// pipeline end-to-end at 1/2/4 workers.
-//
-// TestWriteBenchPipelineJSON (env PIPELINE_BENCH_JSON=1) additionally
-// times the record and propagate stages separately via Collect/
-// Consume and writes BENCH_pipeline.json at the repo root. There the
-// pipeline's events_per_sec is its *sustained* throughput —
-// events/max(stage wall) — which is what the decoupled design
-// delivers when execution and analysis overlap on separate cores; the
-// single-core serialized figure is reported alongside.
+// pipeline end-to-end; Analyze variants time the analyze stage alone
+// over a pre-recorded stream.
 
 // runInline executes w's machine under an inline engine of the named
 // domain and returns the steps analyzed.
@@ -53,18 +41,17 @@ func runInline(b testing.TB, w *prog.Workload, domain string) uint64 {
 
 // runOffloaded executes w's machine with the concurrent pipeline
 // attached and returns the steps analyzed.
-func runOffloaded(b testing.TB, w *prog.Workload, domain string, workers int) uint64 {
+func runOffloaded(b testing.TB, w *prog.Workload, domain string) uint64 {
 	m := w.NewMachine()
-	opt := Options{Workers: workers}
 	var res *vm.Result
 	switch domain {
 	case "bool":
-		p := New[bool](dift.Bool{}, dift.DefaultPolicy(), opt)
+		p := New[bool](dift.Bool{}, dift.DefaultPolicy(), Options{})
 		res = Run(m, p)
 	case "lineage":
-		d := lineage.NewLockedDomain(lineage.BitsFor(len(w.Inputs[prog.ChIn]) + 8))
-		p := New[bdd.Ref](d, dift.DefaultPolicy(), opt)
-		p.AddSink(lineage.NewRecorder(d.Domain))
+		d := lineage.NewDomain(lineage.BitsFor(len(w.Inputs[prog.ChIn]) + 8))
+		p := New[bdd.Ref](d, dift.DefaultPolicy(), Options{})
+		p.AddSink(lineage.NewRecorder(d))
 		res = Run(m, p)
 	default:
 		b.Fatalf("unknown domain %q", domain)
@@ -75,7 +62,7 @@ func runOffloaded(b testing.TB, w *prog.Workload, domain string, workers int) ui
 	return m.Steps()
 }
 
-func benchPipeline(b *testing.B, mk func() *prog.Workload, domain string, workers int) {
+func benchPipeline(b *testing.B, mk func() *prog.Workload, domain string, offloaded bool) {
 	// Native baseline, untimed: tool-free wall per run.
 	wn := mk()
 	mn := wn.NewMachine()
@@ -89,10 +76,10 @@ func benchPipeline(b *testing.B, mk func() *prog.Workload, domain string, worker
 	var steps uint64
 	for i := 0; i < b.N; i++ {
 		w := mk()
-		if workers == 0 {
-			steps += runInline(b, w, domain)
+		if offloaded {
+			steps += runOffloaded(b, w, domain)
 		} else {
-			steps += runOffloaded(b, w, domain, workers)
+			steps += runInline(b, w, domain)
 		}
 	}
 	el := b.Elapsed().Seconds()
@@ -109,29 +96,34 @@ func mkKeyedMerge() *prog.Workload { return prog.KeyedMerge(64, 512, 22) }
 func mkMapReduce() *prog.Workload  { return prog.MapReduceSquares(4, 8192, 23) }
 
 func BenchmarkPipelineStreamAggLineageInline(b *testing.B) {
-	benchPipeline(b, mkStreamAgg, "lineage", 0)
+	benchPipeline(b, mkStreamAgg, "lineage", false)
 }
-func BenchmarkPipelineStreamAggLineageW1(b *testing.B)  { benchPipeline(b, mkStreamAgg, "lineage", 1) }
-func BenchmarkPipelineStreamAggLineageW2(b *testing.B)  { benchPipeline(b, mkStreamAgg, "lineage", 2) }
-func BenchmarkPipelineStreamAggLineageW4(b *testing.B)  { benchPipeline(b, mkStreamAgg, "lineage", 4) }
-func BenchmarkPipelineStreamAggBoolInline(b *testing.B) { benchPipeline(b, mkStreamAgg, "bool", 0) }
-func BenchmarkPipelineStreamAggBoolW2(b *testing.B)     { benchPipeline(b, mkStreamAgg, "bool", 2) }
+func BenchmarkPipelineStreamAggLineageOffloaded(b *testing.B) {
+	benchPipeline(b, mkStreamAgg, "lineage", true)
+}
+func BenchmarkPipelineStreamAggBoolInline(b *testing.B) {
+	benchPipeline(b, mkStreamAgg, "bool", false)
+}
+func BenchmarkPipelineStreamAggBoolOffloaded(b *testing.B) {
+	benchPipeline(b, mkStreamAgg, "bool", true)
+}
 func BenchmarkPipelineKeyedMergeLineageInline(b *testing.B) {
-	benchPipeline(b, mkKeyedMerge, "lineage", 0)
+	benchPipeline(b, mkKeyedMerge, "lineage", false)
 }
-func BenchmarkPipelineKeyedMergeLineageW2(b *testing.B) { benchPipeline(b, mkKeyedMerge, "lineage", 2) }
+func BenchmarkPipelineKeyedMergeLineageOffloaded(b *testing.B) {
+	benchPipeline(b, mkKeyedMerge, "lineage", true)
+}
 func BenchmarkPipelineMapReduceLineageInline(b *testing.B) {
-	benchPipeline(b, mkMapReduce, "lineage", 0)
+	benchPipeline(b, mkMapReduce, "lineage", false)
 }
-func BenchmarkPipelineMapReduceLineageW2(b *testing.B) { benchPipeline(b, mkMapReduce, "lineage", 2) }
+func BenchmarkPipelineMapReduceLineageOffloaded(b *testing.B) {
+	benchPipeline(b, mkMapReduce, "lineage", true)
+}
 
-// benchEpochAnalyze measures the analyze stage alone: one offline
-// trace, recorded once, propagated through a fresh epoch-sharded
-// pipeline per iteration. These are the BenchmarkPipelineEpoch* rows
-// benchcheck compares against analyze_events_per_sec in
-// BENCH_pipeline.json — the propagation speed of the epoch-sharded
-// shadow path, with the recorder out of the picture.
-func benchEpochAnalyze(b *testing.B, mk func() *prog.Workload, domain string, workers int) {
+// benchAnalyze measures the analyze stage alone: one offline trace,
+// recorded once, propagated through a fresh pipeline per iteration —
+// the propagation speed with the recorder out of the picture.
+func benchAnalyze(b *testing.B, mk func() *prog.Workload, domain string) {
 	w := mk()
 	m := w.NewMachine()
 	trace, res := Collect(m, vm.DefaultBatchEvents)
@@ -141,207 +133,37 @@ func benchEpochAnalyze(b *testing.B, mk func() *prog.Workload, domain string, wo
 	steps := m.Steps()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		consumeTrace(b, w, domain, workers, trace)
+		consumeTrace(b, w, domain, trace)
 	}
 	if el := b.Elapsed().Seconds(); el > 0 {
 		b.ReportMetric(float64(steps)*float64(b.N)/el, "events/s")
 	}
 }
 
-func BenchmarkPipelineEpochStreamAggLineageW2(b *testing.B) {
-	benchEpochAnalyze(b, mkStreamAgg, "lineage", 2)
+func BenchmarkPipelineAnalyzeStreamAggLineage(b *testing.B) {
+	benchAnalyze(b, mkStreamAgg, "lineage")
 }
-func BenchmarkPipelineEpochKeyedMergeLineageW2(b *testing.B) {
-	benchEpochAnalyze(b, mkKeyedMerge, "lineage", 2)
+func BenchmarkPipelineAnalyzeKeyedMergeLineage(b *testing.B) {
+	benchAnalyze(b, mkKeyedMerge, "lineage")
 }
-func BenchmarkPipelineEpochMapReduceLineageW2(b *testing.B) {
-	benchEpochAnalyze(b, mkMapReduce, "lineage", 2)
+func BenchmarkPipelineAnalyzeMapReduceLineage(b *testing.B) {
+	benchAnalyze(b, mkMapReduce, "lineage")
 }
-func BenchmarkPipelineEpochStreamAggBoolW2(b *testing.B) {
-	benchEpochAnalyze(b, mkStreamAgg, "bool", 2)
-}
-
-// --- BENCH_pipeline.json -------------------------------------------
-
-type benchOffloaded struct {
-	Workers int `json:"workers"`
-	// Stage walls, measured separately on an offline trace.
-	RecordS  float64 `json:"record_s"`
-	AnalyzeS float64 `json:"analyze_s"`
-	// Wall of the concurrent end-to-end run (on a single-core host
-	// this approaches record+analyze; on multicore, max of the two).
-	ConcurrentS float64 `json:"concurrent_s"`
-	// Sustained pipeline throughput: events / max(record, analyze) —
-	// the steady-state rate of the slowest stage.
-	EventsPerSec float64 `json:"events_per_sec"`
-	// Analyze-stage throughput alone: events / analyze_s. This is the
-	// number the BenchmarkPipelineEpoch* rows track — the propagation
-	// speed of the epoch-sharded shadow path, independent of the
-	// recorder.
-	AnalyzeEventsPerSec float64 `json:"analyze_events_per_sec"`
-	// Fully serialized single-core figure: events / (record+analyze).
-	EventsPerSecSerialized float64 `json:"events_per_sec_serialized"`
-	SlowdownVsNative       float64 `json:"slowdown_vs_native"`
-}
-
-type benchInline struct {
-	WallS            float64 `json:"wall_s"`
-	EventsPerSec     float64 `json:"events_per_sec"`
-	SlowdownVsNative float64 `json:"slowdown_vs_native"`
-}
-
-type benchRow struct {
-	Workload  string           `json:"workload"`
-	Domain    string           `json:"domain"`
-	Events    uint64           `json:"events"`
-	NativeS   float64          `json:"native_s"`
-	Inline    benchInline      `json:"inline"`
-	Offloaded []benchOffloaded `json:"offloaded"`
-}
-
-type benchReport struct {
-	GoMaxProcs int          `json:"gomaxprocs"`
-	Host       benchfp.Host `json:"host"`
-	Note       string       `json:"note"`
-	Results    []benchRow   `json:"results"`
-}
-
-// bestOf runs f reps times and returns the fastest wall seconds.
-func bestOf(reps int, f func()) float64 {
-	best := 0.0
-	for i := 0; i < reps; i++ {
-		t0 := time.Now()
-		f()
-		if s := time.Since(t0).Seconds(); i == 0 || s < best {
-			best = s
-		}
-	}
-	return best
-}
-
-// TestWriteBenchPipelineJSON generates BENCH_pipeline.json. Gated
-// behind PIPELINE_BENCH_JSON=1 so regular test runs stay fast:
-//
-//	PIPELINE_BENCH_JSON=1 go test -run TestWriteBenchPipelineJSON ./internal/pipeline/
-func TestWriteBenchPipelineJSON(t *testing.T) {
-	if os.Getenv("PIPELINE_BENCH_JSON") == "" {
-		t.Skip("set PIPELINE_BENCH_JSON=1 to generate BENCH_pipeline.json")
-	}
-	const reps = 3
-	cases := []struct {
-		name   string
-		domain string
-		mk     func() *prog.Workload
-	}{
-		{"streamagg", "lineage", mkStreamAgg},
-		{"keyedmerge", "lineage", mkKeyedMerge},
-		{"mapreduce", "lineage", mkMapReduce},
-		{"streamagg", "bool", mkStreamAgg},
-	}
-	report := benchReport{
-		GoMaxProcs: runtime.GOMAXPROCS(0),
-		Host:       benchfp.Current(),
-		Note: "events = VM instructions analyzed. Offloaded events_per_sec is sustained " +
-			"pipeline throughput events/max(record_s, analyze_s): the record stage runs on the " +
-			"execution core and the analyze stage consumes the batch stream on spare cores, so " +
-			"the slowest stage sets the pipeline's rate. events_per_sec_serialized " +
-			"(= events/(record_s+analyze_s)) and concurrent_s give the degenerate " +
-			"single-core figures for this host.",
-	}
-	for _, c := range cases {
-		var steps uint64
-		nativeS := bestOf(reps, func() {
-			w := c.mk()
-			m := w.NewMachine()
-			if res := m.Run(); res.Failed {
-				t.Fatal(res.FailMsg)
-			}
-			steps = m.Steps()
-		})
-		inlineS := bestOf(reps, func() {
-			runInline(t, c.mk(), c.domain)
-		})
-		row := benchRow{
-			Workload: c.name, Domain: c.domain, Events: steps, NativeS: nativeS,
-			Inline: benchInline{
-				WallS:            inlineS,
-				EventsPerSec:     float64(steps) / inlineS,
-				SlowdownVsNative: inlineS / nativeS,
-			},
-		}
-		// Record stage, steady state: the live pipeline recycles batch
-		// storage through the recorder's pool, so measure with batches
-		// freed as they seal (Collect would charge the recorder for
-		// retaining the whole trace).
-		recordS := bestOf(reps, func() {
-			w := c.mk()
-			m := w.NewMachine()
-			var rec *vm.Recorder
-			rec = vm.NewRecorder(vm.DefaultBatchEvents, dift.Relevant, func(b *vm.Batch) { rec.Free(b) })
-			m.AttachTool(rec)
-			if res := m.Run(); res.Failed {
-				t.Fatal(res.FailMsg)
-			}
-			rec.Flush()
-		})
-		// One offline trace, reused: Consume-mode pipelines never
-		// mutate or pool the batches, so each rep just needs a fresh
-		// pipeline.
-		wTrace := c.mk()
-		mTrace := wTrace.NewMachine()
-		trace, res := Collect(mTrace, vm.DefaultBatchEvents)
-		if res.Failed {
-			t.Fatal(res.FailMsg)
-		}
-		for _, workers := range []int{1, 2, 4} {
-			analyzeS := bestOf(reps, func() {
-				consumeTrace(t, wTrace, c.domain, workers, trace)
-			})
-			concurrentS := bestOf(reps, func() {
-				runOffloaded(t, c.mk(), c.domain, workers)
-			})
-			bottleneck := recordS
-			if analyzeS > bottleneck {
-				bottleneck = analyzeS
-			}
-			row.Offloaded = append(row.Offloaded, benchOffloaded{
-				Workers:                workers,
-				RecordS:                recordS,
-				AnalyzeS:               analyzeS,
-				ConcurrentS:            concurrentS,
-				EventsPerSec:           float64(steps) / bottleneck,
-				AnalyzeEventsPerSec:    float64(steps) / analyzeS,
-				EventsPerSecSerialized: float64(steps) / (recordS + analyzeS),
-				SlowdownVsNative:       concurrentS / nativeS,
-			})
-		}
-		report.Results = append(report.Results, row)
-	}
-	buf, err := json.MarshalIndent(report, "", "  ")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := os.WriteFile("../../BENCH_pipeline.json", append(buf, '\n'), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	for _, r := range report.Results {
-		fmt.Printf("%s/%s: native %.3fs, inline %.0f ev/s, offloaded-w2 sustained %.0f ev/s\n",
-			r.Workload, r.Domain, r.NativeS, r.Inline.EventsPerSec, r.Offloaded[1].EventsPerSec)
-	}
+func BenchmarkPipelineAnalyzeStreamAggBool(b *testing.B) {
+	benchAnalyze(b, mkStreamAgg, "bool")
 }
 
 // consumeTrace propagates an offline trace through a fresh pipeline.
-func consumeTrace(t testing.TB, w *prog.Workload, domain string, workers int, batches []*vm.Batch) {
-	opt := Options{Workers: workers}
+func consumeTrace(t testing.TB, w *prog.Workload, domain string, batches []*vm.Batch) {
 	switch domain {
 	case "bool":
-		p := New[bool](dift.Bool{}, dift.DefaultPolicy(), opt)
+		p := New[bool](dift.Bool{}, dift.DefaultPolicy(), Options{})
 		p.Consume(batches)
 		p.Close()
 	case "lineage":
-		d := lineage.NewLockedDomain(lineage.BitsFor(len(w.Inputs[prog.ChIn]) + 8))
-		p := New[bdd.Ref](d, dift.DefaultPolicy(), opt)
-		p.AddSink(lineage.NewRecorder(d.Domain))
+		d := lineage.NewDomain(lineage.BitsFor(len(w.Inputs[prog.ChIn]) + 8))
+		p := New[bdd.Ref](d, dift.DefaultPolicy(), Options{})
+		p.AddSink(lineage.NewRecorder(d))
 		p.Consume(batches)
 		p.Close()
 	default:

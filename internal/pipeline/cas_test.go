@@ -67,7 +67,7 @@ func casBoth[L comparable](t *testing.T, text string, dom, pdom dift.Domain[L], 
 
 	mp := vm.MustNew(p, vm.Config{})
 	mp.SetInput(0, []int64{5})
-	pl := New[L](pdom, pol, Options{Workers: 2, BatchEvents: 4})
+	pl := New[L](pdom, pol, Options{BatchEvents: 4})
 	if res := Run(mp, pl); res.Failed {
 		t.Fatalf("pipeline run failed: %s", res.FailMsg)
 	}
@@ -144,7 +144,7 @@ func TestCasRdRs2AliasingLineage(t *testing.T) {
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
 			di := lineage.NewDomain(8)
-			dp := lineage.NewLockedDomain(8)
+			dp := lineage.NewDomain(8)
 			eng, pl, _ := casBoth[bdd.Ref](t, tc.text, di, dp, tc.pol)
 			checkCas(t, eng, pl, true, tc.memTaint)
 			// Lineage refs live in separate managers; compare the

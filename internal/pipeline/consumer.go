@@ -1,10 +1,6 @@
 package pipeline
 
-import (
-	"sync"
-
-	"scaldift/internal/vm"
-)
+import "scaldift/internal/vm"
 
 // This file is the consumer-side machinery shared by every offloaded
 // analysis kind: the DIFT propagation pipeline in this package and
@@ -43,11 +39,14 @@ type Consumer struct {
 	winGroup uint64
 }
 
+// defaultWindowBatches is the window size when none is asked for.
+const defaultWindowBatches = 4
+
 // NewConsumer creates a consumer delivering windows of about
 // windowBatches batches (grown to flush-group boundaries) to h.
 func NewConsumer(h BatchHandler, windowBatches int) *Consumer {
 	if windowBatches <= 0 {
-		windowBatches = 4
+		windowBatches = defaultWindowBatches
 	}
 	return &Consumer{h: h, windowBatches: windowBatches}
 }
@@ -134,27 +133,28 @@ func (c *Consumer) free(b *vm.Batch) {
 	}
 }
 
-// WalkSeq calls visit for every event of window w in ascending global
-// Seq order — the exact order an inline tool saw them. Each thread's
+// WalkSeq hands visit every event of window w in ascending global Seq
+// order — the exact order an inline tool saw them — as runs: a run is
+// a non-empty contiguous slice of one batch's events, all of which
+// precede every unvisited event of every other thread. Each thread's
 // batches are already Seq-ascending in window order, so the walk is a
-// k-way merge over the per-thread chains (k is the thread count; a
-// lone chain is a straight walk): it repeatedly takes the chain with
-// the smallest head and runs it up to the next chain's head. visit
-// receives a pointer into the batch itself, valid only for the call.
-// This is the one ordered walk both offloaded analyses share: the
-// DIFT pipeline's ordered merge and the whole of the ONTRAC stage.
-func WalkSeq(w []*vm.Batch, visit func(ev *vm.Event)) {
-	chains, _ := groupChains(w)
-	if len(chains) == 1 {
-		for _, b := range chains[0] {
-			for i := range b.Events {
-				visit(&b.Events[i])
+// k-way merge over the per-thread chains (k is the thread count): it
+// repeatedly takes the chain with the smallest head and runs its
+// current batch up to the next chain's head. A single-chain window is
+// one run per non-empty batch. A run aliases the batch itself and is
+// valid only for the call. This is the one walk both offloaded
+// analyses are: the DIFT pipeline and the ONTRAC stage.
+func WalkSeq(w []*vm.Batch, visit func(run []vm.Event)) {
+	if singleChain(w) {
+		for _, b := range w {
+			if len(b.Events) > 0 {
+				visit(b.Events)
 			}
 		}
 		return
 	}
-	cur := make([]seqCursor, 0, len(chains))
-	for _, ch := range chains {
+	var cur []seqCursor
+	for _, ch := range groupChains(w) {
 		if c := (seqCursor{rest: ch}); c.settle() {
 			cur = append(cur, c)
 		}
@@ -172,13 +172,13 @@ func WalkSeq(w []*vm.Batch, visit func(ev *vm.Event)) {
 			}
 		}
 		c := &cur[lo]
-		live := true
-		for live && c.seq() < bound {
-			visit(&c.rest[0].Events[c.i])
-			c.i++
-			live = c.settle()
+		evs, end := c.rest[0].Events, c.i+1
+		for end < len(evs) && evs[end].Seq < bound {
+			end++
 		}
-		if !live {
+		visit(evs[c.i:end])
+		c.i = end
+		if !c.settle() {
 			cur = append(cur[:lo], cur[lo+1:]...)
 		}
 	}
@@ -202,69 +202,21 @@ func (c *seqCursor) settle() bool {
 	return len(c.rest) > 0
 }
 
-// pool is a fixed worker pool for window-internal parallelism.
-// Submitted tasks must be independent; run is the barrier.
-type pool struct {
-	tasks chan func()
-	wg    sync.WaitGroup
-}
-
-// newPool starts workers goroutines (minimum 1).
-func newPool(workers int) *pool {
-	if workers <= 0 {
-		workers = 1
-	}
-	p := &pool{tasks: make(chan func(), 16)}
-	p.wg.Add(workers)
-	for i := 0; i < workers; i++ {
-		go func() {
-			defer p.wg.Done()
-			for f := range p.tasks {
-				f()
-			}
-		}()
-	}
-	return p
-}
-
-// run executes independent tasks to completion behind a barrier: a
-// single task runs inline on the caller (no dispatch overhead),
-// several run on the pool.
-func (p *pool) run(tasks []func()) {
-	if len(tasks) == 1 {
-		tasks[0]()
-		return
-	}
-	var wg sync.WaitGroup
-	wg.Add(len(tasks))
-	for _, f := range tasks {
-		f := f
-		p.tasks <- func() {
-			defer wg.Done()
-			f()
+// singleChain reports whether every batch of w is one thread's.
+func singleChain(w []*vm.Batch) bool {
+	for _, b := range w {
+		if b.TID != w[0].TID {
+			return false
 		}
 	}
-	wg.Wait()
-}
-
-// close stops the workers after draining submitted tasks.
-func (p *pool) close() {
-	if p.tasks != nil {
-		close(p.tasks)
-		p.wg.Wait()
-		p.tasks = nil
-	}
+	return true
 }
 
 // groupChains splits a window into per-thread chains, preserving each
-// thread's batch order, and reports the largest TID seen. Chains are
-// the unit the pipeline dispatches to workers and WalkSeq merges.
-func groupChains(w []*vm.Batch) (chains [][]*vm.Batch, maxTID int) {
+// thread's batch order: the chains WalkSeq merges.
+func groupChains(w []*vm.Batch) (chains [][]*vm.Batch) {
 	byTID := make(map[int]int) // tid → chain index
 	for _, b := range w {
-		if b.TID > maxTID {
-			maxTID = b.TID
-		}
 		if i, ok := byTID[b.TID]; ok {
 			chains[i] = append(chains[i], b)
 		} else {
@@ -272,5 +224,5 @@ func groupChains(w []*vm.Batch) (chains [][]*vm.Batch, maxTID int) {
 			chains = append(chains, []*vm.Batch{b})
 		}
 	}
-	return chains, maxTID
+	return chains
 }

@@ -6,6 +6,7 @@ import (
 
 	"scaldift/internal/bdd"
 	"scaldift/internal/dift"
+	"scaldift/internal/isa"
 	"scaldift/internal/lineage"
 	"scaldift/internal/prog"
 	"scaldift/internal/vm"
@@ -13,9 +14,10 @@ import (
 
 // The differential suite: every prog.All() workload, run under both
 // the inline dift.Engine and the offloaded pipeline, across >= 8
-// randomized VM schedules per workload, asserting identical sink
-// labels for the Bool, PC, and lineage domains and identical
-// TaintedWords at halt. The two runs of a (workload, seed) pair use
+// randomized VM schedules per workload, asserting identical
+// TaintedWords at halt and, for the Bool and PC domains, an identical
+// sink stream (which event, which kind, which label, in which order)
+// and identical register labels; lineage compares outputs as sets. The two runs of a (workload, seed) pair use
 // the same deterministic schedule — tools never perturb execution —
 // so any divergence is the pipeline's fault, not the scheduler's.
 
@@ -34,12 +36,32 @@ func diffMachines(w *prog.Workload, seed uint64) (*vm.Machine, *vm.Machine) {
 }
 
 // pipelineOpts varies the pipeline shape with the schedule seed so
-// the suite also sweeps worker counts and batch sizes.
+// the suite also sweeps window and batch sizes.
 func pipelineOpts(seed uint64) Options {
 	return Options{
-		Workers:     1 + int(seed)%4,
-		BatchEvents: []int{32, 64, 256}[int(seed)%3],
+		WindowBatches: 2 * (1 + int(seed)%4),
+		BatchEvents:   []int{32, 64, 256}[int(seed)%3],
 	}
+}
+
+// sinkObs is one sink observation with the identity of the event that
+// caused it; obsSink records outputs and indirect branches in the one
+// interleaved order they fired in.
+type sinkObs[L comparable] struct {
+	seq     uint64
+	tid, pc int
+	branch  bool
+	label   L
+}
+
+type obsSink[L comparable] struct{ obs []sinkObs[L] }
+
+func (s *obsSink[L]) OnOutput(ev *vm.Event, l L) {
+	s.obs = append(s.obs, sinkObs[L]{ev.Seq, ev.TID, ev.PC, false, l})
+}
+
+func (s *obsSink[L]) OnIndirectBranch(ev *vm.Event, l L) {
+	s.obs = append(s.obs, sinkObs[L]{ev.Seq, ev.TID, ev.PC, true, l})
 }
 
 func diffComparable[L comparable](t *testing.T, name string, w *prog.Workload, dom dift.Domain[L]) {
@@ -48,7 +70,7 @@ func diffComparable[L comparable](t *testing.T, name string, w *prog.Workload, d
 		mi, mp := diffMachines(w, seed)
 
 		eng := dift.NewEngine[L](dom, dift.DefaultPolicy())
-		si := &dift.CollectSink[L]{}
+		si := &obsSink[L]{}
 		eng.AddSink(si)
 		mi.AttachTool(eng)
 		if res := mi.Run(); res.Failed {
@@ -56,27 +78,27 @@ func diffComparable[L comparable](t *testing.T, name string, w *prog.Workload, d
 		}
 
 		pl := New[L](dom, dift.DefaultPolicy(), pipelineOpts(seed))
-		sp := &dift.CollectSink[L]{}
+		sp := &obsSink[L]{}
 		pl.AddSink(sp)
 		if res := Run(mp, pl); res.Failed {
 			t.Fatalf("%s seed %d: pipeline run failed: %s", name, seed, res.FailMsg)
 		}
 
-		if len(si.Outputs) != len(sp.Outputs) {
-			t.Fatalf("%s seed %d: %d inline outputs vs %d pipeline", name, seed, len(si.Outputs), len(sp.Outputs))
+		if len(si.obs) != len(sp.obs) {
+			t.Fatalf("%s seed %d: %d inline sink observations vs %d pipeline", name, seed, len(si.obs), len(sp.obs))
 		}
-		for i := range si.Outputs {
-			if si.Outputs[i] != sp.Outputs[i] {
-				t.Fatalf("%s seed %d: output label %d diverged: inline %v, pipeline %v",
-					name, seed, i, si.Outputs[i], sp.Outputs[i])
+		for i := range si.obs {
+			if si.obs[i] != sp.obs[i] {
+				t.Fatalf("%s seed %d: sink observation %d diverged: inline %+v, pipeline %+v",
+					name, seed, i, si.obs[i], sp.obs[i])
 			}
 		}
-		if len(si.Branches) != len(sp.Branches) {
-			t.Fatalf("%s seed %d: branch sink count diverged", name, seed)
-		}
-		for i := range si.Branches {
-			if si.Branches[i] != sp.Branches[i] {
-				t.Fatalf("%s seed %d: branch label %d diverged", name, seed, i)
+		for tid := range mi.Threads {
+			for r := 0; r < isa.NumRegs; r++ {
+				if eng.RegTaint(tid, r) != pl.RegTaint(tid, r) {
+					t.Fatalf("%s seed %d: RegTaint(%d, %d) inline %v vs pipeline %v",
+						name, seed, tid, r, eng.RegTaint(tid, r), pl.RegTaint(tid, r))
+				}
 			}
 		}
 		if eng.TaintedWords() != pl.TaintedWords() {
@@ -121,9 +143,9 @@ func TestDifferentialLineage(t *testing.T) {
 					t.Fatalf("seed %d: inline run failed: %s", seed, res.FailMsg)
 				}
 
-				dp := lineage.NewLockedDomain(bits)
+				dp := lineage.NewDomain(bits)
 				pl := New[bdd.Ref](dp, dift.DefaultPolicy(), pipelineOpts(seed))
-				rp := lineage.NewRecorder(dp.Domain)
+				rp := lineage.NewRecorder(dp)
 				pl.AddSink(rp)
 				if res := Run(mp, pl); res.Failed {
 					t.Fatalf("seed %d: pipeline run failed: %s", seed, res.FailMsg)

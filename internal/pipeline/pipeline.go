@@ -1,50 +1,26 @@
 // Package pipeline implements offloaded analysis: execution and
 // analysis decoupled, the paper's central scalability move. The VM
 // runs with only a batching event recorder attached (vm.Recorder —
-// one filter check and one struct copy per instruction), and analysis
-// consumes the sealed batches downstream.
+// one filter check and one struct copy per instruction), and one
+// helper goroutine — the paper's helper thread on a spare core —
+// analyzes the sealed batches downstream.
 //
-// Two analysis kinds run on this machinery today: the DIFT
-// propagation pipeline in this package (taint labels over the
-// epoch-sharded shadow.Epoch memory) and the ONTRAC dependence-
-// tracing stage in internal/ontrac (the inline tracer, driven from
-// the consumer goroutine — the paper's one helper thread). Both plug
-// a BatchHandler into the shared Consumer (consumer.go), which owns
-// windowing, flush-group alignment, sync ordering, and batch
-// recycling, and both replay events in inline order through the one
-// Seq-ordered window walk, WalkSeq.
-//
-// The analyze side is organized around the shadow.Epoch ownership
-// contract (see internal/shadow/epoch.go, enforced by the epochfence
-// analyzer): before dispatching a window, the consumer goroutine
-// assigns every shard the window touches to exactly one worker, and
-// workers then propagate through owner Views with zero atomics — the
-// pool.run dispatch/barrier pair is the only fence. Which windows can
-// be dispatched that way is decided by the adaptive conflict learner
-// (learner.go): it learns per-(thread,PC) address footprints so that
-// repeat windows of a loopy program skip the full address scan, and
-// verifies every learned footprint against the events it covers, so a
-// stale footprint (a program phase change) can only cost a precise
-// re-scan, never a missed conflict. Propagation itself runs through
-// dift.StepBatch, which amortizes per-event dispatch over runs of
-// same-shape instructions. docs/PERF.md quantifies what each piece
-// buys; docs/ARCHITECTURE.md places the package in the full path.
+// Two analysis kinds run on this machinery: DIFT propagation in this
+// package (the inline transfer function, dift.StepBatch, over one
+// plain shadow.Mem) and the ONTRAC dependence-tracing stage in
+// internal/ontrac (the inline tracer). Both plug a BatchHandler into
+// the shared Consumer (consumer.go), which owns windowing,
+// flush-group alignment, sync ordering and batch recycling, and both
+// replay every window in inline order through the one Seq-ordered
+// walk, WalkSeq. docs/ARCHITECTURE.md places the package in the full
+// path; docs/PERF.md accounts for the record and analyze costs.
 //
 // Equivalence with the inline engines is by construction plus
-// checking, not hope:
-//
-//   - workers run the same transfer function (dift.Step, batched by
-//     dift.StepBatch) the inline engine runs — the semantics exist
-//     once;
-//   - a window of per-thread batch chains is propagated concurrently
-//     only when conflict analysis proves the chains touch disjoint
-//     memory; windows that conflict (racy or closely synchronized
-//     threads) and thread-communication events (spawn) fall back to
-//     an ordered sequential merge by global sequence number;
-//   - sinks fire in global sequence order, exactly as inline;
-//   - the differential suite in this package runs every prog.All()
-//     workload under both engines across randomized schedules and
-//     asserts identical labels.
+// checking: the helper runs the same transfer function over the same
+// kind of shadow memory in the same event order, sinks fire in that
+// order, and the differential suite in this package runs every
+// prog.All() workload under both engines across randomized schedules
+// and window shapes and asserts identical labels and sink streams.
 package pipeline
 
 import (
@@ -56,40 +32,33 @@ import (
 
 // Options parameterizes a Pipeline.
 type Options struct {
-	// Workers is the number of DIFT propagation worker goroutines
-	// (default 2). The ONTRAC stage has no workers — it is one helper
-	// goroutine — and reads this only through the WindowBatches
-	// default.
+	// Workers is read by nothing: analysis runs on the one consumer
+	// goroutine.
+	//
+	// Deprecated: kept only because the frozen bench/ directory sets
+	// it; the next benchmark PR removes it (ROADMAP item 5).
 	Workers int
 	// BatchEvents is the recorder's per-batch capacity (default
 	// vm.DefaultBatchEvents).
 	BatchEvents int
 	// WindowBatches is how many batches accumulate before a window is
-	// propagated (default 2×Workers). Larger windows expose more
-	// cross-thread parallelism; smaller ones bound latency.
+	// handed to the analysis (default 4). A window only ever closes at
+	// a flush-group boundary; larger windows mean fewer hand-offs,
+	// smaller ones bound latency.
 	WindowBatches int
 	// QueueDepth bounds the recorder→consumer channel; a full queue
 	// applies backpressure to the execution thread (default 64).
 	QueueDepth int
 }
 
-// epochShards is the epoch-sharded shadow memory's shard count. It
-// must not exceed 64: every bit of a uint64 conflict mask then names
-// exactly one shard, so disjoint masks mean disjoint shards and the
-// window analysis never fuses ownership groups spuriously.
-const epochShards = 64
-
 // Fill applies defaults in place; the ONTRAC stage shapes its
 // recorder and windows with the same knobs.
 func (o *Options) Fill() {
-	if o.Workers <= 0 {
-		o.Workers = 2
-	}
 	if o.BatchEvents <= 0 {
 		o.BatchEvents = vm.DefaultBatchEvents
 	}
 	if o.WindowBatches <= 0 {
-		o.WindowBatches = 2 * o.Workers
+		o.WindowBatches = defaultWindowBatches
 	}
 	if o.QueueDepth <= 0 {
 		o.QueueDepth = 64
@@ -105,49 +74,29 @@ type Pipeline[L comparable] struct {
 	dom   dift.Domain[L]
 	pol   dift.Policy
 	opt   Options
-	mem   *shadow.Epoch[L]
+	mem   *shadow.Mem[L]
 	regs  []*[isa.NumRegs]L
 	sinks []dift.Sink[L]
 
-	cons    *Consumer
-	pool    *pool
-	learner conflictLearner
-
-	events  uint64
-	recsBuf []sinkRec[L]
+	cons   *Consumer
+	events uint64
+	stats  LearnerStats
 	// capBuf is the window-scoped sink capture and sinkBuf the
-	// one-element dift.Sink slice wrapping it, hoisted here so the
-	// sequential paths allocate nothing per window.
+	// one-element dift.Sink slice wrapping it, hoisted here so a
+	// window allocates nothing.
 	capBuf  capture[L]
 	sinkBuf []dift.Sink[L]
-	// Per-owner state for parallel windows, grown once (ensureOwners)
-	// and reused every window: owner g always runs task g with view g,
-	// capturing into caps[g] through wsinks[g]. Only the window's
-	// chain grouping (curChains/curGroups) changes per dispatch.
-	views     []*shadow.View[L]
-	caps      []*capture[L]
-	wsinks    [][]dift.Sink[L]
-	tasks     []func()
-	curChains [][]*vm.Batch
-	curGroups [][]int
 }
 
-// New creates a pipeline over the given domain and policy and starts
-// its worker pool. The domain must be safe for concurrent use by
-// Options.Workers goroutines (Bool, PC and InputID are stateless;
-// lineage needs lineage.NewLockedDomain).
+// New creates a pipeline over the given domain and policy. Every
+// domain call happens on one goroutine at a time (the consumer's, or
+// Consume's caller), so any dift.Domain serves, lineage.NewDomain
+// included.
 func New[L comparable](dom dift.Domain[L], pol dift.Policy, opt Options) *Pipeline[L] {
 	opt.Fill()
-	p := &Pipeline[L]{
-		dom:  dom,
-		pol:  pol,
-		opt:  opt,
-		mem:  shadow.NewEpoch[L](epochShards),
-		pool: newPool(opt.Workers),
-	}
+	p := &Pipeline[L]{dom: dom, pol: pol, opt: opt, mem: shadow.NewMem[L]()}
 	p.sinkBuf = []dift.Sink[L]{&p.capBuf}
 	p.cons = NewConsumer(difthandler[L]{p}, opt.WindowBatches)
-	p.ensureTID(0)
 	return p
 }
 
@@ -161,22 +110,15 @@ func (p *Pipeline[L]) Attach(m *vm.Machine) {
 	p.cons.Attach(m, p.opt.BatchEvents, p.opt.QueueDepth, dift.Relevant)
 }
 
-// Close flushes the recorder, drains the consumer, and stops the
-// worker pool. The pipeline's results are stable once Close returns;
-// the pipeline cannot be reused afterwards. Close is idempotent, so
+// Close flushes the recorder and drains the consumer. The pipeline's
+// results are stable once Close returns. Close is idempotent, so
 // `defer p.Close()` composes with Run (which closes on return).
-func (p *Pipeline[L]) Close() {
-	p.cons.Close()
-	p.pool.close()
-}
+func (p *Pipeline[L]) Close() { p.cons.Close() }
 
 // Consume propagates an offline batch stream (from Collect)
-// synchronously on the calling goroutine, using the worker pool for
-// conflict-free windows. It may be called repeatedly; call Close when
-// done to stop the workers.
-func (p *Pipeline[L]) Consume(batches []*vm.Batch) {
-	p.cons.Consume(batches)
-}
+// synchronously on the calling goroutine. It may be called
+// repeatedly.
+func (p *Pipeline[L]) Consume(batches []*vm.Batch) { p.cons.Consume(batches) }
 
 // Run attaches p to m, runs the machine to completion, and closes the
 // pipeline: the one-call entry point for an offloaded analysis run.
@@ -206,14 +148,14 @@ func CollectWith(m *vm.Machine, batchEvents int, filter func(*vm.Event) bool) ([
 	return out, res
 }
 
-// Regs implements dift.RegBank. The consumer grows the bank at
-// window boundaries (ensureTID), so workers see a stable slice.
-func (p *Pipeline[L]) Regs(tid int) *[isa.NumRegs]L { return p.regs[tid] }
-
-func (p *Pipeline[L]) ensureTID(tid int) {
+// Regs implements dift.RegBank, growing the bank on demand as the
+// inline engine does; each file is allocated on its own, so the
+// pointers stay stable.
+func (p *Pipeline[L]) Regs(tid int) *[isa.NumRegs]L {
 	for tid >= len(p.regs) {
 		p.regs = append(p.regs, new([isa.NumRegs]L))
 	}
+	return p.regs[tid]
 }
 
 // RegTaint returns the label of register r in thread tid.
@@ -234,10 +176,22 @@ func (p *Pipeline[L]) TaintedWords() int { return p.mem.Tainted() }
 // ShadowSizeWords returns the allocated shadow size in cells.
 func (p *Pipeline[L]) ShadowSizeWords() int { return p.mem.SizeWords() }
 
-// ConflictStats returns the window conflict analysis counters (see
-// LearnerStats). Read only while the pipeline is quiescent — after
-// Close, or between Consume calls.
-func (p *Pipeline[L]) ConflictStats() LearnerStats { return p.learner.stats }
+// LearnerStats counts the windows that held more than one thread's
+// batches. Windows and OrderedMerges are equal — every such window is
+// one ordered walk — and the other fields stay zero.
+//
+// Deprecated: kept only because the frozen bench/ directory reads
+// it; the next benchmark PR removes it (ROADMAP item 5).
+type LearnerStats struct {
+	Windows, OrderedMerges                                    uint64
+	FastParallel, GroupedParallel, PreciseScans, VerifyMisses uint64
+}
+
+// ConflictStats returns the multi-chain window count. Read only while
+// the pipeline is quiescent — after Close, or between Consume calls.
+//
+// Deprecated: see LearnerStats.
+func (p *Pipeline[L]) ConflictStats() LearnerStats { return p.stats }
 
 // Events returns how many recorded events the pipeline propagated.
 // The recorder filters label-irrelevant events, so this is smaller

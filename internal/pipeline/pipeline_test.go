@@ -45,7 +45,7 @@ func TestPipelineMatchesInlineSingleThread(t *testing.T) {
     out r4, 1
     out r2, 1
     halt
-`, []int64{9}, vm.Config{}, Options{Workers: 2, BatchEvents: 2})
+`, []int64{9}, vm.Config{}, Options{BatchEvents: 2})
 	if len(sp.Outputs) != len(si.Outputs) {
 		t.Fatalf("outputs: pipeline %d, inline %d", len(sp.Outputs), len(si.Outputs))
 	}
@@ -74,7 +74,7 @@ func TestPipelineSpawnSeedsChild(t *testing.T) {
 child:
     store r0, r1, 1
     halt
-`, []int64{5}, vm.Config{}, Options{Workers: 2, BatchEvents: 4})
+`, []int64{5}, vm.Config{}, Options{BatchEvents: 4})
 	if !pl.MemTaint(1) || pl.MemTaint(1) != eng.MemTaint(1) {
 		t.Fatal("spawn argument taint lost through the pipeline")
 	}
@@ -87,9 +87,10 @@ child:
 }
 
 // TestPipelineRacyFallback drives two threads hammering the same
-// address with no synchronization — every multi-thread window
-// conflicts, forcing the ordered sequential merge — and checks the
-// pipeline still matches inline labels exactly across schedules.
+// address with no synchronization — every multi-thread window holds
+// cross-thread conflicts only the Seq-ordered walk resolves — and
+// checks the pipeline still matches inline labels exactly across
+// schedules.
 func TestPipelineRacyFallback(t *testing.T) {
 	text := `
 .data 0, 0
@@ -126,7 +127,7 @@ cdone:
 `
 	for seed := uint64(0); seed < 6; seed++ {
 		cfg := vm.Config{Seed: seed, Quantum: 5, RandomPreempt: true}
-		eng, si, pl, sp := runBoth(t, text, []int64{5}, cfg, Options{Workers: 2, BatchEvents: 8, WindowBatches: 6})
+		eng, si, pl, sp := runBoth(t, text, []int64{5}, cfg, Options{BatchEvents: 8, WindowBatches: 6})
 		if len(sp.Outputs) != len(si.Outputs) {
 			t.Fatalf("seed %d: output count diverged", seed)
 		}
@@ -141,6 +142,10 @@ cdone:
 		if pl.MemTaint(1) != eng.MemTaint(1) {
 			t.Fatalf("seed %d: racy address label diverged", seed)
 		}
+		if st := pl.ConflictStats(); st.Windows == 0 || st.OrderedMerges != st.Windows {
+			t.Fatalf("seed %d: %d multi-chain windows, %d ordered walks: the run never merged threads",
+				seed, st.Windows, st.OrderedMerges)
+		}
 	}
 }
 
@@ -154,7 +159,7 @@ target:
 `)
 	m := vm.MustNew(p, vm.Config{})
 	m.SetInput(0, []int64{int64(p.Labels["target"])})
-	pl := New[bool](dift.Bool{}, dift.DefaultPolicy(), Options{Workers: 1})
+	pl := New[bool](dift.Bool{}, dift.DefaultPolicy(), Options{})
 	sink := &dift.CollectSink[bool]{}
 	pl.AddSink(sink)
 	if res := Run(m, pl); res.Failed {
@@ -191,7 +196,7 @@ done:
 	if len(batches) == 0 {
 		t.Fatal("no batches collected")
 	}
-	pl := New[bool](dift.Bool{}, dift.DefaultPolicy(), Options{Workers: 2})
+	pl := New[bool](dift.Bool{}, dift.DefaultPolicy(), Options{})
 	sink := &dift.CollectSink[bool]{}
 	pl.AddSink(sink)
 	pl.Consume(batches)

@@ -42,7 +42,7 @@ func runRetain(t *testing.T, text string, inputs []int64) *retainSink {
 		m.SetInput(0, inputs)
 	}
 	pl := New[bool](dift.Bool{}, dift.DefaultPolicy(),
-		Options{Workers: 2, BatchEvents: 4, QueueDepth: 1, WindowBatches: 2})
+		Options{BatchEvents: 4, QueueDepth: 1, WindowBatches: 2})
 	sink := &retainSink{}
 	pl.AddSink(sink)
 	if res := Run(m, pl); res.Failed {

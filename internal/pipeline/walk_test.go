@@ -8,8 +8,11 @@ import (
 
 // TestWalkSeq drives the shared Seq-ordered window walk over hand-
 // built windows. Each case lists the window's batches in emit order
-// as (tid, seqs...); the walk must visit every event exactly once, in
-// strictly ascending Seq, through a pointer into the batch itself.
+// as (tid, seqs...). The walk hands over runs: each non-empty,
+// single-thread and a contiguous sub-slice of one batch (aliasing the
+// batch itself); concatenated, the runs visit every event exactly
+// once in strictly ascending Seq; and a single-chain window yields
+// one run per non-empty batch, which keeps StepBatch's loops long.
 func TestWalkSeq(t *testing.T) {
 	type batch struct {
 		tid  int
@@ -40,32 +43,59 @@ func TestWalkSeq(t *testing.T) {
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {
 			var w []*vm.Batch
-			owner := map[*vm.Event]bool{} // every event of the window, by address
-			for _, b := range c.w {
+			type slot struct{ batch, idx int }
+			owner := map[*vm.Event]slot{} // every event of the window, by address
+			seen := map[*vm.Event]bool{}
+			tids, nonEmpty := map[int]bool{}, 0
+			for bi, b := range c.w {
 				vb := &vm.Batch{TID: b.tid, Sync: b.sync}
 				for _, s := range b.seqs {
 					vb.Events = append(vb.Events, vm.Event{TID: b.tid, Seq: s})
 				}
 				for i := range vb.Events {
-					owner[&vb.Events[i]] = false
+					owner[&vb.Events[i]] = slot{bi, i}
+				}
+				tids[b.tid] = true
+				if len(vb.Events) > 0 {
+					nonEmpty++
 				}
 				w = append(w, vb)
 			}
 			var last uint64
-			WalkSeq(w, func(ev *vm.Event) {
-				seen, aliased := owner[ev]
-				switch {
-				case !aliased:
-					t.Fatalf("seq %d: callback got a copy, not a pointer into its batch", ev.Seq)
-				case seen:
-					t.Fatalf("seq %d visited twice", ev.Seq)
-				case ev.Seq <= last:
-					t.Fatalf("seq %d visited after %d", ev.Seq, last)
+			runs, prevEnd := 0, slot{-1, -1}
+			WalkSeq(w, func(run []vm.Event) {
+				runs++
+				if len(run) == 0 {
+					t.Fatalf("empty run after seq %d", last)
 				}
-				owner[ev], last = true, ev.Seq
+				first, aliased := owner[&run[0]]
+				if !aliased {
+					t.Fatalf("seq %d: run is a copy, not a sub-slice of its batch", run[0].Seq)
+				}
+				if first == (slot{prevEnd.batch, prevEnd.idx + 1}) {
+					t.Fatalf("seq %d: run continues the previous one, which was not maximal", run[0].Seq)
+				}
+				prevEnd = slot{first.batch, first.idx + len(run) - 1}
+				for i := range run {
+					ev := &run[i]
+					switch at, aliased := owner[ev]; {
+					case !aliased || at != (slot{first.batch, first.idx + i}):
+						t.Fatalf("seq %d: run is not a contiguous sub-slice of one batch", ev.Seq)
+					case ev.TID != run[0].TID:
+						t.Fatalf("seq %d: run mixes tids %d and %d", ev.Seq, run[0].TID, ev.TID)
+					case seen[ev]:
+						t.Fatalf("seq %d visited twice", ev.Seq)
+					case ev.Seq <= last:
+						t.Fatalf("seq %d visited after %d", ev.Seq, last)
+					}
+					seen[ev], last = true, ev.Seq
+				}
 			})
-			for ev, seen := range owner {
-				if !seen {
+			if len(tids) == 1 && runs != nonEmpty {
+				t.Errorf("single-chain window: %d runs for %d non-empty batches", runs, nonEmpty)
+			}
+			for ev := range owner {
+				if !seen[ev] {
 					t.Errorf("seq %d (tid %d) never visited", ev.Seq, ev.TID)
 				}
 			}

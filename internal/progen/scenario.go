@@ -279,7 +279,7 @@ func (s *scenario) inline() {
 // fresh machine with the identical schedule.
 func (s *scenario) pipelines() {
 	s.tb.Helper()
-	popt := pipeline.Options{Workers: 2, BatchEvents: 48, WindowBatches: 4}
+	popt := pipeline.Options{BatchEvents: 48, WindowBatches: 4}
 
 	m := s.newMachine()
 	bp := pipeline.New[bool](dift.Bool{}, dift.DefaultPolicy(), popt)
@@ -296,9 +296,9 @@ func (s *scenario) pipelines() {
 	s.checkPC("pipeline-pc", pp, ps)
 
 	m = s.newMachine()
-	ld := lineage.NewLockedDomain(s.bits)
+	ld := lineage.NewDomain(s.bits)
 	lp := pipeline.New[bdd.Ref](ld, dift.DefaultPolicy(), popt)
-	lr := lineage.NewRecorder(ld.Domain)
+	lr := lineage.NewRecorder(ld)
 	lp.AddSink(lr)
 	s.checkRun("pipeline-lineage", m, pipeline.Run(m, lp))
 	s.checkLineage("pipeline-lineage", ld.Manager(), lp, lr)
@@ -414,7 +414,7 @@ func (s *scenario) offloaded() {
 		s.tb.Fatal(err)
 	}
 	m := s.newMachine()
-	off := ontrac.NewOffloaded(s.g.Prog, ontrac.Options{}, pipeline.Options{Workers: 2})
+	off := ontrac.NewOffloaded(s.g.Prog, ontrac.Options{}, pipeline.Options{})
 	rec := &recordSink{next: wr}
 	off.SpillTo(rec)
 	s.checkRun("ontrac", m, ontrac.Trace(m, off))
@@ -519,7 +519,7 @@ func (s *scenario) elided() {
 	s.tb.Helper()
 	w := s.want
 	m := s.newMachine()
-	off := ontrac.NewOffloaded(s.g.Prog, ontrac.StaticOptions(), pipeline.Options{Workers: 2})
+	off := ontrac.NewOffloaded(s.g.Prog, ontrac.StaticOptions(), pipeline.Options{})
 	s.checkRun("ontrac-elided", m, ontrac.Trace(m, off))
 	r := off.Reader()
 	lows := make(map[int]uint64)
@@ -749,7 +749,7 @@ func (s *scenario) liveAttached() {
 	}
 	gate := &gatedSink{wr: wr}
 	m := s.newMachine()
-	off := ontrac.NewOffloaded(s.g.Prog, ontrac.Options{}, pipeline.Options{Workers: 2})
+	off := ontrac.NewOffloaded(s.g.Prog, ontrac.Options{}, pipeline.Options{})
 	off.SpillTo(gate)
 	s.checkRun("live", m, ontrac.Trace(m, off))
 

@@ -39,7 +39,7 @@ func recordTrace(t *testing.T, root string, w *prog.Workload, opts ontrac.Option
 		t.Fatal(err)
 	}
 	m := w.NewMachine()
-	off := ontrac.NewOffloaded(w.Prog, opts, pipeline.Options{Workers: 2})
+	off := ontrac.NewOffloaded(w.Prog, opts, pipeline.Options{})
 	off.SpillTo(wr)
 	if res := ontrac.Trace(m, off); res.Failed {
 		t.Fatalf("%s: run failed: %s", w.Name, res.FailMsg)

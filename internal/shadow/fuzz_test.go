@@ -4,8 +4,7 @@ import (
 	"testing"
 )
 
-// FuzzShadowMem cross-checks the paged Mem and the epoch-sharded
-// variant (through an exclusive view) against a plain map under
+// FuzzShadowMem cross-checks the paged Mem against a plain map under
 // arbitrary operation streams, with the address derivation biased
 // toward the paging hazards: negative addresses and page boundaries
 // (addr = k*1024 ± 1).
@@ -15,8 +14,6 @@ func FuzzShadowMem(f *testing.F) {
 	f.Add([]byte{3, 0, 9, 3, 3, 0, 9, 0})
 	f.Fuzz(func(t *testing.T, data []byte) {
 		mem := NewMem[int16]()
-		ep := NewEpoch[int16](4)
-		sh := ep.ClaimAll()
 		ref := map[int64]int16{}
 		for i := 0; i+3 < len(data); i += 4 {
 			// k in [-128,127] selects a page; delta in {-1,0,+1} lands
@@ -28,7 +25,6 @@ func FuzzShadowMem(f *testing.F) {
 			switch data[i+3] % 4 {
 			case 0, 1: // set
 				mem.Set(addr, v)
-				sh.Set(addr, v)
 				if v == 0 {
 					delete(ref, addr)
 				} else {
@@ -39,13 +35,9 @@ func FuzzShadowMem(f *testing.F) {
 				if got := mem.Get(addr); got != want {
 					t.Fatalf("Mem.Get(%d) = %d, want %d", addr, got, want)
 				}
-				if got := sh.Get(addr); got != want {
-					t.Fatalf("Epoch.Get(%d) = %d, want %d", addr, got, want)
-				}
 			case 3: // occasionally clear everything
 				if data[i+2] > 250 {
 					mem.Clear()
-					ep.Clear()
 					ref = map[int64]int16{}
 				}
 			}
@@ -54,12 +46,9 @@ func FuzzShadowMem(f *testing.F) {
 		if mem.Tainted() != len(ref) {
 			t.Fatalf("Mem.Tainted() = %d, want %d", mem.Tainted(), len(ref))
 		}
-		if ep.Tainted() != len(ref) {
-			t.Fatalf("Epoch.Tainted() = %d, want %d", ep.Tainted(), len(ref))
-		}
 		for a, v := range ref {
-			if mem.Get(a) != v || sh.Get(a) != v {
-				t.Fatalf("addr %d: mem %d, epoch %d, want %d", a, mem.Get(a), sh.Get(a), v)
+			if mem.Get(a) != v {
+				t.Fatalf("addr %d: mem %d, want %d", a, mem.Get(a), v)
 			}
 		}
 		seen := 0
@@ -72,17 +61,6 @@ func FuzzShadowMem(f *testing.F) {
 		})
 		if seen != len(ref) {
 			t.Fatalf("Mem.Range visited %d cells, want %d", seen, len(ref))
-		}
-		seen = 0
-		ep.Range(func(a int64, v int16) bool {
-			if ref[a] != v {
-				t.Fatalf("Epoch.Range leaked addr %d = %d (want %d)", a, v, ref[a])
-			}
-			seen++
-			return true
-		})
-		if seen != len(ref) {
-			t.Fatalf("Epoch.Range visited %d cells, want %d", seen, len(ref))
 		}
 	})
 }

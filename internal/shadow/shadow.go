@@ -6,14 +6,9 @@
 // memory untainted — costs nothing, which is how the paper's tools
 // keep the memory overhead of taint tracking tolerable.
 //
-// Two memory shapes live here. Mem is the single-goroutine paged map
-// the inline engine uses. Epoch partitions memory across Mems by page
-// index and coordinates concurrent access by epoch-scoped shard
-// ownership instead of locks: the pipeline's coordinator assigns
-// shards to workers before each window dispatch, workers access only
-// their owned shards through Views, and the dispatch/barrier pair is
-// the sole fence (concurrency contract on the Epoch type; enforced by
-// the epochfence analyzer and a per-access ownership check).
+// Mem is the one memory shape: a single-goroutine paged map, used by
+// the inline engine and, on its one helper goroutine, by the
+// offloaded pipeline.
 package shadow
 
 // PageBits sets the shadow page size (1<<PageBits words per page).

@@ -35,7 +35,7 @@ func runSpilled(t *testing.T, w *prog.Workload, opts ontrac.Options, seed uint64
 		t.Fatal(err)
 	}
 	m := w.NewMachine()
-	off := ontrac.NewOffloaded(w.Prog, opts, pipeline.Options{Workers: 1 + int(seed)%4})
+	off := ontrac.NewOffloaded(w.Prog, opts, pipeline.Options{WindowBatches: 2 * (1 + int(seed)%4)})
 	off.SpillTo(wr)
 	if res := ontrac.Trace(m, off); res.Failed {
 		t.Fatalf("seed %d: run failed: %s", seed, res.FailMsg)

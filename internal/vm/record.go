@@ -21,7 +21,7 @@ type Batch struct {
 	// after everything emitted before it. Today spawn is the one event
 	// that needs this (it writes another thread's register labels);
 	// the remaining cross-thread channels are memory addresses, which
-	// downstream conflict analysis orders.
+	// the consumer's Seq-ordered walk orders.
 	Sync bool
 }
 
