@@ -2,6 +2,9 @@ package ddg
 
 import (
 	"encoding/binary"
+	"errors"
+	"fmt"
+	"math"
 	"sort"
 )
 
@@ -12,6 +15,11 @@ import (
 // capacity is set, the oldest sealed chunks are evicted ring-buffer
 // style — this is ONTRAC's fixed-size circular trace buffer, whose
 // capacity bounds the execution-history window usable for slicing.
+//
+// A record is encoded straight into its thread's open chunk, whose
+// buffer is allocated once, when the chunk opens, with room for
+// chunkSize bytes plus one maximal record — so Append allocates only
+// when it opens a chunk, never per record.
 //
 // With a ChunkSink attached (SetSpill), every chunk is handed to the
 // sink the moment it seals, before eviction can touch it: the cap
@@ -26,9 +34,8 @@ type Compact struct {
 	capBytes  int
 	chunkSize int
 
-	perTid  map[int][]*chunk
-	open    map[int]*chunk
-	order   []*chunk // global append order for eviction
+	threads []threadChunks // indexed by tid
+	order   []*chunk       // retained chunks, oldest first, for eviction
 	bytes   int
 	written uint64 // cumulative bytes ever appended
 	records uint64
@@ -38,7 +45,15 @@ type Compact struct {
 
 	spill ChunkSink
 
-	cache map[*chunk]map[uint64][]Dep
+	cache map[*chunk]*Decoded
+}
+
+// threadChunks is one thread's retained chunks, oldest first, the
+// last of which may still be open.
+type threadChunks struct {
+	chunks []*chunk
+	open   *chunk
+	seen   bool // ever appended to (Threads lists it even once evicted empty)
 }
 
 // RawChunk is one sealed chunk in wire form: the per-thread
@@ -72,6 +87,12 @@ type chunk struct {
 	sealed bool
 }
 
+// maxRecordBytes bounds one encoded record whose data dependences fit
+// the flag byte's three-bit count: use delta and PC, the flag byte,
+// seven (def, PC) pairs, the control pair and the redundant-load
+// delta, every varint at its ten-byte worst.
+const maxRecordBytes = 10 + 10 + 1 + 7*(10+10) + (10 + 10) + 10
+
 // NewCompact creates a compact store with the 4KB default chunk size.
 // capBytes <= 0 means unbounded (no eviction).
 func NewCompact(capBytes int) *Compact { return NewCompactSized(capBytes, 0) }
@@ -79,7 +100,8 @@ func NewCompact(capBytes int) *Compact { return NewCompactSized(capBytes, 0) }
 // NewCompactSized creates a compact store with an explicit chunk
 // size (chunkSize <= 0 selects the 4KB default). Small chunk sizes
 // exist for tests that exercise chunk-seam behavior and for spill
-// workloads that want finer-grained segments.
+// workloads that want finer-grained segments; every open chunk holds
+// a buffer of this size from its first record on.
 func NewCompactSized(capBytes, chunkSize int) *Compact {
 	if chunkSize <= 0 {
 		chunkSize = 4096
@@ -87,9 +109,7 @@ func NewCompactSized(capBytes, chunkSize int) *Compact {
 	return &Compact{
 		capBytes:  capBytes,
 		chunkSize: chunkSize,
-		perTid:    make(map[int][]*chunk),
-		open:      make(map[int]*chunk),
-		cache:     make(map[*chunk]map[uint64][]Dep),
+		cache:     make(map[*chunk]*Decoded),
 	}
 }
 
@@ -98,25 +118,44 @@ func NewCompactSized(capBytes, chunkSize int) *Compact {
 // are not retroactively spilled.
 func (c *Compact) SetSpill(s ChunkSink) { c.spill = s }
 
-// seal closes a chunk: no more appends land in it, eviction may drop
-// it, and the spill sink (if any) receives it first.
+// seal closes a chunk: no more appends land in it (its buffer is
+// immutable from here on), eviction may drop it, and the spill sink
+// (if any) receives it first.
 func (c *Compact) seal(ch *chunk) {
 	ch.sealed = true
-	delete(c.open, ch.tid)
-	if c.spill != nil && ch.count > 0 {
+	c.threads[ch.tid].open = nil
+	if c.spill != nil {
 		c.spill.SpillChunk(RawChunk{TID: ch.tid, BaseN: ch.baseN, LastN: ch.lastN, Count: ch.count, Buf: ch.buf})
 		c.spilled++
 	}
 }
 
-// Flush seals every open chunk (spilling each to the attached sink),
-// so the spilled stream covers the whole recorded execution. Call it
-// once at the end of a run; records appended afterwards start fresh
-// chunks.
+// Flush seals every open chunk in ascending thread order (spilling
+// each to the attached sink), so the spilled stream covers the whole
+// recorded execution and two recordings of one schedule spill the
+// same chunk sequence. Call it once at the end of a run; records
+// appended afterwards start fresh chunks.
 func (c *Compact) Flush() {
-	for _, ch := range c.open {
-		c.seal(ch)
+	for tid := range c.threads {
+		if ch := c.threads[tid].open; ch != nil {
+			c.seal(ch)
+		}
 	}
+}
+
+// openChunk starts tid's next chunk at instance n. This is the one
+// place Append allocates: the chunk and its buffer.
+func (c *Compact) openChunk(tid int, n uint64) *chunk {
+	for tid >= len(c.threads) {
+		c.threads = append(c.threads, threadChunks{})
+	}
+	ch := &chunk{tid: tid, baseN: n, lastN: n, buf: make([]byte, 0, c.chunkSize+maxRecordBytes)}
+	th := &c.threads[tid]
+	th.seen = true
+	th.open = ch
+	th.chunks = append(th.chunks, ch)
+	c.order = append(c.order, ch)
+	return ch
 }
 
 // Append stores one record: instance use at usePC with the given
@@ -127,179 +166,320 @@ func (c *Compact) Flush() {
 func (c *Compact) Append(use ID, usePC int32, deps []Dep, rlDelta uint64) {
 	tid := use.TID()
 	n := use.N()
-	ch := c.open[tid]
+	var ch *chunk
+	if tid < len(c.threads) {
+		ch = c.threads[tid].open
+	}
 	if ch == nil {
-		ch = &chunk{tid: tid, baseN: n}
-		c.open[tid] = ch
-		c.perTid[tid] = append(c.perTid[tid], ch)
-		c.order = append(c.order, ch)
+		ch = c.openChunk(tid, n)
 	}
-	var tmp [10]byte
-	var rec []byte
-	// useDelta from previous record in this chunk.
-	prev := ch.lastN
-	if ch.count == 0 {
-		prev = ch.baseN
-	}
-	rec = appendUvarint(rec, tmp[:], n-prev)
-	rec = appendUvarint(rec, tmp[:], uint64(usePC))
+	start := len(ch.buf)
+	// useDelta from the previous record in this chunk (0 for the first).
+	buf := binary.AppendUvarint(ch.buf, n-ch.lastN)
+	buf = binary.AppendUvarint(buf, uint64(usePC))
+	flagAt := len(buf)
+	buf = append(buf, 0) // patched once the dependences are counted
 	nData := 0
 	var ctrl *Dep
 	for i := range deps {
-		switch deps[i].Kind {
-		case Control:
-			ctrl = &deps[i]
-		default:
-			nData++
+		d := &deps[i]
+		if d.Kind == Control {
+			ctrl = d
+			continue
 		}
+		nData++
+		if d.Def.TID() == tid {
+			buf = binary.AppendUvarint(buf, (n-d.Def.N())<<1)
+		} else {
+			buf = binary.AppendUvarint(buf, uint64(d.Def)<<1|1)
+		}
+		buf = binary.AppendUvarint(buf, uint64(d.DefPC))
 	}
 	flags := byte(nData)
 	if ctrl != nil {
-		flags |= 1 << 3
+		flags |= flagCtrl
+		buf = binary.AppendUvarint(buf, n-ctrl.Def.N())
+		buf = binary.AppendUvarint(buf, uint64(ctrl.DefPC))
 	}
 	if rlDelta != 0 {
-		flags |= 1 << 4
+		flags |= flagRL
+		buf = binary.AppendUvarint(buf, rlDelta)
 	}
-	rec = append(rec, flags)
-	for i := range deps {
-		d := &deps[i]
-		if d.Kind == Control {
-			continue
-		}
-		if d.Def.TID() == tid {
-			rec = appendUvarint(rec, tmp[:], (n-d.Def.N())<<1)
-		} else {
-			rec = appendUvarint(rec, tmp[:], uint64(d.Def)<<1|1)
-		}
-		rec = appendUvarint(rec, tmp[:], uint64(d.DefPC))
-	}
-	if ctrl != nil {
-		rec = appendUvarint(rec, tmp[:], n-ctrl.Def.N())
-		rec = appendUvarint(rec, tmp[:], uint64(ctrl.DefPC))
-	}
-	if rlDelta != 0 {
-		rec = appendUvarint(rec, tmp[:], rlDelta)
-	}
+	buf[flagAt] = flags
 
-	ch.buf = append(ch.buf, rec...)
+	ch.buf = buf
 	ch.lastN = n
 	ch.count++
-	c.bytes += len(rec)
-	c.written += uint64(len(rec))
+	c.bytes += len(buf) - start
+	c.written += uint64(len(buf) - start)
 	c.records++
 	c.deps += uint64(len(deps))
-	if len(ch.buf) >= c.chunkSize {
+	if len(buf) >= c.chunkSize {
 		c.seal(ch)
 	}
-	c.evict()
+	if c.capBytes > 0 && c.bytes > c.capBytes {
+		c.evict()
+	}
 }
 
-// evict drops the oldest sealed chunks while over capacity.
+// evict drops the oldest sealed chunks while over capacity. A sealed
+// chunk is the oldest of its own thread (its predecessors sealed, and
+// so left, before it), and the only chunks ahead of it in order are
+// other threads' open ones — at most one per thread — which slide
+// back over the hole, keeping their relative order.
 func (c *Compact) evict() {
-	if c.capBytes <= 0 {
-		return
-	}
 	for c.bytes > c.capBytes {
-		// Find the oldest sealed chunk.
-		idx := -1
-		for i, ch := range c.order {
-			if ch.sealed {
-				idx = i
-				break
-			}
+		idx := 0
+		for idx < len(c.order) && !c.order[idx].sealed {
+			idx++
 		}
-		if idx < 0 {
+		if idx == len(c.order) {
 			return // only open chunks remain
 		}
 		ch := c.order[idx]
-		c.order = append(c.order[:idx:idx], c.order[idx+1:]...)
-		lst := c.perTid[ch.tid]
-		for i, e := range lst {
-			if e == ch {
-				c.perTid[ch.tid] = append(lst[:i:i], lst[i+1:]...)
-				break
-			}
-		}
+		copy(c.order[1:idx+1], c.order[:idx])
+		c.order[0] = nil
+		c.order = c.order[1:]
+		th := &c.threads[ch.tid]
+		th.chunks[0] = nil // == ch
+		th.chunks = th.chunks[1:]
 		c.bytes -= len(ch.buf)
 		c.evicted++
 		delete(c.cache, ch)
 	}
 }
 
-// appendUvarint appends v to dst using scratch.
-func appendUvarint(dst, scratch []byte, v uint64) []byte {
-	k := binary.PutUvarint(scratch, v)
-	return append(dst, scratch[:k]...)
+// Decoded is a chunk's records in lookup form: every dependence of
+// the chunk in one arena and an n-ascending index of the records into
+// it, so decoding allocates two slices however many records the chunk
+// holds. It is immutable once built and safe to share.
+type Decoded struct {
+	recs []decodedRec
+	deps []Dep
 }
 
-// Decode materializes the chunk's records into a use-N-keyed
-// dependence map. It is the one decoder for the compact wire format:
-// Compact uses it for in-memory chunks and internal/store for chunks
-// reloaded from segment files, so the two can never drift.
-func (rc RawChunk) Decode() map[uint64][]Dep {
-	m := make(map[uint64][]Dep, rc.Count)
-	buf := rc.Buf
-	pos := 0
-	read := func() uint64 {
-		v, k := binary.Uvarint(buf[pos:])
-		pos += k
-		return v
+// decodedRec indexes one record: its dependences are
+// deps[off : next record's off].
+type decodedRec struct {
+	n     uint64
+	off   uint32
+	usePC int32
+}
+
+// Deps returns the dependences of instance n (data in stored order,
+// then control, then the SameAs marker); nil when the chunk holds no
+// record for n. The result aliases the arena and must not be written.
+//
+// Instance numbers ascend strictly, so record i holds at least
+// recs[0].n+i and n's record sits at or before index n-recs[0].n —
+// exactly there when every instance since the chunk began stored a
+// record, close by when most did. The search gallops back from that
+// guess, then bisects the bracket it found.
+func (d *Decoded) Deps(n uint64) []Dep {
+	recs := d.recs
+	if len(recs) == 0 || n < recs[0].n {
+		return nil
 	}
-	n := rc.BaseN
-	first := true
-	for pos < len(buf) {
-		delta := read()
-		if first {
-			n = rc.BaseN + delta
-			first = false
+	lo := int(min(n-recs[0].n, uint64(len(recs)-1)))
+	hi := lo
+	for step := 1; recs[lo].n > n; step <<= 1 {
+		hi, lo = lo, max(lo-step, 0)
+	}
+	for lo < hi {
+		mid := int(uint(lo+hi) >> 1)
+		if recs[mid].n < n {
+			lo = mid + 1
 		} else {
-			n += delta
+			hi = mid
 		}
-		usePC := int32(read())
-		flags := buf[pos]
-		pos++
-		nData := int(flags & 7)
-		hasCtrl := flags&(1<<3) != 0
-		hasRL := flags&(1<<4) != 0
+	}
+	if recs[lo].n != n {
+		return nil
+	}
+	_, _, deps := d.record(lo)
+	return deps
+}
+
+// record returns the i-th record in n-ascending order.
+func (d *Decoded) record(i int) (n uint64, usePC int32, deps []Dep) {
+	r := d.recs[i]
+	end := uint32(len(d.deps))
+	if i+1 < len(d.recs) {
+		end = d.recs[i+1].off
+	}
+	return r.n, r.usePC, d.deps[r.off:end:end]
+}
+
+// errMalformed is the root of every Decode error.
+var errMalformed = errors.New("ddg: malformed chunk")
+
+func malformed(pos int, what string) error {
+	return fmt.Errorf("%w: %s at byte %d", errMalformed, what, pos)
+}
+
+// maxN is the largest instance number an ID can carry.
+const maxN = 1<<48 - 1
+
+// cursor reads a chunk body. A read that fails sets bad and consumes
+// nothing, so a record's fields can be read in a row and checked once.
+type cursor struct {
+	buf []byte
+	pos int
+	bad bool
+}
+
+// uvarint reads one canonical varint; cut short, overflowing 64 bits
+// or carrying a redundant trailing zero byte (which the encoder never
+// writes), it is bad.
+func (c *cursor) uvarint() uint64 {
+	if c.pos < len(c.buf) && c.buf[c.pos] < 0x80 {
+		c.pos++
+		return uint64(c.buf[c.pos-1])
+	}
+	v, k := binary.Uvarint(c.buf[c.pos:])
+	if k <= 0 || c.buf[c.pos+k-1] == 0 {
+		c.bad = true
+		return 0
+	}
+	c.pos += k
+	return v
+}
+
+// pc reads a PC field: the varint of a sign-extended int32.
+func (c *cursor) pc() int32 {
+	v := c.uvarint()
+	if uint64(int32(v)) != v {
+		c.bad = true
+	}
+	return int32(v)
+}
+
+// skip steps over n varints without decoding them, reporting whether
+// all n end inside the body.
+func (c *cursor) skip(n int) bool {
+	for ; n > 0 && c.pos < len(c.buf); c.pos++ {
+		if c.buf[c.pos] < 0x80 {
+			n--
+		}
+	}
+	return n == 0
+}
+
+// Record flag byte: the data-dependence count in the low three bits,
+// then the control-dependence and redundant-load-marker bits.
+const (
+	flagData = 7
+	flagCtrl = 1 << 3
+	flagRL   = 1 << 4
+)
+
+// Decode materializes the chunk's records. It is the one decoder for
+// the compact wire format: Compact uses it for in-memory chunks and
+// internal/store for chunks reloaded from segment files, so the two
+// can never drift.
+//
+// Buf is untrusted — a CRC-valid file written by anything can reach
+// here — so Decode accepts exactly the bytes Append writes for the
+// records it returns, and nothing else. A short, overflowing or
+// non-canonical varint, a record running past the end of Buf, unknown
+// flag bits, a first record not at BaseN, instance numbers that do
+// not strictly ascend, a field Append would have encoded differently
+// for the value it decodes to, or a Count that disagrees with the
+// records present all return an error and no records. Memory is
+// bounded by len(Buf), never by a header field: a first pass frames
+// the records and counts them, a second fills the exactly sized
+// index and arena.
+func (rc RawChunk) Decode() (*Decoded, error) {
+	if uint64(len(rc.Buf)) > math.MaxUint32 || rc.BaseN > maxN {
+		return nil, malformed(0, "header out of range")
+	}
+	nRecs, nDeps := 0, 0
+	for c := (cursor{buf: rc.Buf}); c.pos < len(c.buf); nRecs++ {
+		if !c.skip(2) || c.pos == len(c.buf) { // useDelta, usePC, then flags
+			return nil, malformed(c.pos, "truncated record")
+		}
+		flags := c.buf[c.pos]
+		c.pos++
+		pairs, rl := int(flags&flagData)+int(flags&flagCtrl>>3), int(flags&flagRL>>4)
+		if !c.skip(2*pairs + rl) {
+			return nil, malformed(c.pos, "truncated record")
+		}
+		nDeps += pairs + rl
+	}
+	if nRecs != rc.Count {
+		return nil, fmt.Errorf("%w: header counts %d records, body holds %d", errMalformed, rc.Count, nRecs)
+	}
+
+	// The framing pass found every field's terminating byte, so from
+	// here a read fails only on a varint that is too long or not
+	// canonical, and the flag byte is always in range.
+	recs, deps := make([]decodedRec, nRecs), make([]Dep, nDeps)
+	n, nRecs, nDeps := rc.BaseN, 0, 0
+	for c := (cursor{buf: rc.Buf}); c.pos < len(c.buf); {
+		at := c.pos
+		delta, usePC := c.uvarint(), c.pc()
+		if c.bad {
+			return nil, malformed(at, "bad record head")
+		}
+		if (delta == 0) != (nRecs == 0) || delta > maxN-n {
+			return nil, malformed(at, "instance numbers do not ascend from BaseN")
+		}
+		n += delta
+		flags := c.buf[c.pos]
+		c.pos++
+		if flags&^(flagData|flagCtrl|flagRL) != 0 {
+			return nil, malformed(at, "unknown flag bits")
+		}
 		use := MakeID(rc.TID, n)
-		var deps []Dep
-		for i := 0; i < nData; i++ {
-			enc := read()
-			defPC := int32(read())
+		recs[nRecs] = decodedRec{n: n, off: uint32(nDeps), usePC: usePC}
+		nRecs++
+		for i := flags & flagData; i > 0; i-- {
+			enc, defPC := c.uvarint(), c.pc()
 			var def ID
 			if enc&1 == 1 {
 				def = ID(enc >> 1)
+				c.bad = c.bad || def.TID() == rc.TID
 			} else {
 				def = MakeID(rc.TID, n-enc>>1)
+				c.bad = c.bad || (n-def.N())<<1 != enc
 			}
-			deps = append(deps, Dep{Use: use, UsePC: usePC, Def: def, DefPC: defPC, Kind: Data})
+			deps[nDeps] = Dep{Use: use, UsePC: usePC, Def: def, DefPC: defPC, Kind: Data}
+			nDeps++
 		}
-		if hasCtrl {
-			delta := read()
-			defPC := int32(read())
-			deps = append(deps, Dep{Use: use, UsePC: usePC,
-				Def: MakeID(rc.TID, n-delta), DefPC: defPC, Kind: Control})
+		if flags&flagCtrl != 0 {
+			delta, defPC := c.uvarint(), c.pc()
+			def := MakeID(rc.TID, n-delta)
+			c.bad = c.bad || n-def.N() != delta
+			deps[nDeps] = Dep{Use: use, UsePC: usePC, Def: def, DefPC: defPC, Kind: Control}
+			nDeps++
 		}
-		if hasRL {
-			delta := read()
-			deps = append(deps, Dep{Use: use, UsePC: usePC,
-				Def: MakeID(rc.TID, n-delta), DefPC: usePC, Kind: SameAs})
+		if flags&flagRL != 0 {
+			delta := c.uvarint()
+			def := MakeID(rc.TID, n-delta)
+			c.bad = c.bad || delta == 0 || n-def.N() != delta
+			deps[nDeps] = Dep{Use: use, UsePC: usePC, Def: def, DefPC: usePC, Kind: SameAs}
+			nDeps++
 		}
-		m[n] = deps
+		if c.bad {
+			return nil, malformed(at, "bad dependence field")
+		}
 	}
-	return m
+	return &Decoded{recs: recs, deps: deps}, nil
 }
 
-// decode materializes a chunk's records into a use-N-keyed map. Only
-// sealed (immutable) chunks enter the cache: caching an open chunk
-// would hide records appended to it after the first query.
-func (c *Compact) decode(ch *chunk) map[uint64][]Dep {
-	if m, ok := c.cache[ch]; ok {
-		return m
+// decode materializes a chunk's records. Only sealed (immutable)
+// chunks enter the cache: caching an open chunk would hide records
+// appended to it after the first query.
+func (c *Compact) decode(ch *chunk) *Decoded {
+	if d, ok := c.cache[ch]; ok {
+		return d
 	}
-	m := RawChunk{TID: ch.tid, BaseN: ch.baseN, Count: ch.count, Buf: ch.buf}.Decode()
+	d, err := RawChunk{TID: ch.tid, BaseN: ch.baseN, Count: ch.count, Buf: ch.buf}.Decode()
+	if err != nil {
+		panic(fmt.Sprintf("ddg: Compact cannot decode its own chunk: %v", err))
+	}
 	if !ch.sealed {
-		return m
+		return d
 	}
 	if len(c.cache) >= 8 {
 		for k := range c.cache {
@@ -307,38 +487,42 @@ func (c *Compact) decode(ch *chunk) map[uint64][]Dep {
 			break
 		}
 	}
-	c.cache[ch] = m
-	return m
+	c.cache[ch] = d
+	return d
 }
 
 // find locates the chunk holding instance n for a thread.
 func (c *Compact) find(tid int, n uint64) *chunk {
-	lst := c.perTid[tid]
+	if uint(tid) >= uint(len(c.threads)) {
+		return nil
+	}
+	lst := c.threads[tid].chunks
 	i := sort.Search(len(lst), func(i int) bool { return lst[i].lastN >= n })
-	if i < len(lst) && lst[i].baseN <= n && n <= lst[i].lastN && lst[i].count > 0 {
+	if i < len(lst) && lst[i].baseN <= n {
 		return lst[i]
 	}
 	return nil
 }
 
-// DepsOf implements Source.
-func (c *Compact) DepsOf(id ID, yield func(Dep)) {
+// depsAt returns the stored dependences of id (nil: no record).
+func (c *Compact) depsAt(id ID) []Dep {
 	ch := c.find(id.TID(), id.N())
 	if ch == nil {
-		return
+		return nil
 	}
-	for _, d := range c.decode(ch)[id.N()] {
+	return c.decode(ch).Deps(id.N())
+}
+
+// DepsOf implements Source.
+func (c *Compact) DepsOf(id ID, yield func(Dep)) {
+	for _, d := range c.depsAt(id) {
 		yield(d)
 	}
 }
 
 // NodePC implements Source (recorded nodes only).
 func (c *Compact) NodePC(id ID) (int32, bool) {
-	ch := c.find(id.TID(), id.N())
-	if ch == nil {
-		return 0, false
-	}
-	deps := c.decode(ch)[id.N()]
+	deps := c.depsAt(id)
 	if len(deps) == 0 {
 		return 0, false
 	}
@@ -347,25 +531,25 @@ func (c *Compact) NodePC(id ID) (int32, bool) {
 
 // Threads implements Source.
 func (c *Compact) Threads() []int {
-	out := make([]int, 0, len(c.perTid))
-	for tid := range c.perTid {
-		out = append(out, tid)
+	var out []int
+	for tid := range c.threads {
+		if c.threads[tid].seen {
+			out = append(out, tid)
+		}
 	}
-	sort.Ints(out)
 	return out
 }
 
 // Window implements Source: [oldest retained record, newest record].
 func (c *Compact) Window(tid int) (uint64, uint64) {
-	lst := c.perTid[tid]
-	if len(lst) == 0 || lst[0].count == 0 {
+	if uint(tid) >= uint(len(c.threads)) {
 		return 0, 0
 	}
-	last := lst[len(lst)-1]
-	if last.count == 0 && len(lst) > 1 {
-		last = lst[len(lst)-2]
+	lst := c.threads[tid].chunks
+	if len(lst) == 0 {
+		return 0, 0
 	}
-	return lst[0].baseN, last.lastN
+	return lst[0].baseN, lst[len(lst)-1].lastN
 }
 
 // CurrentBytes returns the retained encoded size.

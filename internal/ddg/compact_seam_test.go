@@ -195,9 +195,13 @@ func TestCompactSealFlushSpill(t *testing.T) {
 			t.Fatalf("chunk %d overlaps predecessor", i)
 		}
 		prevLast = rc.LastN
-		m := rc.Decode()
-		total += len(m)
-		for useN, deps := range m {
+		d, err := rc.Decode()
+		if err != nil {
+			t.Fatalf("chunk %d: %v", i, err)
+		}
+		total += len(d.recs)
+		for j := range d.recs {
+			useN, _, deps := d.record(j)
 			got := CountDeps(c, MakeID(0, useN))
 			if fmt.Sprintf("%+v", got) != fmt.Sprintf("%+v", deps) {
 				t.Fatalf("record %d diverged between memory and spill", useN)

@@ -23,6 +23,8 @@
 package ontrac
 
 import (
+	"slices"
+
 	"scaldift/internal/ddg"
 	"scaldift/internal/dift"
 	"scaldift/internal/isa"
@@ -94,37 +96,60 @@ func (s Stats) BytesPerInstr() float64 {
 	return float64(s.BytesWritten) / float64(s.Instrs)
 }
 
-type dictKey struct {
-	usePC int32
+// pattern is one O2 dictionary entry of a use site: the dependence
+// on the instance delta back in the same thread, defined at defPC.
+type pattern struct {
 	defPC int32
 	delta uint64
 	kind  ddg.Kind
 }
 
+// defSite is O2's learning state for one (def PC, kind) a use site has
+// depended on in its own thread: how often each instance distance has
+// occurred. A distance seen DictThreshold times is in the dictionary.
+// Distances do not stay few — a load fed by ever-older stores mints a
+// new one every few instructions — so they are hashed, not listed.
+type defSite struct {
+	defPC int32
+	kind  ddg.Kind
+	seen  map[uint64]int
+}
+
 type loadState struct {
-	lastN uint64 // previous retained instance of this load
+	lastN uint64 // previous retained instance of this load (0: none yet)
 	def   ddg.ID // its memory dependence def
 }
 
 // tables is the reconstruction state a Reader needs to re-synthesize
 // elided edges: O1's static in-block dependences (derivable from the
 // binary alone, see Reconstructor) and O2's learned dictionary (run
-// state of the recording Tracer), both indexed by use PC.
+// state of the recording Tracer). Both are indexed by use PC and are
+// the very tables the Tracer elides against, so writer and reader
+// cannot disagree about what was elided.
 type tables struct {
-	staticByUse map[int32][]isa.StaticDep
-	dictByUse   map[int32][]dictKey
+	staticByUse [][]int32   // in-block def PCs per use PC; nil when O1 is off
+	dictByUse   [][]pattern // learned patterns per use PC; nil without a recording Tracer
+}
+
+// byPC indexes one of the tables by any pc: the Reader's hints come
+// from stored edges, which a foreign trace can set to anything.
+func byPC[T any](table [][]T, pc int32) []T {
+	if uint(pc) < uint(len(table)) {
+		return table[pc]
+	}
+	return nil
 }
 
 // staticByUse builds the O1 table — the part of tables the program
 // text determines; nil when O1 is off.
-func staticByUse(prog *isa.Program, opts Options) map[int32][]isa.StaticDep {
+func staticByUse(prog *isa.Program, opts Options) [][]int32 {
 	if !opts.ElideStaticBlockDeps {
 		return nil
 	}
-	byUse := make(map[int32][]isa.StaticDep)
+	byUse := make([][]int32, len(prog.Instrs))
 	for _, deps := range isa.BlockStaticDeps(isa.BuildCFG(prog)) {
 		for _, d := range deps {
-			byUse[int32(d.Use)] = append(byUse[int32(d.Use)], d)
+			byUse[d.Use] = append(byUse[d.Use], int32(d.Def))
 		}
 	}
 	return byUse
@@ -144,14 +169,11 @@ type Tracer struct {
 	buf  *ddg.Compact
 	ex   *ddg.Extractor
 
-	tables
-	// O1 state.
-	staticPairs map[[2]int32]bool
-	// O2 state.
-	dictCounts map[dictKey]int
-	dict       map[dictKey]bool
-	// O3 state: per (tid, pc).
-	loads map[[2]int32]*loadState
+	tables // O1 and O2 elide against the tables the Reader reconstructs from
+	// O2 state: the def sites seen from each use PC.
+	dictSites [][]defSite
+	// O3 state: per tid, per load PC.
+	loads [][]loadState
 	// T1 state.
 	traced []bool
 	// T2 state.
@@ -167,23 +189,16 @@ func New(prog *isa.Program, opts Options) *Tracer {
 		opts.DictThreshold = 2
 	}
 	t := &Tracer{
-		prog:       prog,
-		opts:       opts,
-		buf:        ddg.NewCompact(opts.BufferBytes),
-		tables:     tables{staticByUse: staticByUse(prog, opts), dictByUse: make(map[int32][]dictKey)},
-		dictCounts: make(map[dictKey]int),
-		dict:       make(map[dictKey]bool),
-		loads:      make(map[[2]int32]*loadState),
+		prog:   prog,
+		opts:   opts,
+		buf:    ddg.NewCompact(opts.BufferBytes),
+		tables: tables{staticByUse: staticByUse(prog, opts)},
+	}
+	if opts.TraceDictionary {
+		t.dictByUse = make([][]pattern, len(prog.Instrs))
+		t.dictSites = make([][]defSite, len(prog.Instrs))
 	}
 	t.ex = ddg.NewExtractor(prog, t, ddg.ExtractorOpts{ControlDeps: opts.ControlDeps})
-	if t.staticByUse != nil {
-		t.staticPairs = make(map[[2]int32]bool)
-		for _, deps := range t.staticByUse {
-			for _, d := range deps {
-				t.staticPairs[[2]int32{int32(d.Use), int32(d.Def)}] = true
-			}
-		}
-	}
 	if len(opts.TraceFuncs) > 0 {
 		t.traced = make([]bool, len(prog.Instrs))
 		for _, name := range opts.TraceFuncs {
@@ -216,7 +231,9 @@ func (t *Tracer) Stats() Stats {
 	s := t.stats
 	s.Instrs = t.ex.Instrs()
 	s.BytesWritten = t.buf.BytesWritten()
-	s.DictSize = len(t.dict)
+	for _, ps := range t.dictByUse {
+		s.DictSize += len(ps)
+	}
 	return s
 }
 
@@ -273,10 +290,11 @@ func (t *Tracer) Deps(id ddg.ID, pc int32, deps []ddg.Dep) {
 	keep := deps[:0]
 	var rlDelta uint64
 	for _, d := range deps {
+		sameThread := d.Def.TID() == id.TID()
+		delta := id.N() - d.Def.N()
 		// O1: statically inferable in-block dependence.
-		if t.staticPairs != nil && d.Kind == ddg.Data && d.Def.TID() == id.TID() &&
-			t.staticPairs[[2]int32{d.UsePC, d.DefPC}] &&
-			id.N()-d.Def.N() == uint64(d.UsePC-d.DefPC) {
+		if d.Kind == ddg.Data && sameThread && delta == uint64(d.UsePC-d.DefPC) &&
+			slices.Contains(byPC(t.staticByUse, d.UsePC), d.DefPC) {
 			t.stats.ElidedO1++
 			continue
 		}
@@ -287,34 +305,19 @@ func (t *Tracer) Deps(id ddg.ID, pc int32, deps []ddg.Dep) {
 		if t.opts.ElideRedundantLoads && d.Kind == ddg.Data &&
 			t.prog.Instrs[pc].Op == isa.LOAD && d.Def != 0 &&
 			t.prog.Instrs[d.DefPC].Op.Stores() {
-			key := [2]int32{int32(id.TID()), pc}
-			if st, ok := t.loads[key]; ok && st.def == d.Def && st.lastN < id.N() {
+			st := t.load(id.TID(), pc)
+			if st.def == d.Def && st.lastN < id.N() {
 				rlDelta = id.N() - st.lastN
 				st.lastN = id.N()
 				t.stats.ElidedO3++
 				continue
 			}
-			if st, ok := t.loads[key]; ok {
-				st.lastN = id.N()
-				st.def = d.Def
-			} else {
-				t.loads[key] = &loadState{lastN: id.N(), def: d.Def}
-			}
+			st.lastN, st.def = id.N(), d.Def
 		}
 		// O2: learned dependence pattern.
-		if t.opts.TraceDictionary && d.Def.TID() == id.TID() {
-			key := dictKey{usePC: d.UsePC, defPC: d.DefPC,
-				delta: id.N() - d.Def.N(), kind: d.Kind}
-			if t.dict[key] {
-				t.stats.ElidedO2++
-				continue
-			}
-			t.dictCounts[key]++
-			if t.dictCounts[key] >= t.opts.DictThreshold {
-				t.dict[key] = true
-				t.dictByUse[d.UsePC] = append(t.dictByUse[d.UsePC], key)
-				delete(t.dictCounts, key)
-			}
+		if t.opts.TraceDictionary && sameThread && t.learned(pattern{defPC: d.DefPC, delta: delta, kind: d.Kind}, d.UsePC) {
+			t.stats.ElidedO2++
+			continue
 		}
 		keep = append(keep, d)
 	}
@@ -323,6 +326,38 @@ func (t *Tracer) Deps(id ddg.ID, pc int32, deps []ddg.Dep) {
 	}
 	t.stats.DepsStored += uint64(len(keep))
 	t.buf.Append(id, pc, keep, rlDelta)
+}
+
+// load returns O3's state for the static load at pc in thread tid.
+func (t *Tracer) load(tid int, pc int32) *loadState {
+	for tid >= len(t.loads) {
+		t.loads = append(t.loads, nil)
+	}
+	if t.loads[tid] == nil {
+		t.loads[tid] = make([]loadState, len(t.prog.Instrs))
+	}
+	return &t.loads[tid][pc]
+}
+
+// learned reports whether p is in usePC's dictionary; if not, it
+// counts this sighting and enters p at the threshold.
+func (t *Tracer) learned(p pattern, usePC int32) bool {
+	sites := t.dictSites[usePC]
+	i := slices.IndexFunc(sites, func(s defSite) bool { return s.defPC == p.defPC && s.kind == p.kind })
+	if i < 0 {
+		i = len(sites)
+		sites = append(sites, defSite{defPC: p.defPC, kind: p.kind, seen: make(map[uint64]int)})
+		t.dictSites[usePC] = sites
+	}
+	seen := sites[i].seen[p.delta]
+	if seen >= t.opts.DictThreshold {
+		return true
+	}
+	sites[i].seen[p.delta] = seen + 1
+	if seen+1 == t.opts.DictThreshold {
+		t.dictByUse[usePC] = append(t.dictByUse[usePC], p)
+	}
+	return false
 }
 
 var _ ddg.Sink = (*Tracer)(nil)

@@ -73,24 +73,22 @@ func (r *Reader) DepsOfHinted(id ddg.ID, pcHint int32, yield func(ddg.Dep)) {
 	n := id.N()
 	// O1: in-block static dependences hold at id-distance
 	// usePC-defPC, except for instances whose true edge was stored.
-	if r.t.staticByUse != nil {
-		for _, sd := range r.t.staticByUse[pcHint] {
-			dist := uint64(sd.Use - sd.Def)
-			if dist == 0 || dist >= n || storedDef[int32(sd.Def)] {
-				continue
-			}
-			yield(ddg.Dep{
-				Use: id, UsePC: pcHint,
-				Def:   ddg.MakeID(id.TID(), n-dist),
-				DefPC: int32(sd.Def),
-				Kind:  ddg.Data,
-			})
+	for _, defPC := range byPC(r.t.staticByUse, pcHint) {
+		dist := uint64(pcHint - defPC)
+		if dist == 0 || dist >= n || storedDef[defPC] {
+			continue
 		}
+		yield(ddg.Dep{
+			Use: id, UsePC: pcHint,
+			Def:   ddg.MakeID(id.TID(), n-dist),
+			DefPC: defPC,
+			Kind:  ddg.Data,
+		})
 	}
 	// O2: learned patterns for this use site. These may slightly
 	// over-approximate (an instance may match a pattern its own
 	// stores never confirmed), which only ever grows the slice.
-	for _, k := range r.t.dictByUse[pcHint] {
+	for _, k := range byPC(r.t.dictByUse, pcHint) {
 		if k.delta >= n || (k.kind == ddg.Data && storedDef[k.defPC]) {
 			continue
 		}

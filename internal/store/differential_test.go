@@ -1,7 +1,10 @@
 package store
 
 import (
+	"bytes"
 	"fmt"
+	"os"
+	"path/filepath"
 	"testing"
 
 	"scaldift/internal/ddg"
@@ -243,5 +246,41 @@ func TestStoreBeyondMemoryCap(t *testing.T) {
 	// the ring dropped is sliceable only through the store.
 	if gotMem.Nodes >= want.Nodes {
 		t.Fatalf("truncated slice visited %d nodes, whole-execution %d", gotMem.Nodes, want.Nodes)
+	}
+}
+
+// TestStoreRecordingIsReproducible: two recordings of one
+// multi-thread schedule leave byte-identical segment files. Every
+// thread still has a chunk open when the run ends, and the order
+// Flush seals them in decides their global sequence numbers — ranging
+// over a map there made this fail or pass by luck.
+func TestStoreRecordingIsReproducible(t *testing.T) {
+	segs := func() map[string][]byte {
+		_, r := runSpilled(t, prog.PSum(4, 400, 1), ontrac.StaticOptions(), 3)
+		files, err := filepath.Glob(filepath.Join(r.dir, "*.seg"))
+		if err != nil || len(files) < 4 {
+			t.Fatalf("segment files: %v, %v", files, err)
+		}
+		out := make(map[string][]byte)
+		for _, f := range files {
+			b, err := os.ReadFile(f)
+			if err != nil {
+				t.Fatal(err)
+			}
+			out[filepath.Base(f)] = b
+		}
+		return out
+	}
+	first := segs()
+	for run := 0; run < 4; run++ {
+		again := segs()
+		if len(again) != len(first) {
+			t.Fatalf("run %d wrote %d segment files, first run %d", run, len(again), len(first))
+		}
+		for name, b := range first {
+			if !bytes.Equal(b, again[name]) {
+				t.Fatalf("run %d: %s differs from the first recording", run, name)
+			}
+		}
 	}
 }

@@ -85,7 +85,7 @@ type threadState struct {
 	segOff    int64    // scan resume offset in segs[nextSeg] (0 = header unread)
 	segChunks int      // chunks already indexed from segs[nextSeg]
 	chunks    []tChunk // across segments, ascending baseN
-	cache     map[int]map[uint64][]ddg.Dep
+	cache     map[int]*ddg.Decoded
 	fifo      []int
 	// Negative entries (structurally damaged chunks) live in their own
 	// bounded set so a burst of damage can never FIFO-evict healthy
@@ -515,7 +515,7 @@ func (ts *threadState) pruneTrimmed(minSeq int) (pruned bool) {
 	}
 	if len(kept) != len(ts.chunks) {
 		ts.chunks = kept
-		ts.cache = make(map[int]map[uint64][]ddg.Dep)
+		ts.cache = make(map[int]*ddg.Decoded)
 		ts.fifo = nil
 		ts.neg = make(map[int]bool)
 		ts.negFifo = nil
@@ -531,7 +531,7 @@ func (r *Reader) ensureLoaded(ts *threadState) {
 		return
 	}
 	ts.loaded = true
-	ts.cache = make(map[int]map[uint64][]ddg.Dep, r.opts.CacheChunks)
+	ts.cache = make(map[int]*ddg.Decoded, r.opts.CacheChunks)
 	ts.neg = make(map[int]bool)
 	r.advanceThread(ts, r.isLive())
 }
@@ -803,7 +803,7 @@ func readAllFrom(f *os.File, off int64) ([]byte, error) {
 // rare, and the reader stays fd-free between calls.
 //
 //scaldift:io
-func readChunk(path string, tid int, tc tChunk) (map[uint64][]ddg.Dep, error) {
+func readChunk(path string, tid int, tc tChunk) (*ddg.Decoded, error) {
 	f, err := os.Open(path)
 	if err != nil {
 		return nil, err
@@ -828,20 +828,24 @@ func readChunk(path string, tid int, tc tChunk) (map[uint64][]ddg.Dep, error) {
 	if baseN != tc.baseN || lastN != tc.lastN {
 		return nil, fmt.Errorf("%w: chunk header disagrees with index at %s+%d", errDamage, path, tc.off)
 	}
-	return ddg.RawChunk{TID: tid, BaseN: baseN, Count: count, Buf: buf}.Decode(), nil
+	d, err := ddg.RawChunk{TID: tid, BaseN: baseN, Count: count, Buf: buf}.Decode()
+	if err != nil {
+		return nil, fmt.Errorf("%w: %v at %s+%d", errDamage, err, path, tc.off)
+	}
+	return d, nil
 }
 
 // cachePut inserts a decoded chunk (ts.mu held), evicting FIFO past
 // the bound. Only healthy decoded chunks go here — negative entries
 // have their own bounded set (putNegative), so damage bursts cannot
 // crowd hot data out of the decode cache.
-func (ts *threadState) cachePut(idx int, m map[uint64][]ddg.Dep, bound int) {
+func (ts *threadState) cachePut(idx int, d *ddg.Decoded, bound int) {
 	if len(ts.fifo) >= bound {
 		old := ts.fifo[0]
 		ts.fifo = ts.fifo[1:]
 		delete(ts.cache, old)
 	}
-	ts.cache[idx] = m
+	ts.cache[idx] = d
 	ts.fifo = append(ts.fifo, idx)
 }
 
@@ -938,9 +942,9 @@ func (r *Reader) depsAt(id ddg.ID, budget *Budget) []ddg.Dep {
 		ts.mu.Unlock()
 		return nil
 	}
-	if m, ok := ts.cache[idx]; ok {
+	if d, ok := ts.cache[idx]; ok {
 		ts.mu.Unlock()
-		return m[id.N()]
+		return d.Deps(id.N())
 	}
 	if ts.neg[idx] {
 		ts.mu.Unlock()
@@ -961,7 +965,7 @@ func (r *Reader) depsAt(id ddg.ID, budget *Budget) []ddg.Dep {
 		// left alone so other queries are unaffected.
 		return nil
 	}
-	m, err := readChunk(path, ts.tid, tc)
+	d, err := readChunk(path, ts.tid, tc)
 	if err != nil {
 		if !errors.Is(err, errDamage) {
 			// Missing files and short reads can be transient — an fs
@@ -976,8 +980,10 @@ func (r *Reader) depsAt(id ddg.ID, budget *Budget) []ddg.Dep {
 			}
 			return nil
 		}
-		// A chunk that indexed cleanly but fails its payload CRC is
-		// damage past the index's guarantees: serve what remains.
+		// A chunk that indexed cleanly but fails its payload CRC, or
+		// whose CRC-valid body is not one the encoder writes
+		// (ddg.RawChunk.Decode returns nothing partial), is damage past
+		// the index's guarantees: serve what remains.
 		// Negative-cache it — without that, a slice walking the
 		// hundreds of instances a damaged chunk covers would re-open,
 		// re-read, and re-CRC it once per query.
@@ -987,9 +993,8 @@ func (r *Reader) depsAt(id ddg.ID, budget *Budget) []ddg.Dep {
 			if prev, ok := ts.cache[idx]; ok {
 				// Another loader raced us in: serve its entry rather
 				// than overwriting it.
-				deps := prev[id.N()]
 				ts.mu.Unlock()
-				return deps
+				return prev.Deps(id.N())
 			}
 			ts.putNegative(idx, r.opts.CacheChunks)
 		}
@@ -999,13 +1004,13 @@ func (r *Reader) depsAt(id ddg.ID, budget *Budget) []ddg.Dep {
 	ts.mu.Lock()
 	if ts.epoch == epoch {
 		if prev, ok := ts.cache[idx]; ok {
-			m = prev // another loader won the race: serve its copy
+			d = prev // another loader won the race: serve its copy
 		} else {
-			ts.cachePut(idx, m, r.opts.CacheChunks)
+			ts.cachePut(idx, d, r.opts.CacheChunks)
 		}
 	}
 	ts.mu.Unlock()
-	return m[id.N()]
+	return d.Deps(id.N())
 }
 
 // NodePC implements ddg.Source (recorded nodes only).

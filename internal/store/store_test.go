@@ -268,3 +268,54 @@ func TestCreateScrubsManifestTemps(t *testing.T) {
 		t.Fatal("orphaned manifest temp file survived Create")
 	}
 }
+
+// TestStoreMalformedChunkIsDamage: a chunk whose frame and CRC are
+// intact but whose body the encoder cannot have written — here the
+// bodies that used to panic the decoder, and to decode into invented
+// edges — is damage: it serves nothing, marks the reader recovered,
+// is negative-cached so the next probe does not re-read it, and leaves
+// its healthy neighbour alone.
+func TestStoreMalformedChunkIsDamage(t *testing.T) {
+	dir := t.TempDir()
+	w, err := Create(Options{Dir: dir})
+	if err != nil {
+		t.Fatal(err)
+	}
+	w.SpillChunk(ddg.RawChunk{TID: 0, BaseN: 1, LastN: 2, Count: 1, Buf: []byte{0x01, 0x05}})
+	w.SpillChunk(ddg.RawChunk{TID: 0, BaseN: 3, LastN: 3, Count: 1, Buf: []byte{0x01, 0x05, 0x02, 0x01}})
+	healthy := ddg.NewCompact(0)
+	healthy.SetSpill(w)
+	use := ddg.MakeID(0, 9)
+	healthy.Append(use, 5, []ddg.Dep{{Use: use, UsePC: 5, Def: ddg.MakeID(0, 8), DefPC: 4, Kind: ddg.Data}}, 0)
+	healthy.Flush()
+	if err := w.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	r, err := Open(dir, ReaderOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer r.Close()
+	budget := NewBudget(0)
+	view := r.Budgeted(budget)
+	for _, n := range []uint64{1, 2, 3} {
+		for probe := 0; probe < 2; probe++ {
+			if deps := ddg.CountDeps(view, ddg.MakeID(0, n)); deps != nil {
+				t.Fatalf("malformed chunk served %+v for instance %d", deps, n)
+			}
+		}
+	}
+	if !r.Recovered() {
+		t.Fatal("malformed chunks not reported as recovery")
+	}
+	if err := r.Err(); err != nil {
+		t.Fatalf("damage surfaced as an I/O error: %v", err)
+	}
+	if loads := budget.ChunkLoads(); loads != 2 {
+		t.Fatalf("%d chunk loads for two damaged chunks probed six times, want 2 (negative cache)", loads)
+	}
+	if deps := ddg.CountDeps(r, use); len(deps) != 1 || deps[0].Def != ddg.MakeID(0, 8) {
+		t.Fatalf("healthy chunk after the damaged ones: %+v", deps)
+	}
+}
