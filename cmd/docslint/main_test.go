@@ -8,9 +8,10 @@ import (
 )
 
 // TestRepoIsClean is the self-enforcing check: the repo this tool
-// ships in must itself pass both lints. A new internal package
-// without a package doc, or a doc edit that breaks a relative link,
-// fails here (and in the CI docs-lint step) immediately.
+// ships in must itself pass every lint. A new internal package
+// without a package doc, a doc edit that breaks a relative link, or a
+// doc that still names a deleted declaration fails here (and in the
+// CI docs-lint step) immediately.
 func TestRepoIsClean(t *testing.T) {
 	findings, err := Lint("../..")
 	if err != nil {
@@ -107,5 +108,49 @@ func TestRelativeLinkDetection(t *testing.T) {
 	}
 	if dead != 1 {
 		t.Errorf("findings = %v, want one for nope.md", findings)
+	}
+}
+
+func TestSymbolRefDetection(t *testing.T) {
+	root := t.TempDir()
+	write(t, root, "internal/pipe/pipe.go", `// Package pipe is the fixture.
+package pipe
+
+const Depth = 16
+
+type base struct{ Shared int }
+
+type Consumer[T any] struct {
+	base
+	Queue int
+}
+
+func (c *Consumer[T]) Attach() {}
+
+func New() {}
+`)
+	// A name only a test file declares is not documentation material.
+	write(t, root, "internal/pipe/pipe_test.go", "package pipe\n\nfunc WalkSeq() {}\n")
+	write(t, root, "README.md", strings.Join([]string{
+		"`pipe.New`, `pipe.Depth`, `pipe.Consumer.Attach`, `pipe.Consumer.Queue` and the",
+		"promoted `pipe.Consumer.Shared` resolve, as does `x := pipe.New(pipe.Depth)`.",
+		"`pipe.events` is a metric, `http.MaxBytesReader` and `b.Events` are not ours,",
+		"and pipe.WalkSeq outside a code span is prose.",
+		"```",
+		"pipe.Fenced()",
+		"```",
+		"`pipe.WalkSeq` and `pipe.Consumer.Window` are gone.",
+	}, "\n"))
+	// History files may name what no longer exists.
+	write(t, root, "CHANGES.md", "deleted `pipe.WalkSeq`\n")
+
+	findings, err := Lint(root)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(findings) != 2 ||
+		!strings.HasPrefix(findings[0], "README.md:8: `pipe.WalkSeq`") ||
+		!strings.HasPrefix(findings[1], "README.md:8: `pipe.Consumer.Window`") {
+		t.Fatalf("findings = %q, want the two dead references on line 8", findings)
 	}
 }

@@ -33,12 +33,11 @@ func TraceRelevant(ev *vm.Event) bool { return !ev.Blocked }
 // into dynamic dependences, reporting (use ← def) edges to a Sink. It
 // is the front end of ONTRAC, inline and offloaded alike: inline the
 // machine calls OnEvent behind every instruction; offloaded, the
-// helper goroutine calls it with the recorded events in global Seq
-// order (pipeline.WalkSeq). Either way it sees one event at a time in
-// the order they executed, so the dependence semantics exist exactly
-// once and the Extractor is single-goroutine state: last-definition
-// tags per thread register and per memory word, plus the per-thread
-// control-dependence stacks.
+// helper goroutine calls it with the recorded events, batch by batch.
+// Either way it sees one event at a time in the order they executed,
+// so the dependence semantics exist exactly once and the Extractor is
+// single-goroutine state: last-definition tags per thread register
+// and per memory word, plus the per-thread control-dependence stacks.
 type Extractor struct {
 	ctrl *cdep.Tracker // nil when control deps are off
 	sink Sink

@@ -10,7 +10,7 @@ import (
 // and runs of the same event kind execute in tight per-kind loops
 // with the policy checks hoisted, instead of re-entering the Step
 // dispatch switch for every instruction. On loop-heavy traces —
-// exactly what the offloaded pipeline's windows contain — most events
+// exactly what the offloaded pipeline's batches contain — most events
 // arrive in long single-kind runs, so the per-event cost drops to the
 // domain operations themselves.
 //

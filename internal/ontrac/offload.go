@@ -10,14 +10,13 @@ import (
 // Offloaded is the Tracer run downstream of the execution thread —
 // the paper's helper thread on a spare core. The machine carries only
 // a batching recorder (one struct copy per instruction, filter
-// ddg.TraceRelevant); the shared pipeline.Consumer goroutine walks
-// each window's events in global Seq order (pipeline.WalkSeq) and
-// hands them to the very extractor an inline run attaches as its
-// tool. The tracer therefore sees the inline event stream exactly, so
-// an offloaded run and an inline run of one schedule agree on
-// everything observable — stats, bytes, ring eviction under any
-// BufferBytes, windows and slices; the differential suite in
-// offload_test.go holds it to that.
+// ddg.TraceRelevant); the shared pipeline.Consumer goroutine hands
+// each batch's events, already in the order they executed, to the
+// very extractor an inline run attaches as its tool. The tracer
+// therefore sees the inline event stream exactly, so an offloaded run
+// and an inline run of one schedule agree on everything observable —
+// stats, bytes, ring eviction under any BufferBytes, windows and
+// slices; the differential suite in offload_test.go holds it to that.
 type Offloaded struct {
 	tr   *Tracer
 	popt pipeline.Options
@@ -26,11 +25,18 @@ type Offloaded struct {
 
 // NewOffloaded builds the offloaded stage for prog. opts selects the
 // ONTRAC configuration (same knobs as the inline tracer); popt shapes
-// the recorder and the windows (batch size, window, queue).
+// the recorder and the queue (batch size, depth).
 func NewOffloaded(prog *isa.Program, opts Options, popt pipeline.Options) *Offloaded {
 	popt.Fill()
 	o := &Offloaded{tr: New(prog, opts), popt: popt}
-	o.cons = pipeline.NewConsumer(offHandler{o.tr.ex}, popt.WindowBatches)
+	// The helper thread's whole job: replay each batch into the
+	// inline extractor.
+	ex := o.tr.ex
+	o.cons = pipeline.NewConsumer(func(evs []vm.Event) {
+		for i := range evs {
+			ex.OnEvent(nil, &evs[i])
+		}
+	})
 	return o
 }
 
@@ -38,7 +44,7 @@ func NewOffloaded(prog *isa.Program, opts Options, popt pipeline.Options) *Offlo
 // ddg.TraceRelevant) and starts the consumer. Call Close after the
 // run.
 func (o *Offloaded) Attach(m *vm.Machine) {
-	o.cons.Attach(m, o.popt.BatchEvents, o.popt.QueueDepth, ddg.TraceRelevant)
+	o.cons.Attach(m, o.popt, ddg.TraceRelevant)
 }
 
 // SpillTo attaches a chunk sink (store.Writer) the buffer spills
@@ -90,18 +96,3 @@ func (o *Offloaded) LastID(tid int) ddg.ID { return o.tr.LastID(tid) }
 
 // Stats returns the tracer's counters.
 func (o *Offloaded) Stats() Stats { return o.tr.Stats() }
-
-// offHandler is the helper thread's whole job: replay each window in
-// the order it executed into the inline extractor.
-type offHandler struct{ ex *ddg.Extractor }
-
-func (h offHandler) Window(w []*vm.Batch) {
-	pipeline.WalkSeq(w, func(run []vm.Event) {
-		for i := range run {
-			h.ex.OnEvent(nil, &run[i])
-		}
-	})
-}
-
-// Sync batches (spawn) arrive solo after a drain: a one-batch window.
-func (h offHandler) Sync(b *vm.Batch) { h.Window([]*vm.Batch{b}) }

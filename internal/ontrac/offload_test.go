@@ -11,7 +11,7 @@ import (
 )
 
 // The offloaded-tracer differential suite: every prog.All() workload,
-// traced inline and through the offloaded stage, across >= 4
+// traced inline and through the offloaded stage, across >= 5
 // randomized VM schedules, asserting identical stats (instructions,
 // dependences seen/stored, per-optimization elisions, bytes written —
 // hence identical bytes/instruction) and identical backward and
@@ -19,15 +19,17 @@ import (
 // same deterministic schedule — tools never perturb execution — so
 // any divergence is the offloaded stage's fault.
 
-const offSchedules = 4
+const offSchedules = 5
 
-// offOpts varies the pipeline shape with the schedule seed so the
-// suite also sweeps window sizes (2 to 8 batches) and batch sizes.
+// offOpts varies the hand-off shape with the schedule seed so the
+// suite also sweeps batch sizes — 1 is the extreme where every
+// hand-off is a single event — and, on one leg, a queue of one.
 func offOpts(seed uint64) pipeline.Options {
-	return pipeline.Options{
-		WindowBatches: 2 * (1 + int(seed)%4),
-		BatchEvents:   []int{32, 64, 256}[int(seed)%3],
+	o := pipeline.Options{BatchEvents: []int{1, 7, 64, 256, 1024}[seed%5]}
+	if seed%5 == 1 {
+		o.QueueDepth = 1
 	}
+	return o
 }
 
 func runOffDiff(t *testing.T, w *prog.Workload, opts Options, seed uint64) (*Tracer, *Offloaded) {

@@ -120,6 +120,38 @@ func BenchmarkPipelineMapReduceLineageOffloaded(b *testing.B) {
 	benchPipeline(b, mkMapReduce, "lineage", true)
 }
 
+// BenchmarkPipelineStreamAggLockedLineageLive is the helper-bound live
+// case (bench/'s stream-lineage: one thread, the locked lineage
+// domain, shipped defaults). The helper is slower than the recorder,
+// so the queue stays full and the hand-off shape — batch size × queue
+// depth — sets how often the execution thread is parked and woken.
+// exec-events/s stops the clock when the machine halts, events/s when
+// Close has drained the helper.
+func BenchmarkPipelineStreamAggLockedLineageLive(b *testing.B) {
+	w := prog.StreamAgg(9000, 4, 1)
+	bits := lineage.BitsFor(len(w.Inputs[prog.ChIn]) + 8)
+	b.ResetTimer()
+	var steps uint64
+	var exec time.Duration
+	for i := 0; i < b.N; i++ {
+		d := lineage.NewLockedDomain(bits)
+		p := New[bdd.Ref](d, dift.DefaultPolicy(), Options{})
+		p.AddSink(lineage.NewRecorder(d.Domain))
+		m := w.NewMachine()
+		p.Attach(m)
+		t0 := time.Now()
+		res := m.Run()
+		exec += time.Since(t0)
+		p.Close()
+		if res.Failed {
+			b.Fatal(res.FailMsg)
+		}
+		steps += m.Steps()
+	}
+	b.ReportMetric(float64(steps)/exec.Seconds(), "exec-events/s")
+	b.ReportMetric(float64(steps)/b.Elapsed().Seconds(), "events/s")
+}
+
 // benchAnalyze measures the analyze stage alone: one offline trace,
 // recorded once, propagated through a fresh pipeline per iteration —
 // the propagation speed with the recorder out of the picture.

@@ -35,13 +35,16 @@ func diffMachines(w *prog.Workload, seed uint64) (*vm.Machine, *vm.Machine) {
 	return w.NewMachine(), w.NewMachine()
 }
 
-// pipelineOpts varies the pipeline shape with the schedule seed so
-// the suite also sweeps window and batch sizes.
+// pipelineOpts varies the hand-off shape with the schedule seed, so
+// the suite holds "identical sink observations in identical order,
+// inline vs offloaded" for any batch size — down to 1, where every
+// hand-off is a single event — and, on one leg, a queue of one.
 func pipelineOpts(seed uint64) Options {
-	return Options{
-		WindowBatches: 2 * (1 + int(seed)%4),
-		BatchEvents:   []int{32, 64, 256}[int(seed)%3],
+	o := Options{BatchEvents: []int{1, 7, 64, 256, 1024}[seed%5]}
+	if seed%5 == 1 {
+		o.QueueDepth = 1
 	}
+	return o
 }
 
 // sinkObs is one sink observation with the identity of the event that

@@ -3,24 +3,23 @@
 // runs with only a batching event recorder attached (vm.Recorder —
 // one filter check and one struct copy per instruction), and one
 // helper goroutine — the paper's helper thread on a spare core —
-// analyzes the sealed batches downstream.
+// analyzes the sealed batches downstream, in the order they executed.
 //
 // Two analysis kinds run on this machinery: DIFT propagation in this
 // package (the inline transfer function, dift.StepBatch, over one
 // plain shadow.Mem) and the ONTRAC dependence-tracing stage in
-// internal/ontrac (the inline tracer). Both plug a BatchHandler into
-// the shared Consumer (consumer.go), which owns windowing,
-// flush-group alignment, sync ordering and batch recycling, and both
-// replay every window in inline order through the one Seq-ordered
-// walk, WalkSeq. docs/ARCHITECTURE.md places the package in the full
-// path; docs/PERF.md accounts for the record and analyze costs.
+// internal/ontrac (the inline tracer). Both hand a per-batch function
+// to the shared Consumer (consumer.go), which owns the queue, the
+// goroutine and batch recycling. docs/ARCHITECTURE.md places the
+// package in the full path; docs/PERF.md accounts for the record and
+// analyze costs and the hand-off sizing.
 //
 // Equivalence with the inline engines is by construction plus
 // checking: the helper runs the same transfer function over the same
 // kind of shadow memory in the same event order, sinks fire in that
 // order, and the differential suite in this package runs every
 // prog.All() workload under both engines across randomized schedules
-// and window shapes and asserts identical labels and sink streams.
+// and batch sizes and asserts identical labels and sink streams.
 package pipeline
 
 import (
@@ -41,27 +40,20 @@ type Options struct {
 	// BatchEvents is the recorder's per-batch capacity (default
 	// vm.DefaultBatchEvents).
 	BatchEvents int
-	// WindowBatches is how many batches accumulate before a window is
-	// handed to the analysis (default 4). A window only ever closes at
-	// a flush-group boundary; larger windows mean fewer hand-offs,
-	// smaller ones bound latency.
-	WindowBatches int
 	// QueueDepth bounds the recorder→consumer channel; a full queue
-	// applies backpressure to the execution thread (default 64).
+	// applies backpressure to the execution thread (default 16, so
+	// the defaults keep 16 k events in flight).
 	QueueDepth int
 }
 
 // Fill applies defaults in place; the ONTRAC stage shapes its
-// recorder and windows with the same knobs.
+// recorder and queue with the same knobs.
 func (o *Options) Fill() {
 	if o.BatchEvents <= 0 {
 		o.BatchEvents = vm.DefaultBatchEvents
 	}
-	if o.WindowBatches <= 0 {
-		o.WindowBatches = defaultWindowBatches
-	}
 	if o.QueueDepth <= 0 {
-		o.QueueDepth = 64
+		o.QueueDepth = 16
 	}
 }
 
@@ -81,10 +73,8 @@ type Pipeline[L comparable] struct {
 	cons   *Consumer
 	events uint64
 	stats  LearnerStats
-	// capBuf is the window-scoped sink capture and sinkBuf the
-	// one-element dift.Sink slice wrapping it, hoisted here so a
-	// window allocates nothing.
-	capBuf  capture[L]
+	// sinkBuf is the one-element dift.Sink slice StepBatch runs
+	// against: the copying adapter in front of sinks.
 	sinkBuf []dift.Sink[L]
 }
 
@@ -95,8 +85,8 @@ type Pipeline[L comparable] struct {
 func New[L comparable](dom dift.Domain[L], pol dift.Policy, opt Options) *Pipeline[L] {
 	opt.Fill()
 	p := &Pipeline[L]{dom: dom, pol: pol, opt: opt, mem: shadow.NewMem[L]()}
-	p.sinkBuf = []dift.Sink[L]{&p.capBuf}
-	p.cons = NewConsumer(difthandler[L]{p}, opt.WindowBatches)
+	p.sinkBuf = []dift.Sink[L]{copySink[L]{p}}
+	p.cons = NewConsumer(p.handle)
 	return p
 }
 
@@ -107,7 +97,7 @@ func (p *Pipeline[L]) AddSink(s dift.Sink[L]) { p.sinks = append(p.sinks, s) }
 // starts the consumer goroutine. Call Close after the run to flush
 // and drain.
 func (p *Pipeline[L]) Attach(m *vm.Machine) {
-	p.cons.Attach(m, p.opt.BatchEvents, p.opt.QueueDepth, dift.Relevant)
+	p.cons.Attach(m, p.opt, dift.Relevant)
 }
 
 // Close flushes the recorder and drains the consumer. The pipeline's
@@ -176,9 +166,9 @@ func (p *Pipeline[L]) TaintedWords() int { return p.mem.Tainted() }
 // ShadowSizeWords returns the allocated shadow size in cells.
 func (p *Pipeline[L]) ShadowSizeWords() int { return p.mem.SizeWords() }
 
-// LearnerStats counts the windows that held more than one thread's
-// batches. Windows and OrderedMerges are equal — every such window is
-// one ordered walk — and the other fields stay zero.
+// LearnerStats counts the batches whose first and last event belong
+// to different threads, in Windows and OrderedMerges alike; the other
+// fields stay zero.
 //
 // Deprecated: kept only because the frozen bench/ directory reads
 // it; the next benchmark PR removes it (ROADMAP item 5).
@@ -187,8 +177,9 @@ type LearnerStats struct {
 	FastParallel, GroupedParallel, PreciseScans, VerifyMisses uint64
 }
 
-// ConflictStats returns the multi-chain window count. Read only while
-// the pipeline is quiescent — after Close, or between Consume calls.
+// ConflictStats returns the thread-spanning batch count. Read only
+// while the pipeline is quiescent — after Close, or between Consume
+// calls.
 //
 // Deprecated: see LearnerStats.
 func (p *Pipeline[L]) ConflictStats() LearnerStats { return p.stats }

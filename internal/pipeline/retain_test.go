@@ -42,7 +42,7 @@ func runRetain(t *testing.T, text string, inputs []int64) *retainSink {
 		m.SetInput(0, inputs)
 	}
 	pl := New[bool](dift.Bool{}, dift.DefaultPolicy(),
-		Options{BatchEvents: 4, QueueDepth: 1, WindowBatches: 2})
+		Options{BatchEvents: 4, QueueDepth: 1})
 	sink := &retainSink{}
 	pl.AddSink(sink)
 	if res := Run(m, pl); res.Failed {
@@ -73,10 +73,10 @@ func checkRetained(t *testing.T, s *retainSink) {
 	}
 }
 
-// TestSinkEventsSurvivePoolReuse drives the single-thread applyChain
-// path: tiny batches and a depth-1 queue make the recorder recycle a
-// batch almost immediately after its window, so a stale pointer into
-// it is guaranteed to be overwritten while the run is still going.
+// TestSinkEventsSurvivePoolReuse drives a single-thread run: tiny
+// batches and a depth-1 queue make the recorder recycle a batch
+// almost immediately after its hand-off, so a stale pointer into it
+// is guaranteed to be overwritten while the run is still going.
 func TestSinkEventsSurvivePoolReuse(t *testing.T) {
 	s := runRetain(t, `
     in r1, 0
@@ -103,9 +103,9 @@ done:
 	}
 }
 
-// TestSinkEventsSurvivePoolReuseParallel drives the multi-thread
-// paths (parallel chains plus the ordered fallback around the spawn
-// sync batch) through the same retention check.
+// TestSinkEventsSurvivePoolReuseParallel drives a two-thread run,
+// whose batches interleave both threads' events, through the same
+// retention check.
 func TestSinkEventsSurvivePoolReuseParallel(t *testing.T) {
 	s := runRetain(t, fmt.Sprintf(`
 .data 0, 0

@@ -279,7 +279,7 @@ func (s *scenario) inline() {
 // fresh machine with the identical schedule.
 func (s *scenario) pipelines() {
 	s.tb.Helper()
-	popt := pipeline.Options{BatchEvents: 48, WindowBatches: 4}
+	popt := pipeline.Options{BatchEvents: 48}
 
 	m := s.newMachine()
 	bp := pipeline.New[bool](dift.Bool{}, dift.DefaultPolicy(), popt)

@@ -495,10 +495,27 @@ func (s *Server) runSlice(ctx context.Context, req *SliceRequest) (*SliceRespons
 	return resp, http.StatusOK, nil
 }
 
+// maxRequestBytes caps a slice or provenance request body. A valid
+// request is a few hundred bytes (1024 criteria stay under 64 KiB),
+// and the decoder holds a string value whole before Validate can
+// reject it, so an uncapped body is unbounded memory.
+const maxRequestBytes = 1 << 20
+
+// writeDecodeErr answers a body that did not decode: 413 when it ran
+// into maxRequestBytes, 400 otherwise.
+func writeDecodeErr(w http.ResponseWriter, err error) {
+	status := http.StatusBadRequest
+	var tooBig *http.MaxBytesError
+	if errors.As(err, &tooBig) {
+		status = http.StatusRequestEntityTooLarge
+	}
+	writeErr(w, status, "%v", err)
+}
+
 func (s *Server) handleSlice(w http.ResponseWriter, r *http.Request) {
-	req, err := DecodeSliceRequest(r.Body)
+	req, err := DecodeSliceRequest(http.MaxBytesReader(w, r.Body, maxRequestBytes))
 	if err != nil {
-		writeErr(w, http.StatusBadRequest, "%v", err)
+		writeDecodeErr(w, err)
 		return
 	}
 	resp, status, err := s.runSlice(r.Context(), req)
@@ -510,9 +527,9 @@ func (s *Server) handleSlice(w http.ResponseWriter, r *http.Request) {
 }
 
 func (s *Server) handleProvenance(w http.ResponseWriter, r *http.Request) {
-	req, err := DecodeProvenanceRequest(r.Body)
+	req, err := DecodeProvenanceRequest(http.MaxBytesReader(w, r.Body, maxRequestBytes))
 	if err != nil {
-		writeErr(w, http.StatusBadRequest, "%v", err)
+		writeDecodeErr(w, err)
 		return
 	}
 	t, ok := s.reg.Get(req.Trace)

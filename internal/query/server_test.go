@@ -2,6 +2,9 @@ package query
 
 import (
 	"context"
+	"encoding/json"
+	"io"
+	"net/http"
 	"net/http/httptest"
 	"path/filepath"
 	"strings"
@@ -331,5 +334,57 @@ func TestServerDeadline(t *testing.T) {
 	if got.Nodes > full.Nodes || got.Edges > full.Edges {
 		t.Fatalf("deadline-limited slice larger than full: %d/%d vs %d/%d",
 			got.Nodes, got.Edges, full.Nodes, full.Edges)
+	}
+}
+
+// countingBody counts what the handler pulls out of a request body.
+type countingBody struct {
+	r io.Reader
+	n int
+}
+
+func (b *countingBody) Read(p []byte) (int, error) {
+	n, err := b.r.Read(p)
+	b.n += n
+	return n, err
+}
+
+// TestServerCapsRequestBody: an oversized body is answered 413 after
+// at most maxRequestBytes (+1, how MaxBytesReader notices) were read,
+// on both POST endpoints; a valid request padded to exactly the cap
+// is still served.
+func TestServerCapsRequestBody(t *testing.T) {
+	w := prog.Compress(150, 1)
+	_, id, _, s := newService(t, w, true, ServerOptions{})
+	h := s.Handler()
+	post := func(path string, body io.Reader) *httptest.ResponseRecorder {
+		rr := httptest.NewRecorder()
+		h.ServeHTTP(rr, httptest.NewRequest("POST", path, body))
+		return rr
+	}
+
+	for _, path := range []string{"/v1/slice", "/v1/provenance"} {
+		body := &countingBody{r: strings.NewReader(`{"trace":"` + strings.Repeat("a", 2<<20) + `"}`)}
+		rr := post(path, body)
+		if rr.Code != http.StatusRequestEntityTooLarge {
+			t.Fatalf("%s: 2 MiB body answered %d, want 413", path, rr.Code)
+		}
+		var e ErrorResponse
+		if err := json.Unmarshal(rr.Body.Bytes(), &e); err != nil || e.Error == "" {
+			t.Fatalf("%s: 413 body is not an ErrorResponse: %q (%v)", path, rr.Body.String(), err)
+		}
+		if body.n > maxRequestBytes+1 {
+			t.Fatalf("%s: handler read %d bytes of an oversized body, cap %d", path, body.n, maxRequestBytes)
+		}
+	}
+
+	req := SliceRequest{Trace: id, Direction: DirBackward, Criteria: make([]Criterion, MaxCriteria)}
+	buf, err := json.Marshal(&req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	padded := string(buf) + strings.Repeat(" ", maxRequestBytes-len(buf))
+	if rr := post("/v1/slice", strings.NewReader(padded)); rr.Code != http.StatusOK {
+		t.Fatalf("valid request of exactly %d bytes answered %d: %s", maxRequestBytes, rr.Code, rr.Body.String())
 	}
 }

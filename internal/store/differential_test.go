@@ -38,7 +38,11 @@ func runSpilled(t *testing.T, w *prog.Workload, opts ontrac.Options, seed uint64
 		t.Fatal(err)
 	}
 	m := w.NewMachine()
-	off := ontrac.NewOffloaded(w.Prog, opts, pipeline.Options{WindowBatches: 2 * (1 + int(seed)%4)})
+	popt := pipeline.Options{BatchEvents: []int{1, 7, 64, 256, 1024}[seed%5]}
+	if seed%5 == 1 {
+		popt.QueueDepth = 1
+	}
+	off := ontrac.NewOffloaded(w.Prog, opts, popt)
 	off.SpillTo(wr)
 	if res := ontrac.Trace(m, off); res.Failed {
 		t.Fatalf("seed %d: run failed: %s", seed, res.FailMsg)

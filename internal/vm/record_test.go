@@ -46,9 +46,6 @@ done:
 		if len(b.Events) == 0 || len(b.Events) > 4 {
 			t.Fatalf("batch %d has %d events, capacity 4", i, len(b.Events))
 		}
-		if b.Sync {
-			t.Fatalf("batch %d unexpectedly sync", i)
-		}
 		for _, ev := range b.Events {
 			if ev.Seq <= last {
 				t.Fatalf("sequence order violated: %d after %d", ev.Seq, last)
@@ -63,86 +60,104 @@ done:
 	}
 }
 
-func TestRecorderGroupsCoverContiguousRanges(t *testing.T) {
-	// Two threads interleaving: every flush group's batches must
-	// jointly cover a contiguous Seq range, disjoint and increasing
-	// across groups.
-	batches := recordRun(t, `
-.data 0, 0
-    movi r10, 7
+// TestRecorderStreamIsInlineOrder pins the recorder's contract: the
+// concatenated batches are the inline event stream minus blocked and
+// filtered events — every kept event exactly once, Seq strictly
+// ascending across threads and batches — and every batch but the last
+// is full.
+func TestRecorderStreamIsInlineOrder(t *testing.T) {
+	const worker = `
+    movi r2, 0
+wloop:
+    movi r3, 40
+    bge r2, r3, wdone
+    store r1, r2, 0
+    addi r2, r2, 1
+    br wloop
+wdone:
+    halt
+`
+	progs := map[string]string{
+		"two threads": `
+.data 0, 0, 0, 0, 0
+    movi r10, 1
     spawn r20, r10, child
     movi r1, 0
+    movi r2, 0
 loop:
-    movi r2, 30
-    bge r1, r2, done
-    store r0, r1, 0
-    addi r1, r1, 1
+    movi r3, 40
+    bge r2, r3, done
+    store r1, r2, 0
+    addi r2, r2, 1
     br loop
 done:
     join r20
     halt
-child:
-    movi r1, 0
-cloop:
-    movi r2, 30
-    bge r1, r2, cdone
-    store r1, r1, 1
-    addi r1, r1, 1
-    br cloop
-cdone:
-    halt
-`, nil, 8, nil)
-	groups := map[uint64][]*Batch{}
-	var order []uint64
-	for _, b := range batches {
-		if _, ok := groups[b.Group]; !ok {
-			order = append(order, b.Group)
-		}
-		groups[b.Group] = append(groups[b.Group], b)
-	}
-	var prevMax uint64
-	for _, g := range order {
-		lo, hi := uint64(1<<62), uint64(0)
-		n := 0
-		for _, b := range groups[g] {
-			for _, ev := range b.Events {
-				if ev.Seq < lo {
-					lo = ev.Seq
-				}
-				if ev.Seq > hi {
-					hi = ev.Seq
-				}
-				n++
-			}
-		}
-		if lo <= prevMax {
-			t.Fatalf("group %d overlaps or precedes an earlier group (lo %d, prev max %d)", g, lo, prevMax)
-		}
-		prevMax = hi
-		_ = n
-	}
-}
-
-func TestRecorderSpawnIsSoloSyncBatch(t *testing.T) {
-	batches := recordRun(t, `
-    movi r10, 7
+child:` + worker,
+		"four threads": `
+.data 0, 0, 0, 0, 0
+    movi r10, 1
     spawn r20, r10, child
+    movi r10, 2
+    spawn r21, r10, child
+    movi r10, 3
+    spawn r22, r10, child
     join r20
+    join r21
+    join r22
     halt
-child:
-    halt
-`, nil, 64, nil)
-	syncs := 0
-	for _, b := range batches {
-		if b.Sync {
-			syncs++
-			if len(b.Events) != 1 || b.Events[0].Kind != EvSpawn {
-				t.Fatalf("sync batch should hold exactly the spawn event, got %d events", len(b.Events))
+child:` + worker,
+	}
+	keep := func(ev *Event) bool { return ev.Kind != EvBranch }
+	for name, text := range progs {
+		p := isa.MustAssemble("t", text)
+		for _, batchEvents := range []int{1, 8, 1024} {
+			for seed := uint64(0); seed < 4; seed++ {
+				m := MustNew(p, Config{Seed: seed, Quantum: 5, RandomPreempt: true})
+				var want []Event
+				m.AttachTool(ToolFunc(func(_ *Machine, ev *Event) {
+					if !ev.Blocked && keep(ev) {
+						want = append(want, *ev)
+					}
+				}))
+				var batches []*Batch
+				rec := NewRecorder(batchEvents, keep, func(b *Batch) { batches = append(batches, b) })
+				m.AttachTool(rec)
+				if res := m.Run(); res.Failed {
+					t.Fatalf("%s: run failed: %s", name, res.FailMsg)
+				}
+				rec.Flush()
+
+				var got []Event
+				for i, b := range batches {
+					if i < len(batches)-1 && len(b.Events) != batchEvents {
+						t.Fatalf("%s batch=%d seed %d: batch %d of %d holds %d events, want full",
+							name, batchEvents, seed, i, len(batches), len(b.Events))
+					}
+					got = append(got, b.Events...)
+				}
+				if len(got) != len(want) {
+					t.Fatalf("%s batch=%d seed %d: recorded %d events, inline saw %d",
+						name, batchEvents, seed, len(got), len(want))
+				}
+				spawns := 0
+				for i := range want {
+					if got[i] != want[i] {
+						t.Fatalf("%s batch=%d seed %d: event %d diverged from the inline stream:\ngot  %+v\nwant %+v",
+							name, batchEvents, seed, i, got[i], want[i])
+					}
+					if i > 0 && got[i].Seq <= got[i-1].Seq {
+						t.Fatalf("%s batch=%d seed %d: Seq %d after %d", name, batchEvents, seed, got[i].Seq, got[i-1].Seq)
+					}
+					if got[i].Kind == EvSpawn {
+						spawns++
+					}
+				}
+				if spawns == 0 {
+					t.Fatalf("%s: no spawn recorded", name)
+				}
 			}
 		}
-	}
-	if syncs != 1 {
-		t.Fatalf("expected 1 sync batch, got %d", syncs)
 	}
 }
 
