@@ -12,7 +12,7 @@ import (
 // to a fixed constant — must observe Options.Done. A traversal loop
 // that never polls cancellation turns WithCancel/deadline slicing into
 // a fiction: the caller's Done fires and the slicer keeps burning
-// through millions of chunk rows anyway (the exact gap ParallelForward's
+// through millions of chunk rows anyway (the gap forward slicing's old
 // merge phase shipped with).
 //
 // Heuristic, scoped to packages named "slicing" and non-test files: a

@@ -105,3 +105,42 @@ func ignoredScan(src *source, heads []uint64) int {
 	}
 	return n
 }
+
+// yieldSource has the real ddg.Source shape: windows per thread and a
+// DepsOf that yields.
+type yieldSource struct{}
+
+func (s *yieldSource) Threads() []int                        { return nil }
+func (s *yieldSource) Window(tid int) (lo, hi uint64)        { return 0, 0 }
+func (s *yieldSource) DepsOf(id uint64, yield func(ddg.Dep)) {}
+
+// badBuildReverse is a reverse-index build: one pass over every
+// thread's window, proportional to the trace, that never looks at
+// cancellation.
+func badBuildReverse(src *yieldSource) map[uint64][]uint64 {
+	rev := map[uint64][]uint64{}
+	add := func(d ddg.Dep) { rev[d.Def] = append(rev[d.Def], d.Use) }
+	for _, tid := range src.Threads() { // want "traversal loop does not poll cancellation"
+		lo, hi := src.Window(tid)
+		for n := lo; n <= hi && lo != 0; n++ { // want "traversal loop does not poll cancellation"
+			src.DepsOf(uint64(tid)<<48|n, add)
+		}
+	}
+	return rev
+}
+
+// goodBuildReverse polls masked, once per 256 instances.
+func goodBuildReverse(src *yieldSource, o *options) map[uint64][]uint64 {
+	rev := map[uint64][]uint64{}
+	add := func(d ddg.Dep) { rev[d.Def] = append(rev[d.Def], d.Use) }
+	for _, tid := range src.Threads() {
+		lo, hi := src.Window(tid)
+		for n := lo; n <= hi && lo != 0; n++ {
+			if (n-lo)&0xff == 0 && o.doneFired() {
+				return nil
+			}
+			src.DepsOf(uint64(tid)<<48|n, add)
+		}
+	}
+	return rev
+}

@@ -1,6 +1,10 @@
 package ontrac
 
-import "scaldift/internal/ddg"
+import (
+	"sync"
+
+	"scaldift/internal/ddg"
+)
 
 // Reader adapts a dependence store into a ddg.Source for slicing,
 // re-synthesizing the edges O1 and O2 elided. It reads raw records
@@ -57,25 +61,21 @@ func (r *Reader) DepsOf(id ddg.ID, yield func(ddg.Dep)) {
 // elided instances need no such check: every elided dependence passed
 // the writer's distance test, so their reconstruction is exact.
 func (r *Reader) DepsOfHinted(id ddg.ID, pcHint int32, yield func(ddg.Dep)) {
-	var storedDef map[int32]bool
-	r.src.DepsOf(id, func(d ddg.Dep) {
-		if d.Kind == ddg.Data && d.Def != 0 && d.Def.TID() == id.TID() {
-			if storedDef == nil {
-				storedDef = make(map[int32]bool, 4)
-			}
-			storedDef[d.DefPC] = true
-		}
-		yield(d)
-	})
-	if pcHint < 0 {
+	static, dict := byPC(r.t.staticByUse, pcHint), byPC(r.t.dictByUse, pcHint)
+	if len(static) == 0 && len(dict) == 0 {
+		r.src.DepsOf(id, yield) // nothing to reconstruct, nothing to suppress
 		return
 	}
+	storedDef := storedDefsPool.Get().(*storedDefs)
+	defer storedDef.release()
+	storedDef.tid, storedDef.yield = id.TID(), yield
+	r.src.DepsOf(id, storedDef.see)
 	n := id.N()
 	// O1: in-block static dependences hold at id-distance
 	// usePC-defPC, except for instances whose true edge was stored.
-	for _, defPC := range byPC(r.t.staticByUse, pcHint) {
+	for _, defPC := range static {
 		dist := uint64(pcHint - defPC)
-		if dist == 0 || dist >= n || storedDef[defPC] {
+		if dist == 0 || dist >= n || storedDef.has(defPC) {
 			continue
 		}
 		yield(ddg.Dep{
@@ -88,8 +88,8 @@ func (r *Reader) DepsOfHinted(id ddg.ID, pcHint int32, yield func(ddg.Dep)) {
 	// O2: learned patterns for this use site. These may slightly
 	// over-approximate (an instance may match a pattern its own
 	// stores never confirmed), which only ever grows the slice.
-	for _, k := range byPC(r.t.dictByUse, pcHint) {
-		if k.delta >= n || (k.kind == ddg.Data && storedDef[k.defPC]) {
+	for _, k := range dict {
+		if k.delta >= n || (k.kind == ddg.Data && storedDef.has(k.defPC)) {
 			continue
 		}
 		yield(ddg.Dep{
@@ -99,6 +99,60 @@ func (r *Reader) DepsOfHinted(id ddg.ID, pcHint int32, yield func(ddg.Dep)) {
 			Kind:  k.kind,
 		})
 	}
+}
+
+// storedDefs forwards an instance's stored dependences to the
+// caller's yield while collecting the def PCs of its same-thread data
+// dependences. An instance stores a handful at most, so they live in a
+// fixed array scanned linearly, spilling to a slice past it. The
+// callback handed to the source's DepsOf always escapes, so a
+// per-call closure over local state would cost heap allocations on
+// every reconstructed instance: instead the state is pooled, with its
+// method value bound once.
+type storedDefs struct {
+	tid   int
+	yield func(ddg.Dep)
+	see   func(ddg.Dep) // observe, bound at construction
+	n     int
+	small [8]int32
+	spill []int32
+}
+
+var storedDefsPool = sync.Pool{New: func() any {
+	s := new(storedDefs)
+	s.see = s.observe
+	return s
+}}
+
+func (s *storedDefs) observe(d ddg.Dep) {
+	if d.Kind == ddg.Data && d.Def != 0 && d.Def.TID() == s.tid {
+		if s.n < len(s.small) {
+			s.small[s.n] = d.DefPC
+			s.n++
+		} else {
+			s.spill = append(s.spill, d.DefPC)
+		}
+	}
+	s.yield(d)
+}
+
+func (s *storedDefs) has(pc int32) bool {
+	for _, p := range s.small[:s.n] {
+		if p == pc {
+			return true
+		}
+	}
+	for _, p := range s.spill {
+		if p == pc {
+			return true
+		}
+	}
+	return false
+}
+
+func (s *storedDefs) release() {
+	s.yield, s.n, s.spill = nil, 0, s.spill[:0]
+	storedDefsPool.Put(s)
 }
 
 var _ ddg.Source = (*Reader)(nil)

@@ -306,6 +306,14 @@ type StatsResponse struct {
 	// filled into) the generation-keyed result cache.
 	ResultCacheHits   int64 `json:"result_cache_hits,omitempty"`
 	ResultCacheMisses int64 `json:"result_cache_misses,omitempty"`
+	// ReverseIndexBuilds counts the def → uses indexes forward queries
+	// built (one per closed trace, program attachment and raw flag, or
+	// one per query on a live trace); ReverseIndexHits counts forward
+	// queries that walked a cached one instead; ReverseIndexBytes is
+	// what the cached indexes hold in memory right now.
+	ReverseIndexBuilds int64 `json:"reverse_index_builds,omitempty"`
+	ReverseIndexHits   int64 `json:"reverse_index_hits,omitempty"`
+	ReverseIndexBytes  int64 `json:"reverse_index_bytes,omitempty"`
 }
 
 // ErrorResponse is the body of every non-2xx answer.

@@ -22,7 +22,9 @@ import (
 // Nodes, Edges — to the direct in-process ParallelBackward /
 // ParallelForward result over an independently reopened reader with
 // the same O1 reconstruction composed. Provenance answers are held
-// to the same recomputation.
+// to the same recomputation. Forward queries on one trace share one
+// reverse index: the first builds it, every later one walks the
+// cached copy, and each answer still equals the direct one.
 
 // recordTrace runs w offloaded with a randomized schedule, spilling
 // into dir (created under root).
@@ -103,6 +105,10 @@ func TestServedSlicesMatchDirect(t *testing.T) {
 	defer srv.Close()
 	cl := NewClient(srv.URL, srv.Client())
 	ctx := context.Background()
+	revCounts := func(t *testing.T) (builds, hits int64) {
+		b, h, _ := revCounters(t, cl)
+		return b, h
+	}
 
 	for _, e := range entries {
 		e := e
@@ -121,7 +127,8 @@ func TestServedSlicesMatchDirect(t *testing.T) {
 			var allCrits []Criterion
 			var directCrits []slicing.Criterion
 			var directStarts []ddg.ID
-			checked := 0
+			checked, forwards := 0, int64(0)
+			builds0, hits0 := revCounts(t)
 			for _, tid := range r.Threads() {
 				lo, hi := r.Window(tid)
 				if lo == 0 {
@@ -169,6 +176,9 @@ func TestServedSlicesMatchDirect(t *testing.T) {
 				if err := sameSlice(fresp, fdirect); err != nil {
 					t.Fatalf("tid %d forward: %v", tid, err)
 				}
+				if !fresp.Cached {
+					forwards++
+				}
 
 				allCrits = append(allCrits, Criterion{TID: tid, N: hi})
 				directCrits = append(directCrits, directCrit[0])
@@ -205,6 +215,13 @@ func TestServedSlicesMatchDirect(t *testing.T) {
 			}
 			if err := sameSlice(fresp, slicing.ParallelForward(src, e.w.Prog, directStarts, sopts, 4)); err != nil {
 				t.Fatalf("multi forward: %v", err)
+			}
+			if !fresp.Cached {
+				forwards++ // a one-thread trace repeats the per-thread query
+			}
+			if b, h := revCounts(t); b-builds0 != 1 || h-hits0 != forwards-1 {
+				t.Fatalf("%d forward queries built %d reverse indexes and hit %d, want 1 and %d",
+					forwards, b-builds0, h-hits0, forwards-1)
 			}
 
 			// Provenance: served input set vs direct recomputation

@@ -54,6 +54,8 @@ var ErrUnknownTrace = errors.New("query: unknown trace")
 type regStats struct {
 	evicted    atomic.Int64
 	reattached atomic.Int64
+	revBuilds  atomic.Int64 // reverse indexes built (forward queries)
+	revHits    atomic.Int64 // forward queries served from a cached one
 }
 
 // Registry discovers and holds open store.Readers over a fleet of
@@ -89,8 +91,9 @@ type Registry struct {
 // published snapshot (windows, chunk count, liveness, generation,
 // trimmed floors) advances under its own lock as PollLive tails a
 // live store or retention trims it. The reader is a cache: eviction
-// drops it (indexes and all) and the next query re-attaches cold
-// through acquire. The program attachment swaps in atomically.
+// drops it (indexes, chunk cache and forward queries' reverse indexes
+// with it) and the next query re-attaches cold through acquire. The
+// program attachment swaps in atomically.
 type Trace struct {
 	ID  string
 	Dir string
@@ -103,6 +106,7 @@ type Trace struct {
 	// no fds between calls), so in-flight work is never cut off.
 	rmu        sync.Mutex
 	reader     *store.Reader
+	revs       *revCache           // reverse indexes over reader; replaced with it
 	readerOpts store.ReaderOptions // re-attach options (never follow: only closed traces evict)
 
 	lastUsed atomic.Int64 // unix nanos of the last acquire
@@ -121,25 +125,25 @@ type Trace struct {
 	attachSeq atomic.Uint64
 }
 
-// acquire returns the trace's reader, re-attaching a cold one, and
-// stamps the LRU clock.
-func (t *Trace) acquire() (*store.Reader, error) {
+// acquire returns the trace's reader and the reverse-index cache that
+// belongs to it, re-attaching a cold reader, and stamps the LRU clock.
+func (t *Trace) acquire() (*store.Reader, *revCache, error) {
 	t.lastUsed.Store(time.Now().UnixNano())
 	t.rmu.Lock()
 	defer t.rmu.Unlock()
 	if t.reader != nil {
-		return t.reader, nil
+		return t.reader, t.revs, nil
 	}
 	r, err := store.Open(t.Dir, t.readerOpts)
 	if err != nil {
-		return nil, fmt.Errorf("query: re-attach %s: %w", t.ID, err)
+		return nil, nil, fmt.Errorf("query: re-attach %s: %w", t.ID, err)
 	}
-	t.reader = r
+	t.reader, t.revs = r, new(revCache)
 	if t.stats != nil {
 		t.stats.reattached.Add(1)
 	}
 	t.refreshSnapshot(r)
-	return r, nil
+	return r, t.revs, nil
 }
 
 // currentReader returns the open reader without re-attaching (nil
@@ -150,12 +154,12 @@ func (t *Trace) currentReader() *store.Reader {
 	return t.reader
 }
 
-// dropReader detaches and closes the trace's reader, reporting
-// whether one was open.
+// dropReader detaches and closes the trace's reader, releasing the
+// reverse indexes built over it, and reports whether one was open.
 func (t *Trace) dropReader() bool {
 	t.rmu.Lock()
 	r := t.reader
-	t.reader = nil
+	t.reader, t.revs = nil, nil
 	t.rmu.Unlock()
 	if r == nil {
 		return false
@@ -283,6 +287,7 @@ func (g *Registry) register(dir, canon, base string) (id string, ok bool, err er
 		// evict, so follow mode never outlives the first reader.
 		readerOpts: store.ReaderOptions{CacheChunks: g.opts.CacheChunks},
 		reader:     r,
+		revs:       new(revCache),
 	}
 	t.lastUsed.Store(time.Now().UnixNano())
 	t.refreshSnapshot(r)
@@ -447,7 +452,7 @@ func (g *Registry) TrimTrace(id string, ret store.Retention) (removed int, err e
 	// finish against the old reader's index; its trimmed segments read
 	// as holes at worst, never as wrong data.
 	t.dropReader()
-	if _, err := t.acquire(); err != nil {
+	if _, _, err := t.acquire(); err != nil {
 		return removed, err
 	}
 	return removed, nil
@@ -505,6 +510,33 @@ func (g *Registry) EvictedReaders() int64 { return g.stats.evicted.Load() }
 // ReattachedReaders returns how many cold re-attaches queries have
 // paid for.
 func (g *Registry) ReattachedReaders() int64 { return g.stats.reattached.Load() }
+
+// ReverseIndexBuilds returns how many reverse indexes forward queries
+// have built (cached or not).
+func (g *Registry) ReverseIndexBuilds() int64 { return g.stats.revBuilds.Load() }
+
+// ReverseIndexHits returns how many forward queries walked a cached
+// reverse index instead of building one.
+func (g *Registry) ReverseIndexHits() int64 { return g.stats.revHits.Load() }
+
+// ReverseIndexBytes returns the resident size of every cached reverse
+// index across the fleet.
+func (g *Registry) ReverseIndexBytes() int64 {
+	g.mu.RLock()
+	traces := make([]*Trace, 0, len(g.traces))
+	for _, t := range g.traces {
+		traces = append(traces, t)
+	}
+	g.mu.RUnlock()
+	var n int64
+	for _, t := range traces {
+		t.rmu.Lock()
+		revs := t.revs
+		t.rmu.Unlock()
+		n += revs.bytes()
+	}
+	return n
+}
 
 // LiveCount returns how many registered traces are still recording.
 func (g *Registry) LiveCount() int {
@@ -688,18 +720,25 @@ func (t *Trace) Program() *isa.Program {
 // (nil = unlimited), with O1 reconstruction composed on top unless
 // raw or no program is attached.
 func (t *Trace) Source(b *store.Budget, raw bool) (ddg.Source, error) {
-	r, err := t.acquire()
+	src, _, err := t.source(b, raw)
+	return src, err
+}
+
+// source is Source plus the reverse-index cache of the reader src
+// reads.
+func (t *Trace) source(b *store.Budget, raw bool) (ddg.Source, *revCache, error) {
+	r, revs, err := t.acquire()
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
 	var src ddg.Source = r
 	if b != nil {
 		src = r.Budgeted(b)
 	}
 	if a := t.attached.Load(); a != nil && !raw {
-		return a.recon.ReaderOver(src), nil
+		return a.recon.ReaderOver(src), revs, nil
 	}
-	return src, nil
+	return src, revs, nil
 }
 
 // Window returns the thread's last published range (lo = hi = 0 for

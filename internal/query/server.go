@@ -268,6 +268,10 @@ func (s *Server) handleStats(w http.ResponseWriter, _ *http.Request) {
 		ReattachedReaders: s.reg.ReattachedReaders(),
 		ResultCacheHits:   s.cacheHits(),
 		ResultCacheMisses: s.cacheMisses(),
+
+		ReverseIndexBuilds: s.reg.ReverseIndexBuilds(),
+		ReverseIndexHits:   s.reg.ReverseIndexHits(),
+		ReverseIndexBytes:  s.reg.ReverseIndexBytes(),
 	})
 }
 
@@ -425,7 +429,7 @@ func (s *Server) runSlice(ctx context.Context, req *SliceRequest) (*SliceRespons
 	// Read before Source loads the program: a racing attach can then
 	// only file a newer answer under an older key, never the reverse.
 	attach := t.attachSeq.Load()
-	src, err := t.Source(budget, req.Raw)
+	src, revs, err := t.source(budget, req.Raw)
 	if err != nil {
 		return nil, http.StatusInternalServerError, err
 	}
@@ -439,8 +443,9 @@ func (s *Server) runSlice(ctx context.Context, req *SliceRequest) (*SliceRespons
 	// repeat queries hit the result cache; live traces advance between
 	// polls without a generation bump, so they always recompute.
 	var key string
+	gen := t.Generation()
 	if !live {
-		key = sliceCacheKey(req.Trace, t.Generation(), attach, req, crits)
+		key = sliceCacheKey(req.Trace, gen, attach, req, crits)
 		if resp := s.cache.get(key); resp != nil {
 			resp.Cached = true
 			s.served.Add(1)
@@ -463,7 +468,8 @@ func (s *Server) runSlice(ctx context.Context, req *SliceRequest) (*SliceRespons
 		for i, c := range crits {
 			ids[i] = c.ID
 		}
-		sl = slicing.ParallelForward(src, t.Program(), ids, sopts, sliceWorkers)
+		rev := t.reverse(revs, src, live, gen, attach, req.Raw, budget, ctx.Done())
+		sl = slicing.ForwardOver(rev, src, t.Program(), ids, sopts, sliceWorkers)
 	}
 	wall := time.Since(start)
 	s.served.Add(1)

@@ -6,9 +6,14 @@
 // store, or ONTRAC's reconstructing reader (whose elided edges are
 // resolved through the HintedSource extension).
 //
-// Both directions run one traversal core (traverse.go); the workers
-// argument of ParallelBackward / ParallelForward is a switch, not a
-// pool size:
+// Both directions run one traversal core (traverse.go). Backward
+// expands a node through the source's DepsOf; forward expands it
+// through a Reverse, the def → uses index BuildReverse makes in one
+// pass over the source (reverse.go). ParallelForward builds one per
+// call; ForwardOver walks one the caller keeps — the query service
+// caches it per closed trace generation, so repeat forward queries
+// never rescan the trace. The workers argument of ParallelBackward /
+// ParallelForward / ForwardOver is a switch, not a pool size:
 //
 //   - workers <= 1 (what Backward and Forward pass) is the solo walk:
 //     one shard owning every thread, drained as a LIFO worklist on the
@@ -203,14 +208,15 @@ func Forward(g ddg.Source, prog *isa.Program, start []ddg.ID, opts Options) *Sli
 
 // ParallelForward computes the forward dynamic slice (all instances
 // affected by the start instances) over any ddg.Source; workers
-// selects the solo or the sharded walk (see the package comment).
-// Reverse edges are built first, by one scan of the source's retained
-// windows — the dominant cost — which shards per thread like the walk:
-// one scanner per trace thread buckets the edges it finds by the def's
-// owning shard, then each shard merges its buckets into its own
-// reverse map (no shared map). A Done that fires during either phase
-// returns an empty Interrupted slice rather than walking partial
-// buckets.
+// selects the solo or the sharded walk (see the package comment). It
+// is BuildReverse + ForwardOver: one pass over every retained window
+// builds the def → uses index — the dominant cost, and the whole of
+// it when the walk is small — then the walk expands each node through
+// it. A caller that answers many forward queries over an unchanging
+// source builds the index once and calls ForwardOver (the query
+// service caches one per closed trace). A Done that fires during the
+// build returns an empty Interrupted slice rather than walking a
+// partial index.
 //
 // Over a source with elided records (ontrac.Reader under O1/O2), the
 // forward slice under-approximates: reconstruction needs each node's
@@ -222,64 +228,7 @@ func Forward(g ddg.Source, prog *isa.Program, start []ddg.ID, opts Options) *Sli
 // offline version exists for fault-location experiments and
 // cross-checks.
 func ParallelForward(g ddg.Source, prog *isa.Program, start []ddg.ID, opts Options, workers int) *Slice {
-	t := newTraversal(g, opts, workers)
-	tids := g.Threads()
-	buckets := make([][][]ddg.Dep, len(tids)) // [scanned thread][def's shard]
-	t.each(len(tids), func(i int) {
-		out := make([][]ddg.Dep, len(t.all))
-		lo, hi := g.Window(tids[i])
-		for n := lo; n <= hi && lo != 0; n++ {
-			if (n-lo)&donePollMask == 0 && t.doneFired() {
-				break
-			}
-			g.DepsOf(ddg.MakeID(tids[i], n), func(d ddg.Dep) {
-				if opts.follows(d.Kind) {
-					k := t.shardOf(d.Def.TID()).idx
-					out[k] = append(out[k], d)
-				}
-			})
-		}
-		buckets[i] = out
-	})
-	if !t.doneFired() {
-		t.each(len(t.all), func(k int) {
-			s := t.all[k]
-			s.rev = make(map[ddg.ID][]ddg.Dep)
-			for _, b := range buckets {
-				for i, d := range b[k] {
-					if i&donePollMask == 0 && t.doneFired() {
-						return
-					}
-					s.rev[d.Def] = append(s.rev[d.Def], d)
-				}
-			}
-		})
-	}
-	if t.done.Load() {
-		return t.walk(prog)
-	}
-
-	// A def can have trace-proportional fan-out, so expansion polls
-	// too. A discovered use carries its PC on the edge; only the start
-	// instances need a NodePC lookup.
-	t.expander = func(s *shard, edge func(ddg.ID, int32)) func(item) {
-		return func(it item) {
-			for i, d := range s.rev[it.id] {
-				if i&donePollMask == donePollMask && t.doneFired() {
-					return
-				}
-				edge(d.Use, d.UsePC)
-			}
-		}
-	}
-	for _, id := range start {
-		pc, ok := g.NodePC(id)
-		if !ok {
-			pc = -1
-		}
-		t.enqueue(t.shardOf(id.TID()), item{id: id, pc: pc})
-	}
-	return t.walk(prog)
+	return ForwardOver(BuildReverse(g, opts.Done), g, prog, start, opts, workers)
 }
 
 // pcsToLines maps a PC set to a sorted, deduplicated line set. A nil

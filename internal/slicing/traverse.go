@@ -19,8 +19,8 @@ type item struct {
 // shard is one slice of the closure frontier: the instances of the
 // threads it owns, their visited set, and its result tallies. queue,
 // visited, edgePCs and truncated are guarded by mu (other shards'
-// workers push edges here); rev is immutable once the walk starts;
-// nodes, edges, pcs and busy belong to the draining goroutine alone.
+// workers push edges here); nodes, edges, pcs and busy belong to the
+// draining goroutine alone.
 type shard struct {
 	tid int // ShardBusy key; -1 for the orphan shard
 	idx int // position in traversal.all
@@ -31,8 +31,6 @@ type shard struct {
 	visited   map[ddg.ID]bool
 	edgePCs   map[int32]bool // statements of gated instances, reached by edge only
 	truncated bool
-
-	rev map[ddg.ID][]ddg.Dep // forward only: reverse edges of the owned defs
 
 	nodes int
 	edges int

@@ -342,7 +342,7 @@ func TestSliceCancellation(t *testing.T) {
 
 // cancellingSource wraps a Source and closes done after a fixed
 // number of DepsOf calls, firing cancellation deterministically in the
-// middle of ParallelForward's scan phase.
+// middle of BuildReverse's pass.
 type cancellingSource struct {
 	ddg.Source
 	done  chan struct{}
@@ -357,11 +357,12 @@ func (c *cancellingSource) DepsOf(id ddg.ID, yield func(ddg.Dep)) {
 	c.Source.DepsOf(id, yield)
 }
 
-// TestParallelForwardStopsAfterCancelledScan pins the between-phases
-// contract: when Done fires during the scan phase, ParallelForward
-// returns an empty Interrupted slice instead of merging partial
-// buckets and traversing them — edge-proportional work for a result
-// the caller has already declined to wait for.
+// TestParallelForwardStopsAfterCancelledScan pins the build-phase
+// contract: when Done fires while BuildReverse is scanning, the build
+// stops within one poll interval and returns no index, and
+// ParallelForward returns an empty Interrupted slice instead of
+// walking a partial index — edge-proportional work for a result the
+// caller has already declined to wait for.
 func TestParallelForwardStopsAfterCancelledScan(t *testing.T) {
 	w := prog.PSum(4, 800, 7)
 	g := buildWorkloadGraph(t, w, 5)
@@ -374,13 +375,64 @@ func TestParallelForwardStopsAfterCancelledScan(t *testing.T) {
 	if len(starts) == 0 {
 		t.Skip("no recorded instances")
 	}
+	const after = 512
 	done := make(chan struct{})
-	cg := &cancellingSource{Source: g, done: done, after: 512}
+	cg := &cancellingSource{Source: g, done: done, after: after}
+	if rev := BuildReverse(cg, done); rev != nil {
+		t.Fatalf("mid-build cancellation still returned an index of %d edges", rev.Edges())
+	}
+	if calls := cg.calls.Load(); calls > after+donePollMask+1 {
+		t.Fatalf("build ran %d DepsOf calls past cancellation at %d", calls-after, after)
+	}
+
+	done = make(chan struct{})
+	cg = &cancellingSource{Source: g, done: done, after: after}
 	s := ParallelForward(cg, w.Prog, starts, Options{FollowControl: true, Done: done}, 4)
 	if !s.Interrupted {
-		t.Fatal("mid-scan cancellation not marked Interrupted")
+		t.Fatal("mid-build cancellation not marked Interrupted")
 	}
 	if s.Nodes != 0 || s.Edges != 0 || len(s.PCs) != 0 {
-		t.Fatalf("cancelled-in-scan slice still traversed: %d nodes, %d edges", s.Nodes, s.Edges)
+		t.Fatalf("cancelled-in-build slice still traversed: %d nodes, %d edges", s.Nodes, s.Edges)
+	}
+}
+
+// TestReverseShared: one index, built once with every edge kind,
+// serves forward queries under every kind filter and both worker
+// settings, each equal to a ParallelForward that builds its own; and
+// the CSR layout stays within 24 bytes per stored edge.
+func TestReverseShared(t *testing.T) {
+	for _, w := range []*prog.Workload{prog.PSum(4, 300, 7), prog.All()[0]} {
+		g := buildWorkloadGraph(t, w, 4)
+		rev := BuildReverse(g, nil)
+		stored := 0
+		for _, tid := range g.Threads() {
+			lo, hi := g.Window(tid)
+			for n := lo; n <= hi && lo != 0; n++ {
+				stored += len(ddg.CountDeps(g, ddg.MakeID(tid, n)))
+			}
+		}
+		if rev.Edges() != stored {
+			t.Fatalf("%s: index holds %d edges, source stores %d", w.Name, rev.Edges(), stored)
+		}
+		if per := float64(rev.Bytes()) / float64(rev.Edges()); per > 24 {
+			t.Errorf("%s: %.1f B per stored edge, want <= 24", w.Name, per)
+		}
+		var starts []ddg.ID
+		for _, tid := range g.Threads() {
+			if id := oldestWithDeps(g, tid); id != 0 {
+				starts = append(starts, id)
+			}
+		}
+		for _, opts := range []Options{{}, {FollowControl: true}, {FollowControl: true, FollowAnti: true}} {
+			for _, workers := range []int{1, 4} {
+				label := fmt.Sprintf("%s %+v workers %d", w.Name, opts, workers)
+				got := ForwardOver(rev, g, w.Prog, starts, opts, workers)
+				want := ParallelForward(g, w.Prog, starts, opts, workers)
+				if fmt.Sprint(pcList(got)) != fmt.Sprint(pcList(want)) || got.Nodes != want.Nodes || got.Edges != want.Edges {
+					t.Fatalf("%s: shared index %d nodes %d edges, fresh build %d nodes %d edges",
+						label, got.Nodes, got.Edges, want.Nodes, want.Edges)
+				}
+			}
+		}
 	}
 }
