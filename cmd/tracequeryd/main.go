@@ -62,7 +62,7 @@ func main() {
 	deadline := flag.Duration("deadline", 30*time.Second, "default per-query deadline")
 	maxDeadline := flag.Duration("max-deadline", 2*time.Minute, "clamp on requested per-query deadlines")
 	budget := flag.Int64("budget-chunks", 0, "default per-query chunk-load budget (0 = unlimited)")
-	cacheChunks := flag.Int("cache-chunks", 0, "per-thread decoded-chunk cache bound per trace reader (0 = store default)")
+	cacheBytes := flag.Int64("cache-bytes", 0, "byte budget of the decoded-chunk cache every trace reader shares (0 = store default, 64 MiB)")
 	attach := flag.Bool("attach-workloads", true, "attach built-in workload programs to traces named after them")
 	readerTTL := flag.Duration("reader-ttl", 15*time.Minute, "evict a cold trace's reader after this much idle time (0 = never)")
 	maxReaders := flag.Int("max-readers", 0, "cap on open cold-trace readers; the least-recently-used are evicted past it (0 = uncapped)")
@@ -78,10 +78,10 @@ func main() {
 	}
 
 	reg := query.NewRegistry(roots, query.RegistryOptions{
-		CacheChunks: *cacheChunks,
-		Live:        *live,
-		ReaderTTL:   *readerTTL,
-		MaxReaders:  *maxReaders,
+		CacheBytes: *cacheBytes,
+		Live:       *live,
+		ReaderTTL:  *readerTTL,
+		MaxReaders: *maxReaders,
 	})
 	// onAdded runs for every discovery path — the startup scan, the
 	// ticker, and POST /v1/refresh (via ServerOptions.OnRefresh) — so

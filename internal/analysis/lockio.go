@@ -11,7 +11,7 @@ import (
 // sync.Mutex or sync.RWMutex is held. The read path's locks cover
 // index and cache state only; holding one across a disk read or chunk
 // decode serializes every concurrent query touching that state behind
-// the disk (the exact regression store.Reader.depsAt was rebuilt to
+// the disk (the exact regression store.Reader.chunkAt was rebuilt to
 // avoid).
 //
 // The analysis is lexical per function: a region is "locked" between

@@ -14,18 +14,19 @@ import (
 // split was introduced to fix.
 //
 // Statically enforced shapes, in any package that uses the store's
-// naming (putNegative / cachePut / a `cache` field):
+// naming (putNegative, the ChunkCache type, `neg` and `cache` fields):
 //
-//  1. Every call to putNegative or cacheNegative must be dominated by
-//     a damage check: either the call sits in the then-branch of
+//  1. Every call to putNegative must be dominated by a damage check:
+//     either the call sits in the then-branch of
 //     `if errors.Is(err, errDamage)` (or the else-branch of the
 //     negated test), or an earlier statement in the same block returns
 //     when the error is NOT damage.
-//  2. cachePut must never be called with a literal nil deps value —
-//     the negative entry is putNegative's business, where rule 1
-//     applies.
-//  3. `x.cache[...] = nil` outside putNegative is a hand-rolled
-//     negative entry that bypasses the classification; use putNegative.
+//  2. No ChunkCache method may be passed a literal nil — a nil decoded
+//     chunk in the cache is a negative entry by another name, and
+//     negatives are putNegative's business, where rule 1 applies.
+//  3. A write into `x.neg[...]`, or `x.cache[...] = nil`, outside
+//     putNegative is a hand-rolled negative entry that bypasses the
+//     classification; use putNegative.
 var StickyErr = &Analyzer{
 	Name: "stickyerr",
 	Doc:  "restricts the store's negative chunk cache to errDamage-classified errors",
@@ -127,46 +128,48 @@ func (se *stickyErr) exprs(s ast.Stmt, guarded bool) {
 }
 
 func (se *stickyErr) checkCall(call *ast.CallExpr, guarded bool) {
-	name := calleeName(call)
-	switch name {
-	case "putNegative", "cacheNegative":
+	if calleeName(call) == "putNegative" {
 		if !guarded {
-			se.pass.Reportf(call.Pos(), "%s called without an errors.Is(err, errDamage) guard; transient errors must not be negative-cached", name)
+			se.pass.Reportf(call.Pos(), "putNegative called without an errors.Is(err, errDamage) guard; transient errors must not be negative-cached")
 		}
-	case "cachePut":
-		if se.fn == "putNegative" || se.fn == "cacheNegative" {
-			return // putNegative IS the sanctioned nil writer
-		}
-		for _, arg := range call.Args {
-			if id, ok := ast.Unparen(arg).(*ast.Ident); ok && id.Name == "nil" {
-				se.pass.Reportf(call.Pos(), "cachePut called with nil deps creates a negative entry outside putNegative; use putNegative so the errDamage classification applies")
-			}
+		return
+	}
+	fn := calleeFunc(se.pass.TypesInfo, call)
+	if fn == nil || !isPkgType(recvType(fn), "store", "ChunkCache") {
+		return
+	}
+	for _, arg := range call.Args {
+		if id, ok := ast.Unparen(arg).(*ast.Ident); ok && id.Name == "nil" {
+			se.pass.Reportf(call.Pos(), "ChunkCache.%s called with a nil chunk creates a negative entry outside putNegative; use putNegative so the errDamage classification applies", fn.Name())
 		}
 	}
 }
 
-// checkAssign flags `x.cache[...] = nil` outside putNegative itself.
+// checkAssign flags writes into `x.neg[...]` and `x.cache[...] = nil`
+// outside putNegative itself.
 func (se *stickyErr) checkAssign(n *ast.AssignStmt) {
-	if se.fn == "putNegative" || se.fn == "cacheNegative" {
+	if se.fn == "putNegative" {
 		return
 	}
 	for i, lhs := range n.Lhs {
-		if i >= len(n.Rhs) {
-			break
-		}
-		rid, ok := ast.Unparen(n.Rhs[i]).(*ast.Ident)
-		if !ok || rid.Name != "nil" {
-			continue
-		}
 		ix, ok := ast.Unparen(lhs).(*ast.IndexExpr)
 		if !ok {
 			continue
 		}
 		sel, ok := ast.Unparen(ix.X).(*ast.SelectorExpr)
-		if !ok || sel.Sel.Name != "cache" {
+		if !ok {
 			continue
 		}
-		se.pass.Reportf(lhs.Pos(), "nil stored directly into %s bypasses the errDamage classification; call putNegative instead", exprString(ix.X))
+		switch sel.Sel.Name {
+		case "neg":
+			se.pass.Reportf(lhs.Pos(), "%s written outside putNegative bypasses the errDamage classification; call putNegative instead", exprString(ix.X))
+		case "cache":
+			if i < len(n.Rhs) {
+				if rid, ok := ast.Unparen(n.Rhs[i]).(*ast.Ident); ok && rid.Name == "nil" {
+					se.pass.Reportf(lhs.Pos(), "nil stored directly into %s bypasses the errDamage classification; call putNegative instead", exprString(ix.X))
+				}
+			}
+		}
 	}
 }
 

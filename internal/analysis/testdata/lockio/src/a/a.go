@@ -81,6 +81,36 @@ func lockInsideGoroutine(s *state, path string) {
 	}()
 }
 
+// chunkCache stands in for the store's shared decoded-chunk cache: its
+// lock guards accounting only, never a read or a decode.
+type chunkCache struct {
+	mu    sync.Mutex
+	bytes int
+}
+
+func (c *chunkCache) badDecodeUnderCacheLock(rc *ddg.RawChunk) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	c.bytes++
+	rc.Decode() // want "ddg.RawChunk.Decode called while c.mu is held"
+}
+
+func (c *chunkCache) badReadUnderCacheLock(path string) {
+	c.mu.Lock()
+	os.ReadFile(path) // want "os.ReadFile called while c.mu is held"
+	c.mu.Unlock()
+}
+
+// goodLoadThenAdmit is the cache's shape: read and decode first, lock
+// only to admit the result.
+func (c *chunkCache) goodLoadThenAdmit(rc *ddg.RawChunk, path string) {
+	os.ReadFile(path)
+	rc.Decode()
+	c.mu.Lock()
+	c.bytes++
+	c.mu.Unlock()
+}
+
 // pollStyle documents a deliberate exception: the poll path serializes
 // directory scans on purpose.
 func pollStyle(s *state, dir string) {

@@ -48,7 +48,7 @@ func TestDecodeMalformed(t *testing.T) {
 	}
 
 	// The empty chunk is well-formed.
-	if d, err := (RawChunk{BaseN: 1}).Decode(); err != nil || len(d.recs) != 0 || d.Deps(1) != nil {
+	if d, err := (RawChunk{BaseN: 1}).Decode(); err != nil || len(d.recs) != 0 || d.find(1) >= 0 {
 		t.Fatalf("empty chunk: (%v, %v)", d, err)
 	}
 }
@@ -200,8 +200,9 @@ type collectCount uint64
 
 func (s *collectCount) SpillChunk(RawChunk) { *s++ }
 
-// TestDecodeAllocs: decoding allocates the same few objects whether
-// the chunk holds ten records or a thousand.
+// TestDecodeAllocs: decoding allocates the same two objects — the
+// record index and its header — whether the chunk holds ten records
+// or a thousand.
 func TestDecodeAllocs(t *testing.T) {
 	chunkOf := func(records int) RawChunk {
 		var sink collectSink
@@ -222,8 +223,8 @@ func TestDecodeAllocs(t *testing.T) {
 		})
 	}
 	small, large := allocs(chunkOf(10)), allocs(chunkOf(1000))
-	if small != large || large > 3 {
-		t.Fatalf("Decode allocates %v times for 10 records, %v for 1000; want equal and <= 3", small, large)
+	if small != large || large > 2 {
+		t.Fatalf("Decode allocates %v times for 10 records, %v for 1000; want equal and <= 2", small, large)
 	}
 }
 
@@ -245,8 +246,10 @@ func replay(tid int, d *Decoded, size int) RawChunk {
 }
 
 // FuzzChunkDecode feeds Decode arbitrary bodies. It must never panic,
-// must return nothing alongside an error, and whatever it accepts is
-// exactly what Append writes for the records it returned.
+// must return nothing alongside an error, must accept exactly the
+// bodies the arena decoder it replaced (RefDecode) accepts and answer
+// every lookup as that one does, and whatever it accepts is exactly
+// what Append writes for the records it returned.
 func FuzzChunkDecode(f *testing.F) {
 	f.Add([]byte{0x01, 0x05}, uint8(0), uint64(1), uint16(1))
 	f.Add([]byte{0x01, 0x05, 0x02, 0x01}, uint8(0), uint64(1), uint16(1))
@@ -264,11 +267,18 @@ func FuzzChunkDecode(f *testing.F) {
 	f.Fuzz(func(t *testing.T, buf []byte, tid uint8, baseN uint64, count uint16) {
 		rc := RawChunk{TID: int(tid), BaseN: baseN, Count: int(count), Buf: buf}
 		d, err := rc.Decode()
+		ref, refErr := RefDecode(rc)
+		if (err == nil) != (refErr == nil) {
+			t.Fatalf("Decode error %v, arena decoder %v: they must accept the same bodies", err, refErr)
+		}
 		if err != nil {
 			if d != nil {
 				t.Fatalf("Decode returned records alongside %v", err)
 			}
 			return
+		}
+		if err := DiffDecoded(d, ref); err != nil {
+			t.Fatalf("lookup differs from the arena decoder: %v", err)
 		}
 		if len(d.recs) != rc.Count {
 			t.Fatalf("decoded %d records, header counts %d", len(d.recs), rc.Count)

@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"math"
 	"sort"
+	"unsafe"
 )
 
 // Compact is the delta/varint-encoded dependence store. It is
@@ -249,36 +250,103 @@ func (c *Compact) evict() {
 	}
 }
 
-// Decoded is a chunk's records in lookup form: every dependence of
-// the chunk in one arena and an n-ascending index of the records into
-// it, so decoding allocates two slices however many records the chunk
-// holds. It is immutable once built and safe to share.
+// Decoded is a chunk in lookup form: its validated body plus an
+// n-ascending index of its records, 16 bytes each. A record's
+// dependences are decoded from the body on every lookup (Each, UsePC),
+// so a decoded chunk costs its wire bytes and its index rather than a
+// materialized Dep per dependence, and a whole trace can stay
+// resident. Decoding allocates the index and this header however many
+// records the chunk holds; the body is the RawChunk's own Buf, which
+// is immutable. A Decoded is immutable once built and safe to share.
 type Decoded struct {
+	tid  int
+	body []byte
 	recs []decodedRec
-	deps []Dep
 }
 
-// decodedRec indexes one record: its dependences are
-// deps[off : next record's off].
+// decodedRec indexes one record: its instance number, the offset of
+// its flag byte in the body, and its PC.
 type decodedRec struct {
 	n     uint64
 	off   uint32
 	usePC int32
 }
 
-// Deps returns the dependences of instance n (data in stored order,
-// then control, then the SameAs marker); nil when the chunk holds no
-// record for n. The result aliases the arena and must not be written.
+// Bytes returns the memory the decoded chunk holds: its body, its
+// index and its header.
+func (d *Decoded) Bytes() int {
+	return cap(d.body) + cap(d.recs)*int(unsafe.Sizeof(decodedRec{})) + int(unsafe.Sizeof(*d))
+}
+
+// Each calls yield with every dependence of instance n: data in stored
+// order, then control, then the SameAs marker. It yields nothing when
+// the chunk holds no record for n. Decode validated every field, so
+// the walk checks nothing.
+func (d *Decoded) Each(n uint64, yield func(Dep)) {
+	i := d.find(n)
+	if i < 0 {
+		return
+	}
+	r, body := d.recs[i], d.body
+	use, p := MakeID(d.tid, n), int(r.off)+1
+	flags := body[r.off]
+	var enc, defPC uint64
+	for k := flags & flagData; k > 0; k-- {
+		enc, p = uvarintAt(body, p)
+		defPC, p = uvarintAt(body, p)
+		def := MakeID(d.tid, n-enc>>1)
+		if enc&1 == 1 {
+			def = ID(enc >> 1)
+		}
+		yield(Dep{Use: use, UsePC: r.usePC, Def: def, DefPC: int32(defPC), Kind: Data})
+	}
+	if flags&flagCtrl != 0 {
+		enc, p = uvarintAt(body, p)
+		defPC, p = uvarintAt(body, p)
+		yield(Dep{Use: use, UsePC: r.usePC, Def: MakeID(d.tid, n-enc), DefPC: int32(defPC), Kind: Control})
+	}
+	if flags&flagRL != 0 {
+		enc, _ = uvarintAt(body, p)
+		yield(Dep{Use: use, UsePC: r.usePC, Def: MakeID(d.tid, n-enc), DefPC: r.usePC, Kind: SameAs})
+	}
+}
+
+// UsePC returns the PC of instance n's record. ok is false when the
+// chunk holds no record for n, or holds one that stores no dependence:
+// such a record names no node of the graph.
+func (d *Decoded) UsePC(n uint64) (pc int32, ok bool) {
+	i := d.find(n)
+	if i < 0 || d.body[d.recs[i].off] == 0 {
+		return 0, false
+	}
+	return d.recs[i].usePC, true
+}
+
+// uvarintAt reads the varint at body[p], which Decode validated, and
+// returns it with the offset just past it.
+func uvarintAt(body []byte, p int) (uint64, int) {
+	var v uint64
+	for s := uint(0); ; s += 7 {
+		b := body[p]
+		p++
+		if b < 0x80 {
+			return v | uint64(b)<<s, p
+		}
+		v |= uint64(b&0x7f) << s
+	}
+}
+
+// find returns the index of instance n's record, or -1.
 //
 // Instance numbers ascend strictly, so record i holds at least
 // recs[0].n+i and n's record sits at or before index n-recs[0].n —
 // exactly there when every instance since the chunk began stored a
 // record, close by when most did. The search gallops back from that
 // guess, then bisects the bracket it found.
-func (d *Decoded) Deps(n uint64) []Dep {
+func (d *Decoded) find(n uint64) int {
 	recs := d.recs
 	if len(recs) == 0 || n < recs[0].n {
-		return nil
+		return -1
 	}
 	lo := int(min(n-recs[0].n, uint64(len(recs)-1)))
 	hi := lo
@@ -294,20 +362,9 @@ func (d *Decoded) Deps(n uint64) []Dep {
 		}
 	}
 	if recs[lo].n != n {
-		return nil
+		return -1
 	}
-	_, _, deps := d.record(lo)
-	return deps
-}
-
-// record returns the i-th record in n-ascending order.
-func (d *Decoded) record(i int) (n uint64, usePC int32, deps []Dep) {
-	r := d.recs[i]
-	end := uint32(len(d.deps))
-	if i+1 < len(d.recs) {
-		end = d.recs[i+1].off
-	}
-	return r.n, r.usePC, d.deps[r.off:end:end]
+	return lo
 }
 
 // errMalformed is the root of every Decode error.
@@ -373,27 +430,27 @@ const (
 	flagRL   = 1 << 4
 )
 
-// Decode materializes the chunk's records. It is the one decoder for
-// the compact wire format: Compact uses it for in-memory chunks and
-// internal/store for chunks reloaded from segment files, so the two
-// can never drift.
+// Decode validates the chunk and indexes its records. It is the one
+// decoder for the compact wire format: Compact uses it for in-memory
+// chunks and internal/store for chunks reloaded from segment files, so
+// the two can never drift.
 //
 // Buf is untrusted — a CRC-valid file written by anything can reach
 // here — so Decode accepts exactly the bytes Append writes for the
-// records it returns, and nothing else. A short, overflowing or
+// records it indexes, and nothing else. A short, overflowing or
 // non-canonical varint, a record running past the end of Buf, unknown
 // flag bits, a first record not at BaseN, instance numbers that do
 // not strictly ascend, a field Append would have encoded differently
 // for the value it decodes to, or a Count that disagrees with the
 // records present all return an error and no records. Memory is
 // bounded by len(Buf), never by a header field: a first pass frames
-// the records and counts them, a second fills the exactly sized
-// index and arena.
+// the records and counts them, a second checks every field and fills
+// the exactly sized index.
 func (rc RawChunk) Decode() (*Decoded, error) {
 	if uint64(len(rc.Buf)) > math.MaxUint32 || rc.BaseN > maxN {
 		return nil, malformed(0, "header out of range")
 	}
-	nRecs, nDeps := 0, 0
+	nRecs := 0
 	for c := (cursor{buf: rc.Buf}); c.pos < len(c.buf); nRecs++ {
 		if !c.skip(2) || c.pos == len(c.buf) { // useDelta, usePC, then flags
 			return nil, malformed(c.pos, "truncated record")
@@ -404,7 +461,6 @@ func (rc RawChunk) Decode() (*Decoded, error) {
 		if !c.skip(2*pairs + rl) {
 			return nil, malformed(c.pos, "truncated record")
 		}
-		nDeps += pairs + rl
 	}
 	if nRecs != rc.Count {
 		return nil, fmt.Errorf("%w: header counts %d records, body holds %d", errMalformed, rc.Count, nRecs)
@@ -412,9 +468,10 @@ func (rc RawChunk) Decode() (*Decoded, error) {
 
 	// The framing pass found every field's terminating byte, so from
 	// here a read fails only on a varint that is too long or not
-	// canonical, and the flag byte is always in range.
-	recs, deps := make([]decodedRec, nRecs), make([]Dep, nDeps)
-	n, nRecs, nDeps := rc.BaseN, 0, 0
+	// canonical, and the flag byte is always in range. Every field is
+	// read and checked; only the record heads are kept.
+	recs := make([]decodedRec, nRecs)
+	n, nRecs := rc.BaseN, 0
 	for c := (cursor{buf: rc.Buf}); c.pos < len(c.buf); {
 		at := c.pos
 		delta, usePC := c.uvarint(), c.pc()
@@ -426,48 +483,38 @@ func (rc RawChunk) Decode() (*Decoded, error) {
 		}
 		n += delta
 		flags := c.buf[c.pos]
-		c.pos++
 		if flags&^(flagData|flagCtrl|flagRL) != 0 {
 			return nil, malformed(at, "unknown flag bits")
 		}
-		use := MakeID(rc.TID, n)
-		recs[nRecs] = decodedRec{n: n, off: uint32(nDeps), usePC: usePC}
+		recs[nRecs] = decodedRec{n: n, off: uint32(c.pos), usePC: usePC}
 		nRecs++
+		c.pos++
 		for i := flags & flagData; i > 0; i-- {
-			enc, defPC := c.uvarint(), c.pc()
-			var def ID
+			enc := c.uvarint()
+			c.pc()
 			if enc&1 == 1 {
-				def = ID(enc >> 1)
-				c.bad = c.bad || def.TID() == rc.TID
+				c.bad = c.bad || ID(enc>>1).TID() == rc.TID
 			} else {
-				def = MakeID(rc.TID, n-enc>>1)
-				c.bad = c.bad || (n-def.N())<<1 != enc
+				c.bad = c.bad || (n-MakeID(rc.TID, n-enc>>1).N())<<1 != enc
 			}
-			deps[nDeps] = Dep{Use: use, UsePC: usePC, Def: def, DefPC: defPC, Kind: Data}
-			nDeps++
 		}
 		if flags&flagCtrl != 0 {
-			delta, defPC := c.uvarint(), c.pc()
-			def := MakeID(rc.TID, n-delta)
-			c.bad = c.bad || n-def.N() != delta
-			deps[nDeps] = Dep{Use: use, UsePC: usePC, Def: def, DefPC: defPC, Kind: Control}
-			nDeps++
+			delta := c.uvarint()
+			c.pc()
+			c.bad = c.bad || n-MakeID(rc.TID, n-delta).N() != delta
 		}
 		if flags&flagRL != 0 {
 			delta := c.uvarint()
-			def := MakeID(rc.TID, n-delta)
-			c.bad = c.bad || delta == 0 || n-def.N() != delta
-			deps[nDeps] = Dep{Use: use, UsePC: usePC, Def: def, DefPC: usePC, Kind: SameAs}
-			nDeps++
+			c.bad = c.bad || delta == 0 || n-MakeID(rc.TID, n-delta).N() != delta
 		}
 		if c.bad {
 			return nil, malformed(at, "bad dependence field")
 		}
 	}
-	return &Decoded{recs: recs, deps: deps}, nil
+	return &Decoded{tid: rc.TID, body: rc.Buf, recs: recs}, nil
 }
 
-// decode materializes a chunk's records. Only sealed (immutable)
+// decode returns a chunk in lookup form. Only sealed (immutable)
 // chunks enter the cache: caching an open chunk would hide records
 // appended to it after the first query.
 func (c *Compact) decode(ch *chunk) *Decoded {
@@ -504,29 +551,28 @@ func (c *Compact) find(tid int, n uint64) *chunk {
 	return nil
 }
 
-// depsAt returns the stored dependences of id (nil: no record).
-func (c *Compact) depsAt(id ID) []Dep {
+// lookup returns the decoded chunk holding id's record, or nil.
+func (c *Compact) lookup(id ID) *Decoded {
 	ch := c.find(id.TID(), id.N())
 	if ch == nil {
 		return nil
 	}
-	return c.decode(ch).Deps(id.N())
+	return c.decode(ch)
 }
 
 // DepsOf implements Source.
 func (c *Compact) DepsOf(id ID, yield func(Dep)) {
-	for _, d := range c.depsAt(id) {
-		yield(d)
+	if d := c.lookup(id); d != nil {
+		d.Each(id.N(), yield)
 	}
 }
 
 // NodePC implements Source (recorded nodes only).
 func (c *Compact) NodePC(id ID) (int32, bool) {
-	deps := c.depsAt(id)
-	if len(deps) == 0 {
-		return 0, false
+	if d := c.lookup(id); d != nil {
+		return d.UsePC(id.N())
 	}
-	return deps[0].UsePC, true
+	return 0, false
 }
 
 // Threads implements Source.

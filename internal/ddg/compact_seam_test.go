@@ -200,13 +200,12 @@ func TestCompactSealFlushSpill(t *testing.T) {
 			t.Fatalf("chunk %d: %v", i, err)
 		}
 		total += len(d.recs)
-		for j := range d.recs {
-			useN, _, deps := d.record(j)
+		d.Records(func(useN uint64, _ int32, deps []Dep, _ uint64) {
 			got := CountDeps(c, MakeID(0, useN))
 			if fmt.Sprintf("%+v", got) != fmt.Sprintf("%+v", deps) {
 				t.Fatalf("record %d diverged between memory and spill", useN)
 			}
-		}
+		})
 	}
 	if total != 40 {
 		t.Fatalf("spilled stream has %d records, want 40", total)

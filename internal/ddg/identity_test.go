@@ -1,6 +1,7 @@
 package ddg_test
 
 import (
+	"fmt"
 	"testing"
 
 	"scaldift/internal/ddg"
@@ -56,6 +57,31 @@ func appendStream(tb testing.TB, chunks []ddg.RawChunk) []record {
 	return recs
 }
 
+// eachTracedRun traces every workload under four schedules and the
+// three recording configurations and hands fn each run's chunks.
+func eachTracedRun(t *testing.T, fn func(run string, chunks []ddg.RawChunk)) {
+	configs := []struct {
+		name string
+		opts ontrac.Options
+	}{
+		{"unoptimized", ontrac.Unoptimized()},
+		{"static", ontrac.StaticOptions()},
+		{"all", ontrac.AllOptimizations()},
+	}
+	for _, w := range prog.All() {
+		for seed := uint64(0); seed < 4; seed++ {
+			w.Cfg.Seed = seed
+			w.Cfg.RandomPreempt = true
+			if w.Cfg.Quantum == 0 {
+				w.Cfg.Quantum = 11
+			}
+			for _, cfg := range configs {
+				fn(fmt.Sprintf("%s seed %d %s", w.Name, seed, cfg.name), traceChunks(t, w, cfg.opts))
+			}
+		}
+	}
+}
+
 // TestWireFormatByteIdentity is the gate on "not one byte of the wire
 // format changed": for every workload, four schedules and the three
 // recording configurations, the chunk stream the in-place encoder
@@ -65,54 +91,71 @@ func appendStream(tb testing.TB, chunks []ddg.RawChunk) []record {
 // those of the traced run itself, and at a 64-byte one that puts a
 // seam every few records.
 func TestWireFormatByteIdentity(t *testing.T) {
-	configs := []struct {
-		name string
-		opts ontrac.Options
-	}{
-		{"unoptimized", ontrac.Unoptimized()},
-		{"static", ontrac.StaticOptions()},
-		{"all", ontrac.AllOptimizations()},
-	}
 	var records int
-	for _, w := range prog.All() {
-		for seed := uint64(0); seed < 4; seed++ {
-			w.Cfg.Seed = seed
-			w.Cfg.RandomPreempt = true
-			if w.Cfg.Quantum == 0 {
-				w.Cfg.Quantum = 11
+	eachTracedRun(t, func(run string, traced []ddg.RawChunk) {
+		stream := appendStream(t, traced)
+		records += len(stream)
+		for _, chunkSize := range []int{64, 4096} {
+			var got, want chunkSink
+			c := ddg.NewCompactSized(0, chunkSize)
+			c.SetSpill(&got)
+			ref := ddg.NewRefCompact(0, chunkSize, &want)
+			for _, r := range stream {
+				c.Append(r.use, r.usePC, r.deps, r.rlDelta)
+				ref.Append(r.use, r.usePC, r.deps, r.rlDelta)
 			}
-			for _, cfg := range configs {
-				traced := traceChunks(t, w, cfg.opts)
-				stream := appendStream(t, traced)
-				records += len(stream)
-				for _, chunkSize := range []int{64, 4096} {
-					var got, want chunkSink
-					c := ddg.NewCompactSized(0, chunkSize)
-					c.SetSpill(&got)
-					ref := ddg.NewRefCompact(0, chunkSize, &want)
-					for _, r := range stream {
-						c.Append(r.use, r.usePC, r.deps, r.rlDelta)
-						ref.Append(r.use, r.usePC, r.deps, r.rlDelta)
-					}
-					c.Flush()
-					ref.Flush()
-					if err := ddg.DiffChunks(got.chunks, want.chunks); err != nil {
-						t.Fatalf("%s seed %d %s chunk size %d: new encoder vs reference: %v", w.Name, seed, cfg.name, chunkSize, err)
-					}
-					if chunkSize != 4096 {
-						continue
-					}
-					// The replay is lossless: it rebuilds the traced run's
-					// own chunks (up to the order Flush and interleaved
-					// threads spill them in), so the reference was held to
-					// the bytes the tracer really wrote.
-					if err := ddg.DiffChunks(byThread(want.chunks), byThread(traced)); err != nil {
-						t.Fatalf("%s seed %d %s: reference vs traced run: %v", w.Name, seed, cfg.name, err)
-					}
-				}
+			c.Flush()
+			ref.Flush()
+			if err := ddg.DiffChunks(got.chunks, want.chunks); err != nil {
+				t.Fatalf("%s chunk size %d: new encoder vs reference: %v", run, chunkSize, err)
+			}
+			if chunkSize != 4096 {
+				continue
+			}
+			// The replay is lossless: it rebuilds the traced run's own
+			// chunks (up to the order Flush and interleaved threads
+			// spill them in), so the reference was held to the bytes
+			// the tracer really wrote.
+			if err := ddg.DiffChunks(byThread(want.chunks), byThread(traced)); err != nil {
+				t.Fatalf("%s: reference vs traced run: %v", run, err)
 			}
 		}
+	})
+	if records < 100000 {
+		t.Fatalf("only %d records compared — vacuous", records)
 	}
+}
+
+// TestDecodedMatchesReference: the compact decoded form answers every
+// lookup as the arena decoder it replaced (RefDecode) does — each
+// record's dependences, order included, and its use PC, and nothing on
+// the instances beside it — for every workload, four schedules, the
+// three recording configurations and chunk sizes 64 and 4096.
+func TestDecodedMatchesReference(t *testing.T) {
+	var records int
+	eachTracedRun(t, func(run string, traced []ddg.RawChunk) {
+		stream := appendStream(t, traced)
+		for _, chunkSize := range []int{64, 4096} {
+			var sink chunkSink
+			c := ddg.NewCompactSized(0, chunkSize)
+			c.SetSpill(&sink)
+			for _, r := range stream {
+				c.Append(r.use, r.usePC, r.deps, r.rlDelta)
+			}
+			c.Flush()
+			for i, rc := range sink.chunks {
+				d, err := rc.Decode()
+				ref, refErr := ddg.RefDecode(rc)
+				if err != nil || refErr != nil {
+					t.Fatalf("%s chunk size %d chunk %d: %v / reference %v", run, chunkSize, i, err, refErr)
+				}
+				if err := ddg.DiffDecoded(d, ref); err != nil {
+					t.Fatalf("%s chunk size %d chunk %d: %v", run, chunkSize, i, err)
+				}
+				records += rc.Count
+			}
+		}
+	})
 	if records < 100000 {
 		t.Fatalf("only %d records compared — vacuous", records)
 	}

@@ -4,6 +4,8 @@ import (
 	"bytes"
 	"encoding/binary"
 	"fmt"
+	"math"
+	"slices"
 	"sort"
 )
 
@@ -170,15 +172,155 @@ func refAppendUvarint(dst, scratch []byte, v uint64) []byte {
 // splitting the SameAs marker back out into Append's rlDelta, so a
 // decoded chunk can be replayed into an encoder.
 func (d *Decoded) Records(yield func(n uint64, usePC int32, deps []Dep, rlDelta uint64)) {
-	for i := range d.recs {
-		n, usePC, deps := d.record(i)
+	for _, r := range d.recs {
+		var deps []Dep
+		d.Each(r.n, func(dep Dep) { deps = append(deps, dep) })
 		var rlDelta uint64
 		if k := len(deps) - 1; k >= 0 && deps[k].Kind == SameAs {
-			rlDelta = n - deps[k].Def.N()
+			rlDelta = r.n - deps[k].Def.N()
 			deps = deps[:k]
 		}
-		yield(n, usePC, deps, rlDelta)
+		yield(r.n, r.usePC, deps, rlDelta)
 	}
+}
+
+// RefDecoded is a chunk as Decode materialized it before lookups
+// decoded from the body: every dependence in one []Dep arena and an
+// n-ascending index of the records into it. RefDecode survives only
+// here, as the oracle the compact form must match: Decode accepts and
+// rejects exactly the bodies RefDecode does, and Decoded.Each and
+// UsePC answer every lookup as its Deps does.
+type RefDecoded struct {
+	recs []refRec
+	deps []Dep
+}
+
+// refRec indexes one record: its dependences are deps[off : next
+// record's off].
+type refRec struct {
+	n     uint64
+	off   uint32
+	usePC int32
+}
+
+// RefDecode is the arena decoder, unchanged but for its types.
+func RefDecode(rc RawChunk) (*RefDecoded, error) {
+	if uint64(len(rc.Buf)) > math.MaxUint32 || rc.BaseN > maxN {
+		return nil, malformed(0, "header out of range")
+	}
+	nRecs, nDeps := 0, 0
+	for c := (cursor{buf: rc.Buf}); c.pos < len(c.buf); nRecs++ {
+		if !c.skip(2) || c.pos == len(c.buf) { // useDelta, usePC, then flags
+			return nil, malformed(c.pos, "truncated record")
+		}
+		flags := c.buf[c.pos]
+		c.pos++
+		pairs, rl := int(flags&flagData)+int(flags&flagCtrl>>3), int(flags&flagRL>>4)
+		if !c.skip(2*pairs + rl) {
+			return nil, malformed(c.pos, "truncated record")
+		}
+		nDeps += pairs + rl
+	}
+	if nRecs != rc.Count {
+		return nil, fmt.Errorf("%w: header counts %d records, body holds %d", errMalformed, rc.Count, nRecs)
+	}
+
+	recs, deps := make([]refRec, nRecs), make([]Dep, nDeps)
+	n, nRecs, nDeps := rc.BaseN, 0, 0
+	for c := (cursor{buf: rc.Buf}); c.pos < len(c.buf); {
+		at := c.pos
+		delta, usePC := c.uvarint(), c.pc()
+		if c.bad {
+			return nil, malformed(at, "bad record head")
+		}
+		if (delta == 0) != (nRecs == 0) || delta > maxN-n {
+			return nil, malformed(at, "instance numbers do not ascend from BaseN")
+		}
+		n += delta
+		flags := c.buf[c.pos]
+		c.pos++
+		if flags&^(flagData|flagCtrl|flagRL) != 0 {
+			return nil, malformed(at, "unknown flag bits")
+		}
+		use := MakeID(rc.TID, n)
+		recs[nRecs] = refRec{n: n, off: uint32(nDeps), usePC: usePC}
+		nRecs++
+		for i := flags & flagData; i > 0; i-- {
+			enc, defPC := c.uvarint(), c.pc()
+			var def ID
+			if enc&1 == 1 {
+				def = ID(enc >> 1)
+				c.bad = c.bad || def.TID() == rc.TID
+			} else {
+				def = MakeID(rc.TID, n-enc>>1)
+				c.bad = c.bad || (n-def.N())<<1 != enc
+			}
+			deps[nDeps] = Dep{Use: use, UsePC: usePC, Def: def, DefPC: defPC, Kind: Data}
+			nDeps++
+		}
+		if flags&flagCtrl != 0 {
+			delta, defPC := c.uvarint(), c.pc()
+			def := MakeID(rc.TID, n-delta)
+			c.bad = c.bad || n-def.N() != delta
+			deps[nDeps] = Dep{Use: use, UsePC: usePC, Def: def, DefPC: defPC, Kind: Control}
+			nDeps++
+		}
+		if flags&flagRL != 0 {
+			delta := c.uvarint()
+			def := MakeID(rc.TID, n-delta)
+			c.bad = c.bad || delta == 0 || n-def.N() != delta
+			deps[nDeps] = Dep{Use: use, UsePC: usePC, Def: def, DefPC: usePC, Kind: SameAs}
+			nDeps++
+		}
+		if c.bad {
+			return nil, malformed(at, "bad dependence field")
+		}
+	}
+	return &RefDecoded{recs: recs, deps: deps}, nil
+}
+
+// Deps returns the dependences of instance n; nil when the chunk
+// holds no record for n.
+func (d *RefDecoded) Deps(n uint64) []Dep {
+	i := sort.Search(len(d.recs), func(i int) bool { return d.recs[i].n >= n })
+	if i == len(d.recs) || d.recs[i].n != n {
+		return nil
+	}
+	end := uint32(len(d.deps))
+	if i+1 < len(d.recs) {
+		end = d.recs[i+1].off
+	}
+	return d.deps[d.recs[i].off:end:end]
+}
+
+// DiffDecoded reports the first lookup on which d and the reference
+// disagree: the records they index, and the dependences (order
+// included) and use PC of every recorded instance and of the
+// instances on either side of it.
+func DiffDecoded(d *Decoded, ref *RefDecoded) error {
+	if len(d.recs) != len(ref.recs) {
+		return fmt.Errorf("%d records, reference %d", len(d.recs), len(ref.recs))
+	}
+	var got []Dep
+	collect := func(dep Dep) { got = append(got, dep) }
+	for i, r := range ref.recs {
+		if d.recs[i].n != r.n {
+			return fmt.Errorf("record %d is instance %d, reference %d", i, d.recs[i].n, r.n)
+		}
+		for _, n := range []uint64{r.n - 1, r.n, r.n + 1} {
+			got = got[:0]
+			d.Each(n, collect)
+			want := ref.Deps(n)
+			if !slices.Equal(got, want) {
+				return fmt.Errorf("instance %d: deps %+v, reference %+v", n, got, want)
+			}
+			pc, ok := d.UsePC(n)
+			if wantOK := len(want) > 0; ok != wantOK || (ok && pc != want[0].UsePC) {
+				return fmt.Errorf("instance %d: UsePC (%d, %v), reference %+v", n, pc, ok, want)
+			}
+		}
+	}
+	return nil
 }
 
 // DiffChunks reports the first difference between two chunk streams,

@@ -22,6 +22,10 @@ import (
 	"scaldift/internal/vm"
 )
 
+// cacheBytes budgets every decoded-chunk cache the legs read through:
+// a handful of chunks, so CLOCK eviction runs on every corpus seed.
+const cacheBytes = 16 << 10
+
 // Scenario is the differential harness: it generates the program for
 // seed under cfg, computes ground truth with the brute-force oracle,
 // then runs the program through every engine configuration — the
@@ -423,7 +427,7 @@ func (s *scenario) offloaded() {
 	}
 	s.checkGraph("ontrac", off.Reader(), 0)
 
-	r, err := store.Open(dir, store.ReaderOptions{CacheChunks: 4})
+	r, err := store.Open(dir, store.ReaderOptions{Cache: store.NewChunkCache(cacheBytes)})
 	if err != nil {
 		s.tb.Fatal(err)
 	}
@@ -441,7 +445,7 @@ func (s *scenario) offloaded() {
 func (s *scenario) served(root, dir string) {
 	s.tb.Helper()
 	w := s.want
-	reg := query.NewRegistry([]string{root}, query.RegistryOptions{CacheChunks: 4})
+	reg := query.NewRegistry([]string{root}, query.RegistryOptions{CacheBytes: cacheBytes})
 	added, err := reg.Refresh()
 	if err != nil {
 		s.tb.Fatal(err)
@@ -569,7 +573,7 @@ func (s *scenario) trimmed(chunks []ddg.RawChunk) {
 		s.tb.Fatal(err)
 	}
 
-	r, err := store.Open(dir, store.ReaderOptions{CacheChunks: 4})
+	r, err := store.Open(dir, store.ReaderOptions{Cache: store.NewChunkCache(cacheBytes)})
 	if err != nil {
 		s.tb.Fatal(err)
 	}
@@ -603,7 +607,7 @@ func (s *scenario) trimmed(chunks []ddg.RawChunk) {
 
 	// Served: dashboard-style repeats hit the result cache; the next
 	// trim's generation bump invalidates it naturally.
-	reg := query.NewRegistry([]string{root}, query.RegistryOptions{CacheChunks: 4})
+	reg := query.NewRegistry([]string{root}, query.RegistryOptions{CacheBytes: cacheBytes})
 	if _, err := reg.Refresh(); err != nil {
 		s.tb.Fatal(err)
 	}
@@ -669,7 +673,7 @@ func (s *scenario) trimmed(chunks []ddg.RawChunk) {
 		}
 		// A closed-store reader never re-reads the manifest; bound the
 		// oracle against a fresh reader that sees the janitor's trim.
-		r2, err := store.Open(dir, store.ReaderOptions{CacheChunks: 4})
+		r2, err := store.Open(dir, store.ReaderOptions{Cache: store.NewChunkCache(cacheBytes)})
 		if err != nil {
 			s.tb.Fatal(err)
 		}
@@ -758,7 +762,7 @@ func (s *scenario) liveAttached() {
 	total := gate.heldCount()
 	gate.release((total + 1) / 2)
 
-	r, err := store.Open(dir, store.ReaderOptions{Follow: true, CacheChunks: 4})
+	r, err := store.Open(dir, store.ReaderOptions{Follow: true, Cache: store.NewChunkCache(cacheBytes)})
 	if err != nil {
 		s.tb.Fatal(err)
 	}
@@ -785,7 +789,7 @@ func (s *scenario) liveAttached() {
 	}
 
 	// ...and served slices from a live registry over real HTTP.
-	reg := query.NewRegistry([]string{root}, query.RegistryOptions{CacheChunks: 4, Live: true})
+	reg := query.NewRegistry([]string{root}, query.RegistryOptions{CacheBytes: cacheBytes, Live: true})
 	added, err := reg.Refresh()
 	if err != nil {
 		s.tb.Fatal(err)

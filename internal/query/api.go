@@ -314,6 +314,16 @@ type StatsResponse struct {
 	ReverseIndexBuilds int64 `json:"reverse_index_builds,omitempty"`
 	ReverseIndexHits   int64 `json:"reverse_index_hits,omitempty"`
 	ReverseIndexBytes  int64 `json:"reverse_index_bytes,omitempty"`
+	// ChunkCacheBytes is what the decoded-chunk cache every reader
+	// shares holds right now, against ChunkCacheBudgetBytes;
+	// ChunkCacheHits and ChunkCacheMisses count chunk lookups it served
+	// and did not, ChunkCacheEvictions the chunks it evicted to stay
+	// within the budget.
+	ChunkCacheBytes       int64 `json:"chunk_cache_bytes"`
+	ChunkCacheBudgetBytes int64 `json:"chunk_cache_budget_bytes"`
+	ChunkCacheHits        int64 `json:"chunk_cache_hits"`
+	ChunkCacheMisses      int64 `json:"chunk_cache_misses"`
+	ChunkCacheEvictions   int64 `json:"chunk_cache_evictions"`
 }
 
 // ErrorResponse is the body of every non-2xx answer.

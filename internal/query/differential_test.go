@@ -87,7 +87,7 @@ func TestServedSlicesMatchDirect(t *testing.T) {
 		entries = append(entries, entry{w: w, dir: recordTrace(t, root, w, opts, 3)})
 	}
 
-	reg := NewRegistry([]string{root}, RegistryOptions{CacheChunks: 4})
+	reg := NewRegistry([]string{root}, RegistryOptions{CacheBytes: 64 << 10})
 	added, err := reg.Refresh()
 	if err != nil {
 		t.Fatal(err)
@@ -116,7 +116,7 @@ func TestServedSlicesMatchDirect(t *testing.T) {
 			id := filepath.Base(e.dir)
 			// The direct side: an independent reader over the same
 			// directory, same reconstruction composed in-process.
-			r, err := store.Open(e.dir, store.ReaderOptions{CacheChunks: 4})
+			r, err := store.Open(e.dir, store.ReaderOptions{Cache: store.NewChunkCache(64 << 10)})
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -99,7 +99,7 @@ func lifecycleService(b testing.TB) (*Client, *SliceRequest, func()) {
 	chunks, _ := lifecycleChunks()
 	root := b.TempDir()
 	spillRetained(b, filepath.Join(root, "run"), chunks)
-	reg := NewRegistry([]string{root}, RegistryOptions{CacheChunks: 64})
+	reg := NewRegistry([]string{root}, RegistryOptions{})
 	if _, err := reg.Refresh(); err != nil {
 		b.Fatal(err)
 	}

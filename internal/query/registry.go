@@ -20,11 +20,11 @@ import (
 
 // RegistryOptions shapes a Registry.
 type RegistryOptions struct {
-	// CacheChunks is each reader's per-thread decoded-chunk cache
-	// bound (store.ReaderOptions.CacheChunks); 0 takes the store
-	// default. The cache is shared by every query against the trace;
-	// per-query budgets bound how much of it one query may churn.
-	CacheChunks int
+	// CacheBytes budgets the decoded-chunk cache every reader of the
+	// fleet shares (store.ChunkCache); 0 takes
+	// store.DefaultCacheBytes. Per-query budgets bound how much of it
+	// one query may churn.
+	CacheBytes int64
 	// Live registers stores whose writer has not closed yet: the
 	// reader attaches in follow mode, the trace reports live: true
 	// with a monotone frontier, and PollLive advances it until the
@@ -79,6 +79,7 @@ type Registry struct {
 	refreshMu sync.Mutex // serializes Refresh / PollLive / EvictCold / lifecycle ops / Close
 
 	stats regStats
+	cache *store.ChunkCache // every reader's decoded chunks, one budget
 
 	mu     sync.RWMutex
 	closed bool
@@ -180,6 +181,7 @@ func NewRegistry(roots []string, opts RegistryOptions) *Registry {
 	return &Registry{
 		roots:  append([]string(nil), roots...),
 		opts:   opts,
+		cache:  store.NewChunkCache(opts.CacheBytes),
 		traces: make(map[string]*Trace),
 		byDir:  make(map[string]string),
 	}
@@ -272,8 +274,8 @@ func (g *Registry) register(dir, canon, base string) (id string, ok bool, err er
 		return "", false, nil
 	}
 	r, err := store.Open(dir, store.ReaderOptions{
-		CacheChunks: g.opts.CacheChunks,
-		Follow:      !closed,
+		Cache:  g.cache,
+		Follow: !closed,
 	})
 	if err != nil {
 		return "", false, fmt.Errorf("query: open %s: %w", dir, err)
@@ -285,7 +287,7 @@ func (g *Registry) register(dir, canon, base string) (id string, ok bool, err er
 		stats: &g.stats,
 		// Re-attach after eviction is always cold: only closed traces
 		// evict, so follow mode never outlives the first reader.
-		readerOpts: store.ReaderOptions{CacheChunks: g.opts.CacheChunks},
+		readerOpts: store.ReaderOptions{Cache: g.cache},
 		reader:     r,
 		revs:       new(revCache),
 	}
@@ -537,6 +539,11 @@ func (g *Registry) ReverseIndexBytes() int64 {
 	}
 	return n
 }
+
+// ChunkCacheStats snapshots the decoded-chunk cache the fleet's
+// readers share. A reader's chunks leave it when eviction, deletion,
+// a trim's reader swap or Close drops the reader.
+func (g *Registry) ChunkCacheStats() store.CacheStats { return g.cache.Stats() }
 
 // LiveCount returns how many registered traces are still recording.
 func (g *Registry) LiveCount() int {

@@ -255,6 +255,7 @@ func (s *Server) handleHealthz(w http.ResponseWriter, _ *http.Request) {
 }
 
 func (s *Server) handleStats(w http.ResponseWriter, _ *http.Request) {
+	cc := s.reg.ChunkCacheStats()
 	writeJSON(w, http.StatusOK, StatsResponse{
 		Traces:        s.reg.Len(),
 		LiveTraces:    s.reg.LiveCount(),
@@ -272,6 +273,12 @@ func (s *Server) handleStats(w http.ResponseWriter, _ *http.Request) {
 		ReverseIndexBuilds: s.reg.ReverseIndexBuilds(),
 		ReverseIndexHits:   s.reg.ReverseIndexHits(),
 		ReverseIndexBytes:  s.reg.ReverseIndexBytes(),
+
+		ChunkCacheBytes:       cc.Bytes,
+		ChunkCacheBudgetBytes: cc.Budget,
+		ChunkCacheHits:        cc.Hits,
+		ChunkCacheMisses:      cc.Misses,
+		ChunkCacheEvictions:   cc.Evictions,
 	})
 }
 

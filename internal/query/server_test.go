@@ -26,7 +26,7 @@ func newService(t *testing.T, w *prog.Workload, attach bool, sopts ServerOptions
 	opts := ontrac.StaticOptions()
 	root := t.TempDir()
 	dir := recordTrace(t, root, w, opts, 1)
-	reg := NewRegistry([]string{root}, RegistryOptions{CacheChunks: 4})
+	reg := NewRegistry([]string{root}, RegistryOptions{CacheBytes: 64 << 10})
 	if _, err := reg.Refresh(); err != nil {
 		t.Fatal(err)
 	}

@@ -126,7 +126,7 @@ func benchCriterion(b testing.TB, r *Reader) slicing.Criterion {
 // coldSlice reopens the store from disk and runs one backward slice
 // (workers <= 1: sequential).
 func coldSlice(b testing.TB, dir string, workers int) *slicing.Slice {
-	r, err := Open(dir, ReaderOptions{CacheChunks: 64})
+	r, err := Open(dir, ReaderOptions{})
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -209,7 +209,7 @@ func benchSyntheticStore(t testing.TB) (string, *isa.Program) {
 // coldSliceAll reopens dir cold and slices from every thread's newest
 // recorded instance at once (workers <= 1: sequential).
 func coldSliceAll(t testing.TB, dir string, p *isa.Program, workers int) *slicing.Slice {
-	r, err := Open(dir, ReaderOptions{CacheChunks: 64})
+	r, err := Open(dir, ReaderOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}

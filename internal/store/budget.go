@@ -80,19 +80,9 @@ func (v *BudgetedReader) Threads() []int { return v.r.Threads() }
 func (v *BudgetedReader) Window(tid int) (uint64, uint64) { return v.r.Window(tid) }
 
 // DepsOf implements ddg.Source, charging chunk loads to the budget.
-func (v *BudgetedReader) DepsOf(id ddg.ID, yield func(ddg.Dep)) {
-	for _, d := range v.r.depsAt(id, v.b) {
-		yield(d)
-	}
-}
+func (v *BudgetedReader) DepsOf(id ddg.ID, yield func(ddg.Dep)) { v.r.depsOf(id, v.b, yield) }
 
 // NodePC implements ddg.Source, charging chunk loads to the budget.
-func (v *BudgetedReader) NodePC(id ddg.ID) (int32, bool) {
-	deps := v.r.depsAt(id, v.b)
-	if len(deps) == 0 {
-		return 0, false
-	}
-	return deps[0].UsePC, true
-}
+func (v *BudgetedReader) NodePC(id ddg.ID) (int32, bool) { return v.r.nodePC(id, v.b) }
 
 var _ ddg.Source = (*BudgetedReader)(nil)

@@ -16,8 +16,10 @@ import (
 // reader's chunk cache is kept tiny so goroutines constantly miss,
 // evict, and race on the same chunks, exercising the
 // decode-outside-the-lock path; every query's result is held to the
-// sequentially computed expectation. Run under -race by the CI test
-// job.
+// sequentially computed expectation. Two more readers over the same
+// store share one cache whose budget holds a few chunks, so their
+// queries also evict each other's chunks and fill behind each other's
+// evictions. Run under -race by the CI test job.
 func TestConcurrentReaderStress(t *testing.T) {
 	w := prog.PSum(4, 2000, 7)
 	_, r := runSpilled(t, w, ontrac.Unoptimized(), 1)
@@ -54,7 +56,18 @@ func TestConcurrentReaderStress(t *testing.T) {
 		t.Fatal("need a multi-thread trace for a meaningful stress test")
 	}
 
-	const goroutines = 8
+	shared := NewChunkCache(48 << 10)
+	readers := []*Reader{r}
+	for i := 0; i < 2; i++ {
+		ri, err := Open(r.dir, ReaderOptions{Cache: shared})
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer ri.Close()
+		readers = append(readers, ri)
+	}
+
+	const goroutines = 9
 	var wg sync.WaitGroup
 	errc := make(chan error, goroutines)
 	for gi := 0; gi < goroutines; gi++ {
@@ -62,6 +75,7 @@ func TestConcurrentReaderStress(t *testing.T) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
+			r := readers[gi%len(readers)]
 			for qi, e := range exps {
 				check := func(kind string, got *slicing.Slice, want *slicing.Slice) bool {
 					if fmt.Sprint(got.Lines) != fmt.Sprint(want.Lines) ||
@@ -115,8 +129,13 @@ func TestConcurrentReaderStress(t *testing.T) {
 	for err := range errc {
 		t.Error(err)
 	}
-	if err := r.Err(); err != nil {
-		t.Fatalf("reader surfaced I/O error under concurrency: %v", err)
+	for _, r := range readers {
+		if err := r.Err(); err != nil {
+			t.Fatalf("reader surfaced I/O error under concurrency: %v", err)
+		}
+	}
+	if st := shared.Stats(); st.Evictions == 0 || st.Bytes > st.Budget {
+		t.Fatalf("shared cache: %d evictions, %d of %d bytes resident; want evictions within the budget", st.Evictions, st.Bytes, st.Budget)
 	}
 }
 
@@ -137,7 +156,7 @@ func TestBudgetExhaustion(t *testing.T) {
 	}
 
 	// Cold reader so cache hits cannot mask the budget.
-	r2, err := Open(r.dir, ReaderOptions{CacheChunks: 4})
+	r2, err := Open(r.dir, ReaderOptions{Cache: NewChunkCache(16 << 10)})
 	if err != nil {
 		t.Fatal(err)
 	}

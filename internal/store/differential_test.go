@@ -54,7 +54,7 @@ func runSpilled(t *testing.T, w *prog.Workload, opts ontrac.Options, seed uint64
 		t.Fatalf("seed %d: %d chunks sealed, %d written", seed,
 			off.Buffer().SpilledChunks(), wr.ChunksSpilled())
 	}
-	r, err := Open(dir, ReaderOptions{CacheChunks: 4})
+	r, err := Open(dir, ReaderOptions{Cache: NewChunkCache(16 << 10)})
 	if err != nil {
 		t.Fatalf("seed %d: reopen: %v", seed, err)
 	}

@@ -100,7 +100,7 @@ func FuzzCompactRoundTrip(f *testing.F) {
 			t.Fatal(err)
 		}
 
-		r, err := Open(dir, ReaderOptions{CacheChunks: 2})
+		r, err := Open(dir, ReaderOptions{Cache: NewChunkCache(2 << 10)})
 		if err != nil {
 			t.Fatal(err)
 		}

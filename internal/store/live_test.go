@@ -33,7 +33,7 @@ func TestStoreLiveFollowTail(t *testing.T) {
 	appendPhase(c, model, threads, 1, 100)
 	c.Flush()
 
-	r, err := Open(dir, ReaderOptions{Follow: true, CacheChunks: 4})
+	r, err := Open(dir, ReaderOptions{Follow: true, Cache: NewChunkCache(16 << 10)})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -17,10 +17,10 @@ import (
 
 // ReaderOptions tunes a Reader.
 type ReaderOptions struct {
-	// CacheChunks bounds the decoded-chunk cache per thread (default
-	// 8 chunks, matching Compact's in-memory cache): slicing over a
-	// store far larger than RAM keeps only this working set decoded.
-	CacheChunks int
+	// Cache holds the reader's decoded chunks. Readers handed the same
+	// cache share its byte budget, as every reader of a query.Registry
+	// does; nil gives the reader a private cache of DefaultCacheBytes.
+	Cache *ChunkCache
 	// Follow attaches to a store whose writer may still be running:
 	// an unclosed manifest means "live", not crash damage, and Poll
 	// picks up newly landed chunks, new segments, and the final
@@ -41,8 +41,8 @@ type ReaderOptions struct {
 // last manifest write are discovered by scan); each thread's chunk
 // index loads lazily on first access (sealed segments via their
 // footer, unsealed or damaged segments via a CRC-checked prefix
-// scan), and chunk payloads load and decode on demand through a
-// bounded per-thread cache. No file handles are held between calls,
+// scan), and chunk payloads load and decode on demand into the
+// reader's ChunkCache. No file handles are held between calls,
 // so a store of many thousands of segments never exhausts the fd
 // limit.
 //
@@ -71,6 +71,7 @@ type Reader struct {
 	recovered  bool
 	trimLo     map[int]uint64 // per-tid retention floor from the manifest
 	err        error          // first unexpected I/O error (not crash damage)
+	closed     bool           // Close ran: new threads admit nothing to the cache
 
 	tailScanned atomic.Int64 // bytes read by incremental tail scans
 }
@@ -85,11 +86,12 @@ type threadState struct {
 	segOff    int64    // scan resume offset in segs[nextSeg] (0 = header unread)
 	segChunks int      // chunks already indexed from segs[nextSeg]
 	chunks    []tChunk // across segments, ascending baseN
-	cache     map[int]*ddg.Decoded
-	fifo      []int
+	// cache maps an index into chunks to the thread's resident entry
+	// in the reader's ChunkCache.
+	cache map[int]*cacheEntry
 	// Negative entries (structurally damaged chunks) live in their own
-	// bounded set so a burst of damage can never FIFO-evict healthy
-	// decoded chunks out of cache.
+	// set, at most maxNegatives, so a burst of damage can never evict
+	// healthy decoded chunks.
 	neg     map[int]bool
 	negFifo []int
 	// epoch fences in-flight chunk loads across index rewrites: a
@@ -97,6 +99,10 @@ type threadState struct {
 	// ts.mu before the prune must not cache its result under a stale
 	// index.
 	epoch int
+	// closed is set by Reader.Close: the thread admits nothing more to
+	// the cache, so a query still running on a closed reader cannot
+	// leave entries behind in a shared one.
+	closed bool
 	// Follow mode caches the open tail segment's fd across polls (and
 	// pins its file against retention) instead of reopening it once per
 	// poll; closed again the moment the segment completes or the store
@@ -143,8 +149,8 @@ var errDamage = errors.New("store: damaged chunk")
 // last intact chunk. With Follow, an unclosed store is live and the
 // same prefix is the current frontier, advanced by Poll.
 func Open(dir string, opts ReaderOptions) (*Reader, error) {
-	if opts.CacheChunks <= 0 {
-		opts.CacheChunks = 8
+	if opts.Cache == nil {
+		opts.Cache = NewChunkCache(0)
 	}
 	man, err := readManifest(dir)
 	if err != nil {
@@ -221,7 +227,7 @@ func (r *Reader) adopt(man *manifest, entries []os.DirEntry) (fresh map[int][]re
 	for tid, segs := range fresh {
 		sort.Slice(segs, func(i, j int) bool { return segs[i].seq < segs[j].seq })
 		if _, ok := r.threads[tid]; !ok {
-			r.threads[tid] = &threadState{tid: tid}
+			r.threads[tid] = &threadState{tid: tid, closed: r.closed}
 			r.tids = append(r.tids, tid)
 		}
 	}
@@ -245,15 +251,21 @@ func parseSegName(name string) (tid, seq int, ok bool) {
 	return tid, seq, tid >= 0 && seq >= 0
 }
 
-// Close releases any cached tail fds (follow mode holds one per
-// thread while the store is live) and their retention pins. A
-// non-follow reader holds no handles between calls, so Close is then
-// a no-op; either way the reader stays usable for queries afterwards
-// (the next access reopens what it needs).
+// Close releases the reader's decoded chunks from its cache, and any
+// cached tail fds (follow mode holds one per thread while the store is
+// live) with their retention pins. The reader stays usable for queries
+// afterwards — the next access reopens what it needs — but caches no
+// chunk again, so a query still running on it cannot leave entries in
+// a shared cache.
 func (r *Reader) Close() error {
+	r.mu.Lock()
+	r.closed = true
+	r.mu.Unlock()
 	for _, ts := range r.allThreads() {
 		ts.mu.Lock()
 		ts.closeTail(r.opts.Pins)
+		ts.closed = true
+		r.opts.Cache.drop(ts)
 		ts.mu.Unlock()
 	}
 	return nil
@@ -406,7 +418,7 @@ func (r *Reader) Poll() (advanced bool, err error) {
 				ts.segs[i].sealed = true
 			}
 		}
-		if ts.pruneTrimmed(minSeq[ts.tid]) {
+		if ts.pruneTrimmed(minSeq[ts.tid], r.opts.Cache) {
 			advanced = true // the window's lo edge moved up
 		}
 		before := len(ts.chunks)
@@ -429,9 +441,9 @@ func (r *Reader) Poll() (advanced bool, err error) {
 // pruneTrimmed drops segments below the thread's trim floor (ts.mu
 // held): retention deleted their files, so their indexed chunks must
 // leave the window rather than resurface as crash loss on the next
-// read. Rewriting ts.chunks shifts every cache index, so both caches
-// are dropped wholesale and the epoch fences out in-flight loaders.
-func (ts *threadState) pruneTrimmed(minSeq int) (pruned bool) {
+// read. Rewriting ts.chunks shifts every chunk index, so the thread's
+// indexes are invalidated (see reindexed).
+func (ts *threadState) pruneTrimmed(minSeq int, cache *ChunkCache) (pruned bool) {
 	if minSeq <= 0 {
 		return false
 	}
@@ -452,13 +464,18 @@ func (ts *threadState) pruneTrimmed(minSeq int) (pruned bool) {
 	}
 	if len(kept) != len(ts.chunks) {
 		ts.chunks = kept
-		ts.cache = make(map[int]*ddg.Decoded)
-		ts.fifo = nil
-		ts.neg = make(map[int]bool)
-		ts.negFifo = nil
-		ts.epoch++
+		ts.reindexed(cache)
 	}
 	return pruned
+}
+
+// reindexed forgets everything keyed by chunk index (ts.mu held): the
+// thread's resident chunks, its negatives, and — by bumping the epoch
+// — what loads still in flight would cache.
+func (ts *threadState) reindexed(cache *ChunkCache) {
+	cache.drop(ts)
+	ts.neg, ts.negFifo = nil, nil
+	ts.epoch++
 }
 
 // ensureLoaded builds the thread's chunk index on first access
@@ -468,8 +485,6 @@ func (r *Reader) ensureLoaded(ts *threadState) {
 		return
 	}
 	ts.loaded = true
-	ts.cache = make(map[int]*ddg.Decoded, r.opts.CacheChunks)
-	ts.neg = make(map[int]bool)
 	r.advanceThread(ts, r.isLive())
 }
 
@@ -772,39 +787,28 @@ func readChunk(path string, tid int, tc tChunk) (*ddg.Decoded, error) {
 	return d, nil
 }
 
-// cachePut inserts a decoded chunk (ts.mu held), evicting FIFO past
-// the bound. Only healthy decoded chunks go here — negative entries
-// have their own bounded set (putNegative), so damage bursts cannot
-// crowd hot data out of the decode cache.
-func (ts *threadState) cachePut(idx int, d *ddg.Decoded, bound int) {
-	if len(ts.fifo) >= bound {
-		old := ts.fifo[0]
-		ts.fifo = ts.fifo[1:]
-		delete(ts.cache, old)
-	}
-	ts.cache[idx] = d
-	ts.fifo = append(ts.fifo, idx)
-}
-
 // putNegative records a negative entry for a chunk whose payload is
-// structurally damaged (ts.mu held). Negatives are bounded separately
-// from the decode cache: a negative costs a map slot, not a decoded
-// chunk's worth of memory, and sharing the FIFO used to let a burst
-// of damaged-chunk probes evict every healthy hot chunk. This is the
-// ONLY sanctioned way to make a chunk invisible: callers must first
-// classify the load error with errors.Is(err, errDamage) — the
-// stickyerr analyzer enforces it — because negative-caching a
-// transient failure (a short read racing an in-flight append, a
-// momentary open error) would keep serving a hole for the chunk's
-// whole instance range after the writer completes it.
-func (ts *threadState) putNegative(idx int, bound int) {
+// structurally damaged (ts.mu held), forgetting the oldest past
+// maxNegatives. Negatives are bounded apart from the chunk cache: a
+// negative costs a map slot, not a decoded chunk's worth of memory,
+// and sharing one bound used to let a burst of damaged-chunk probes
+// evict every healthy hot chunk. This is the ONLY sanctioned way to
+// make a chunk invisible: callers must first classify the load error
+// with errors.Is(err, errDamage) — the stickyerr analyzer enforces it
+// — because negative-caching a transient failure (a short read racing
+// an in-flight append, a momentary open error) would keep serving a
+// hole for the chunk's whole instance range after the writer
+// completes it.
+func (ts *threadState) putNegative(idx int) {
 	if ts.neg[idx] {
 		return
 	}
-	if len(ts.negFifo) >= bound {
-		old := ts.negFifo[0]
+	if len(ts.negFifo) >= maxNegatives {
+		delete(ts.neg, ts.negFifo[0])
 		ts.negFifo = ts.negFifo[1:]
-		delete(ts.neg, old)
+	}
+	if ts.neg == nil {
+		ts.neg = make(map[int]bool)
 	}
 	ts.neg[idx] = true
 	ts.negFifo = append(ts.negFifo, idx)
@@ -853,25 +857,40 @@ func (r *Reader) Window(tid int) (uint64, uint64) {
 }
 
 // DepsOf implements ddg.Source.
-func (r *Reader) DepsOf(id ddg.ID, yield func(ddg.Dep)) {
-	deps := r.depsAt(id, nil)
-	for _, d := range deps {
-		yield(d)
+func (r *Reader) DepsOf(id ddg.ID, yield func(ddg.Dep)) { r.depsOf(id, nil, yield) }
+
+// NodePC implements ddg.Source (recorded nodes only).
+func (r *Reader) NodePC(id ddg.ID) (int32, bool) { return r.nodePC(id, nil) }
+
+// depsOf yields id's stored dependences, charging a chunk load to
+// budget.
+func (r *Reader) depsOf(id ddg.ID, budget *Budget, yield func(ddg.Dep)) {
+	if d := r.chunkAt(id, budget); d != nil {
+		d.Each(id.N(), yield)
 	}
 }
 
-// depsAt returns the stored deps of id (possibly nil). Chunk loads
-// are charged to budget (nil: unlimited) and run with ts.mu RELEASED:
-// the lock covers only index/cache state, so concurrent traversals of
-// one thread overlap their I/O instead of convoying behind it. Two
-// goroutines missing on the same chunk may both decode it; the second
-// result is dropped in favor of the cached first — duplicate work,
-// never inconsistent state.
-func (r *Reader) depsAt(id ddg.ID, budget *Budget) []ddg.Dep {
+// nodePC returns id's stored PC, charging a chunk load to budget.
+func (r *Reader) nodePC(id ddg.ID, budget *Budget) (int32, bool) {
+	if d := r.chunkAt(id, budget); d != nil {
+		return d.UsePC(id.N())
+	}
+	return 0, false
+}
+
+// chunkAt returns the decoded chunk holding id's record, or nil. Chunk
+// loads are charged to budget (nil: unlimited) and run with ts.mu
+// RELEASED: the lock covers only index and cache state, so concurrent
+// traversals of one thread overlap their I/O instead of convoying
+// behind it. Two goroutines missing on the same chunk may both decode
+// it; the second result is dropped in favor of the cached first —
+// duplicate work, never inconsistent state.
+func (r *Reader) chunkAt(id ddg.ID, budget *Budget) *ddg.Decoded {
 	ts := r.thread(id.TID())
 	if ts == nil {
 		return nil
 	}
+	cache := r.opts.Cache
 	ts.mu.Lock()
 	r.ensureLoaded(ts)
 	idx := ts.findChunk(id.N())
@@ -879,9 +898,9 @@ func (r *Reader) depsAt(id ddg.ID, budget *Budget) []ddg.Dep {
 		ts.mu.Unlock()
 		return nil
 	}
-	if d, ok := ts.cache[idx]; ok {
+	if d := cache.get(ts, idx); d != nil {
 		ts.mu.Unlock()
-		return d.Deps(id.N())
+		return d
 	}
 	if ts.neg[idx] {
 		ts.mu.Unlock()
@@ -889,9 +908,9 @@ func (r *Reader) depsAt(id ddg.ID, budget *Budget) []ddg.Dep {
 	}
 	// Cache miss: snapshot what the load needs and decode outside the
 	// lock. Indexed segs and chunks only ever append — except when a
-	// retention prune rewrites them, which bumps ts.epoch; the epoch
-	// check on re-lock keeps this loader from caching under an index
-	// that moved underneath it.
+	// retention prune rewrites them, which bumps ts.epoch; fill checks
+	// the epoch so this loader never caches under an index that moved
+	// underneath it.
 	epoch := ts.epoch
 	tc := ts.chunks[idx]
 	path := ts.segs[tc.seg].path
@@ -927,36 +946,18 @@ func (r *Reader) depsAt(id ddg.ID, budget *Budget) []ddg.Dep {
 		r.markRecovered()
 		ts.mu.Lock()
 		if ts.epoch == epoch {
-			if prev, ok := ts.cache[idx]; ok {
+			if e := ts.cache[idx]; e != nil {
 				// Another loader raced us in: serve its entry rather
-				// than overwriting it.
+				// than hiding the chunk.
 				ts.mu.Unlock()
-				return prev.Deps(id.N())
+				return e.d
 			}
-			ts.putNegative(idx, r.opts.CacheChunks)
+			ts.putNegative(idx)
 		}
 		ts.mu.Unlock()
 		return nil
 	}
-	ts.mu.Lock()
-	if ts.epoch == epoch {
-		if prev, ok := ts.cache[idx]; ok {
-			d = prev // another loader won the race: serve its copy
-		} else {
-			ts.cachePut(idx, d, r.opts.CacheChunks)
-		}
-	}
-	ts.mu.Unlock()
-	return d.Deps(id.N())
-}
-
-// NodePC implements ddg.Source (recorded nodes only).
-func (r *Reader) NodePC(id ddg.ID) (int32, bool) {
-	deps := r.depsAt(id, nil)
-	if len(deps) == 0 {
-		return 0, false
-	}
-	return deps[0].UsePC, true
+	return cache.fill(ts, idx, epoch, d)
 }
 
 // Chunks returns the total indexed chunk count (loading every

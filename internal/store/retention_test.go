@@ -549,8 +549,7 @@ func TestStoreDamageBurstKeepsHealthyCache(t *testing.T) {
 	dir := t.TempDir()
 	spillAll(t, dir, Options{SegmentBytes: 1 << 20}, 1, 1200, 64)
 
-	const cacheBound = 2
-	r, err := Open(dir, ReaderOptions{CacheChunks: cacheBound})
+	r, err := Open(dir, ReaderOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -562,7 +561,7 @@ func TestStoreDamageBurstKeepsHealthyCache(t *testing.T) {
 	chunks := append([]tChunk(nil), ts.chunks...)
 	path := ts.segs[0].path
 	ts.mu.Unlock()
-	if len(chunks) < 8 {
+	if len(chunks) < maxNegatives+3 {
 		t.Fatal("need a longer chunk run")
 	}
 
@@ -587,7 +586,7 @@ func TestStoreDamageBurstKeepsHealthyCache(t *testing.T) {
 		f.Close()
 		overwriteAt(t, path, off, []byte{buf[0] ^ 0x5A})
 	}
-	burst := chunks[1 : 1+2*cacheBound+1]
+	burst := chunks[1 : 1+maxNegatives+2]
 	flip(chunks[0])
 	for _, tc := range burst {
 		flip(tc)
@@ -611,7 +610,7 @@ func TestStoreDamageBurstKeepsHealthyCache(t *testing.T) {
 	ts.mu.Lock()
 	negs, negFifo := len(ts.neg), len(ts.negFifo)
 	ts.mu.Unlock()
-	if negs > cacheBound || negFifo > cacheBound {
-		t.Fatalf("negative set unbounded: %d entries / %d fifo over bound %d", negs, negFifo, cacheBound)
+	if negs > maxNegatives || negFifo > maxNegatives {
+		t.Fatalf("negative set unbounded: %d entries / %d fifo over bound %d", negs, negFifo, maxNegatives)
 	}
 }

@@ -127,7 +127,7 @@ func TestStoreRoundTrip(t *testing.T) {
 func TestStoreSmallCache(t *testing.T) {
 	dir := t.TempDir()
 	model := spillAll(t, dir, Options{SegmentBytes: 1024}, 2, 600, 64)
-	r, err := Open(dir, ReaderOptions{CacheChunks: 1})
+	r, err := Open(dir, ReaderOptions{Cache: NewChunkCache(1 << 10)})
 	if err != nil {
 		t.Fatal(err)
 	}
