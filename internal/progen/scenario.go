@@ -23,7 +23,7 @@ import (
 )
 
 // cacheBytes budgets every decoded-chunk cache the legs read through:
-// a handful of chunks, so CLOCK eviction runs on every corpus seed.
+// a handful of chunks, so eviction runs on every corpus seed.
 const cacheBytes = 16 << 10
 
 // Scenario is the differential harness: it generates the program for

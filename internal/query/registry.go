@@ -297,6 +297,7 @@ func (g *Registry) register(dir, canon, base string) (id string, ok bool, err er
 	g.mu.Lock()
 	defer g.mu.Unlock()
 	if _, raced := g.byDir[canon]; raced {
+		r.Close()
 		return "", false, nil
 	}
 	id = base
@@ -308,6 +309,7 @@ func (g *Registry) register(dir, canon, base string) (id string, ok bool, err er
 		// first).
 		id = base + "@" + dirTag(canon)
 		if _, taken := g.traces[id]; taken {
+			r.Close()
 			return "", false, fmt.Errorf("query: trace id collision for %s", canon)
 		}
 	}

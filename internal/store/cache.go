@@ -2,7 +2,6 @@ package store
 
 import (
 	"sync"
-	"sync/atomic"
 
 	"scaldift/internal/ddg"
 )
@@ -27,31 +26,30 @@ const maxNegatives = 8
 //
 // A hit never takes the cache's lock: each thread of each reader keeps
 // its resident chunks in a map under its own mutex (threadState.mu),
-// and a hit only sets the entry's reference bit. The cache lock is
-// taken on a miss, to admit the loaded chunk and choose victims by
-// CLOCK (a referenced entry loses its bit and is passed over once),
-// and when a reader closes or a retention prune rewrites a thread's
-// index. Victims leave their owner's map after every lock is released.
-// Lock order: a thread's mutex, then the cache's, never the reverse.
+// and counts its own hits and misses. The cache lock is taken on a
+// miss, to admit the loaded chunk and evict the oldest admitted chunks
+// until it fits, and when a reader closes or a retention prune
+// rewrites a thread's index. Victims leave their owner's map after
+// every lock is released. Lock order: a reader's mutex or a thread's,
+// then the cache's, never the reverse.
 type ChunkCache struct {
 	budget int64
 
-	mu    sync.Mutex
-	ring  []*cacheEntry // every admitted entry, swept by CLOCK's hand
-	hand  int
-	bytes int64
-
-	hits, misses, evictions atomic.Int64
+	mu     sync.Mutex
+	fifo   cacheEntry // sentinel of the admission order: fifo.next is the oldest entry
+	bytes  int64
+	owners map[*threadState]bool // open reader threads, whose lookups Stats sums
+	// Lookups of threads that have since closed, and evictions.
+	hits, misses, evictions int64
 }
 
 // cacheEntry is one resident decoded chunk, owner.cache[idx].
 type cacheEntry struct {
-	owner *threadState
-	idx   int
-	d     *ddg.Decoded
-	size  int64
-	pos   int         // index in ring, -1 once out of it (ChunkCache.mu)
-	ref   atomic.Bool // set by hits: CLOCK's second chance
+	owner      *threadState
+	idx        int
+	d          *ddg.Decoded
+	size       int64
+	prev, next *cacheEntry // admission order (ChunkCache.mu); nil once out of it
 }
 
 // NewChunkCache returns an empty cache holding at most budget bytes of
@@ -60,12 +58,15 @@ func NewChunkCache(budget int64) *ChunkCache {
 	if budget <= 0 {
 		budget = DefaultCacheBytes
 	}
-	return &ChunkCache{budget: budget}
+	c := &ChunkCache{budget: budget, owners: make(map[*threadState]bool)}
+	c.fifo.prev, c.fifo.next = &c.fifo, &c.fifo
+	return c
 }
 
 // CacheStats is a snapshot of a ChunkCache: the bytes resident against
 // the budget, chunk lookups served from the cache (Hits) and not
-// (Misses), and the chunks CLOCK evicted to stay within the budget.
+// (Misses), and the chunks evicted to stay within the budget. Lookups
+// a reader makes after its Close are not counted.
 type CacheStats struct {
 	Bytes, Budget, Hits, Misses, Evictions int64
 }
@@ -73,28 +74,33 @@ type CacheStats struct {
 // Stats snapshots the cache's counters.
 func (c *ChunkCache) Stats() CacheStats {
 	c.mu.Lock()
-	bytes := c.bytes
-	c.mu.Unlock()
-	return CacheStats{
-		Bytes:     bytes,
-		Budget:    c.budget,
-		Hits:      c.hits.Load(),
-		Misses:    c.misses.Load(),
-		Evictions: c.evictions.Load(),
+	defer c.mu.Unlock()
+	s := CacheStats{Bytes: c.bytes, Budget: c.budget, Hits: c.hits, Misses: c.misses, Evictions: c.evictions}
+	for ts := range c.owners {
+		s.Hits += ts.hits.Load()
+		s.Misses += ts.misses.Load()
 	}
+	return s
 }
 
-// get returns ts's resident chunk idx, or nil (ts.mu held).
+// register makes ts, a new thread of an open reader, one whose lookups
+// Stats counts until the reader closes.
+func (c *ChunkCache) register(ts *threadState) {
+	c.mu.Lock()
+	c.owners[ts] = true
+	c.mu.Unlock()
+}
+
+// get returns ts's resident chunk idx, or nil (ts.mu held). The lookup
+// is counted on ts, so concurrent lookups on different threads share
+// no counter.
 func (c *ChunkCache) get(ts *threadState, idx int) *ddg.Decoded {
 	e := ts.cache[idx]
 	if e == nil {
-		c.misses.Add(1)
+		ts.misses.Add(1)
 		return nil
 	}
-	if !e.ref.Load() {
-		e.ref.Store(true)
-	}
-	c.hits.Add(1)
+	ts.hits.Add(1)
 	return e.d
 }
 
@@ -118,9 +124,9 @@ func (c *ChunkCache) fill(ts *threadState, idx, epoch int, d *ddg.Decoded) *ddg.
 }
 
 // admit makes d resident as ts's chunk idx (ts.mu held) and returns
-// the entries CLOCK evicted to make room, still in their owners' maps.
-// A chunk larger than the whole budget, or one a closed reader loaded,
-// is not admitted.
+// the entries evicted to make room, oldest first, still in their
+// owners' maps. A chunk larger than the whole budget, or one a closed
+// reader loaded, is not admitted.
 func (c *ChunkCache) admit(ts *threadState, idx int, d *ddg.Decoded) (victims []*cacheEntry) {
 	size := int64(d.Bytes())
 	if ts.closed || size > c.budget {
@@ -129,10 +135,13 @@ func (c *ChunkCache) admit(ts *threadState, idx int, d *ddg.Decoded) (victims []
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	for c.bytes+size > c.budget {
-		victims = append(victims, c.sweep())
+		v := c.fifo.next
+		c.unlink(v)
+		c.evictions++
+		victims = append(victims, v)
 	}
-	e := &cacheEntry{owner: ts, idx: idx, d: d, size: size, pos: len(c.ring)}
-	c.ring = append(c.ring, e)
+	e := &cacheEntry{owner: ts, idx: idx, d: d, size: size, prev: c.fifo.prev, next: &c.fifo}
+	e.prev.next, c.fifo.prev = e, e
 	c.bytes += size
 	if ts.cache == nil {
 		ts.cache = make(map[int]*cacheEntry)
@@ -141,54 +150,32 @@ func (c *ChunkCache) admit(ts *threadState, idx int, d *ddg.Decoded) (victims []
 	return victims
 }
 
-// sweep unlinks and returns CLOCK's next victim (c.mu held, ring not
-// empty): the first entry from the hand whose reference bit is clear,
-// clearing the bits it passes. Hits racing the sweep can set bits
-// again, so after two full turns the entry under the hand goes
-// regardless.
-func (c *ChunkCache) sweep() *cacheEntry {
-	for turns := 2 * len(c.ring); ; turns-- {
-		if c.hand >= len(c.ring) {
-			c.hand = 0
-		}
-		e := c.ring[c.hand]
-		if turns > 0 && e.ref.Swap(false) {
-			c.hand++
-			continue
-		}
-		c.unlink(e)
-		c.evictions.Add(1)
-		return e
-	}
-}
-
-// unlink takes e out of the ring and the byte count (c.mu held). The
-// ring's last entry moves into e's slot.
+// unlink takes e out of the admission order and the byte count (c.mu
+// held).
 func (c *ChunkCache) unlink(e *cacheEntry) {
-	last := len(c.ring) - 1
-	c.ring[e.pos] = c.ring[last]
-	c.ring[e.pos].pos = e.pos
-	c.ring[last] = nil
-	c.ring = c.ring[:last]
+	e.prev.next, e.next.prev = e.next, e.prev
+	e.prev, e.next = nil, nil
 	c.bytes -= e.size
-	e.pos = -1
 }
 
-// drop releases every chunk ts holds (ts.mu held): a closing reader
-// frees its bytes, and a retention prune empties the map whose indexes
-// it is about to rewrite.
+// drop releases every chunk ts holds (ts.mu held): a retention prune
+// empties the map whose indexes it is about to rewrite, and a closing
+// reader frees its bytes. A closed ts also stops being an owner: its
+// lookups move into the cache's totals.
 func (c *ChunkCache) drop(ts *threadState) {
-	if len(ts.cache) == 0 {
-		return
-	}
 	c.mu.Lock()
+	defer c.mu.Unlock()
 	for _, e := range ts.cache {
-		if e.pos >= 0 {
+		if e.next != nil {
 			c.unlink(e)
 		}
 	}
-	c.mu.Unlock()
 	ts.cache = nil
+	if ts.closed && c.owners[ts] {
+		delete(c.owners, ts)
+		c.hits += ts.hits.Load()
+		c.misses += ts.misses.Load()
+	}
 }
 
 // release removes evicted entries from their owners' maps. It runs

@@ -34,9 +34,10 @@ type cacheKey struct {
 // each (owner, index) loaded in the owner's current epoch plus a byte
 // counter. After every step the bytes resident stay within the budget
 // and equal what the resident entries hold, every resident entry is in
-// its owner's map, no closed reader holds one, and a lookup returns
-// only a chunk its own owner loaded at that index in its current
-// epoch — never another owner's, never one from before a prune.
+// its owner's map, no closed reader holds one, the hits and misses
+// counted equal the lookups' outcomes, and a lookup returns only a
+// chunk its own owner loaded at that index in its current epoch —
+// never another owner's, never one from before a prune.
 func FuzzChunkCache(f *testing.F) {
 	f.Add([]byte{0, 0, 1, 4, 1, 0, 0, 0, 2, 0, 1, 0}, uint16(600))
 	f.Add([]byte{0, 1, 2, 9, 0, 2, 2, 9, 3, 1, 2, 0, 1, 0, 0, 0, 1, 0, 0, 0, 2, 1, 2, 0}, uint16(300))
@@ -44,6 +45,10 @@ func FuzzChunkCache(f *testing.F) {
 	f.Fuzz(func(t *testing.T, ops []byte, budget uint16) {
 		c := NewChunkCache(1 + int64(budget))
 		owners := []*threadState{{tid: 0}, {tid: 1}, {tid: 2}}
+		for _, ts := range owners {
+			c.register(ts)
+		}
+		var hits, misses int64
 		loaded := make(map[cacheKey]map[*ddg.Decoded]bool)
 		forget := func(ts *threadState) {
 			for k := range loaded {
@@ -98,6 +103,11 @@ func FuzzChunkCache(f *testing.F) {
 				if d != nil && !loaded[k][d] {
 					t.Fatalf("lookup of (%d,%d) served another owner's or a pruned epoch's chunk", ts.tid, k.idx)
 				}
+				if d != nil {
+					hits++
+				} else {
+					misses++
+				}
 			case 3: // a retention prune rewrites the owner's index
 				ts.mu.Lock()
 				ts.reindexed(c)
@@ -110,8 +120,12 @@ func FuzzChunkCache(f *testing.F) {
 				ts.mu.Unlock()
 				forget(ts)
 				owners[slot] = &threadState{tid: ts.tid}
+				c.register(owners[slot])
 			}
 			checkCache(t, c, owners, loaded)
+			if st := c.Stats(); st.Hits != hits || st.Misses != misses {
+				t.Fatalf("stats count %d hits / %d misses, lookups made %d / %d", st.Hits, st.Misses, hits, misses)
+			}
 		}
 	})
 }
@@ -122,10 +136,10 @@ func checkCache(t *testing.T, c *ChunkCache, owners []*threadState, loaded map[c
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	var model int64
-	for i, e := range c.ring {
+	for e := c.fifo.next; e != &c.fifo; e = e.next {
 		switch {
-		case e.pos != i:
-			t.Fatalf("ring slot %d holds an entry that thinks it is at %d", i, e.pos)
+		case e.next.prev != e:
+			t.Fatalf("admission order broken after (%d,%d)", e.owner.tid, e.idx)
 		case e.owner.closed:
 			t.Fatalf("a closed reader's chunk (%d,%d) is resident", e.owner.tid, e.idx)
 		case e.owner.cache[e.idx] != e:
@@ -143,9 +157,42 @@ func checkCache(t *testing.T, c *ChunkCache, owners []*threadState, loaded map[c
 	}
 	for _, ts := range owners {
 		for idx, e := range ts.cache {
-			if e.pos < 0 {
+			if e.next == nil {
 				t.Fatalf("(%d,%d) stayed in its owner's map after eviction", ts.tid, idx)
 			}
 		}
+	}
+}
+
+// TestChunkCacheEvictsOldestFirst: eviction follows admission order
+// alone. A hit on the oldest chunk does not save it; evicted chunks
+// leave their owner's map, and the survivors stay servable.
+func TestChunkCacheEvictsOldestFirst(t *testing.T) {
+	ds := []*ddg.Decoded{decodedOf(t, 0, 4), decodedOf(t, 0, 4), decodedOf(t, 0, 4), decodedOf(t, 0, 4)}
+	c := NewChunkCache(int64(3 * ds[0].Bytes()))
+	ts := &threadState{}
+	c.register(ts)
+	lookup := func(idx int) *ddg.Decoded {
+		ts.mu.Lock()
+		defer ts.mu.Unlock()
+		return c.get(ts, idx)
+	}
+	for idx, d := range ds[:3] {
+		c.fill(ts, idx, 0, d)
+	}
+	if lookup(0) != ds[0] {
+		t.Fatal("chunk 0 not resident before the cache is full")
+	}
+	c.fill(ts, 3, 0, ds[3])
+	if lookup(0) != nil {
+		t.Fatal("a hit kept the oldest chunk resident past a full cache")
+	}
+	for idx := 1; idx < 4; idx++ {
+		if lookup(idx) != ds[idx] {
+			t.Fatalf("chunk %d evicted; want only the oldest gone", idx)
+		}
+	}
+	if st := c.Stats(); st.Evictions != 1 || st.Hits != 4 || st.Misses != 1 {
+		t.Fatalf("stats %+v; want 1 eviction, 4 hits, 1 miss", st)
 	}
 }

@@ -20,6 +20,8 @@ type ReaderOptions struct {
 	// Cache holds the reader's decoded chunks. Readers handed the same
 	// cache share its byte budget, as every reader of a query.Registry
 	// does; nil gives the reader a private cache of DefaultCacheBytes.
+	// A reader sharing a cache must be closed when it is done: Close
+	// takes its threads and chunks out of the cache.
 	Cache *ChunkCache
 	// Follow attaches to a store whose writer may still be running:
 	// an unclosed manifest means "live", not crash damage, and Poll
@@ -87,8 +89,10 @@ type threadState struct {
 	segChunks int      // chunks already indexed from segs[nextSeg]
 	chunks    []tChunk // across segments, ascending baseN
 	// cache maps an index into chunks to the thread's resident entry
-	// in the reader's ChunkCache.
-	cache map[int]*cacheEntry
+	// in the reader's ChunkCache; hits and misses count its lookups
+	// (written under mu, summed by ChunkCache.Stats).
+	cache        map[int]*cacheEntry
+	hits, misses atomic.Int64
 	// Negative entries (structurally damaged chunks) live in their own
 	// set, at most maxNegatives, so a burst of damage can never evict
 	// healthy decoded chunks.
@@ -227,7 +231,11 @@ func (r *Reader) adopt(man *manifest, entries []os.DirEntry) (fresh map[int][]re
 	for tid, segs := range fresh {
 		sort.Slice(segs, func(i, j int) bool { return segs[i].seq < segs[j].seq })
 		if _, ok := r.threads[tid]; !ok {
-			r.threads[tid] = &threadState{tid: tid, closed: r.closed}
+			ts := &threadState{tid: tid, closed: r.closed}
+			if !r.closed {
+				r.opts.Cache.register(ts)
+			}
+			r.threads[tid] = ts
 			r.tids = append(r.tids, tid)
 		}
 	}

@@ -545,25 +545,39 @@ func TestStoreFollowerClosesTailFDsOnFlip(t *testing.T) {
 // healthy hot chunk. Negatives now live in their own bounded set: a
 // healthy cached chunk must survive the burst — provably served from
 // memory, because its on-disk bytes are corrupted before the burst.
+// The cache holds exactly the hot chunk, so anything the burst admitted
+// or evicted would push it out.
 func TestStoreDamageBurstKeepsHealthyCache(t *testing.T) {
 	dir := t.TempDir()
 	spillAll(t, dir, Options{SegmentBytes: 1 << 20}, 1, 1200, 64)
 
-	r, err := Open(dir, ReaderOptions{})
+	probe, err := Open(dir, ReaderOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	probe.Threads()
+	pts := probe.thread(0)
+	pts.mu.Lock()
+	chunks := append([]tChunk(nil), pts.chunks...)
+	path := pts.segs[0].path
+	pts.mu.Unlock()
+	probe.Close()
+	if len(chunks) < maxNegatives+3 {
+		t.Fatal("need a longer chunk run")
+	}
+	hotChunk, err := readChunk(path, 0, chunks[0])
+	if err != nil {
+		t.Fatal(err)
+	}
+	cache := NewChunkCache(int64(hotChunk.Bytes()))
+
+	r, err := Open(dir, ReaderOptions{Cache: cache})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer r.Close()
 	r.Threads() // index while intact
-
 	ts := r.thread(0)
-	ts.mu.Lock()
-	chunks := append([]tChunk(nil), ts.chunks...)
-	path := ts.segs[0].path
-	ts.mu.Unlock()
-	if len(chunks) < maxNegatives+3 {
-		t.Fatal("need a longer chunk run")
-	}
 
 	hot := ddg.MakeID(0, chunks[0].lastN)
 	if deps := ddg.CountDeps(r, hot); len(deps) == 0 {
@@ -605,6 +619,9 @@ func TestStoreDamageBurstKeepsHealthyCache(t *testing.T) {
 	// now-corrupt bytes and served a hole.
 	if deps := ddg.CountDeps(r, hot); len(deps) == 0 {
 		t.Fatal("healthy hot chunk evicted by damage negatives")
+	}
+	if st := cache.Stats(); st.Evictions != 0 || st.Bytes != int64(hotChunk.Bytes()) {
+		t.Fatalf("after the damage burst: %d evictions, %d bytes resident; want 0 and only the hot chunk's %d", st.Evictions, st.Bytes, hotChunk.Bytes())
 	}
 
 	ts.mu.Lock()
