@@ -1,5 +1,5 @@
 // Command scaldiftvet runs the repo's project-specific analyzer suite
-// (poolescape, lockio, cancelpoll, stickyerr, trimpin — see
+// (poolescape, lockio, cancelpoll, stickyerr — see
 // internal/analysis).
 //
 // Two modes:

@@ -53,7 +53,6 @@ func Suite() []*Analyzer {
 		LockIO,
 		CancelPoll,
 		StickyErr,
-		TrimPin,
 	}
 }
 

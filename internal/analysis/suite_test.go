@@ -23,10 +23,6 @@ func TestStickyErr(t *testing.T) {
 	antest.Run(t, "testdata/stickyerr", analysis.StickyErr, "store")
 }
 
-func TestTrimPin(t *testing.T) {
-	antest.Run(t, "testdata/trimpin", analysis.TrimPin, "store")
-}
-
 func TestSuiteNamesAreUnique(t *testing.T) {
 	seen := map[string]bool{}
 	for _, a := range analysis.Suite() {
@@ -38,7 +34,7 @@ func TestSuiteNamesAreUnique(t *testing.T) {
 		}
 		seen[a.Name] = true
 	}
-	if len(seen) < 5 {
-		t.Errorf("suite has %d analyzers, want at least 5", len(seen))
+	if len(seen) < 4 {
+		t.Errorf("suite has %d analyzers, want at least 4", len(seen))
 	}
 }

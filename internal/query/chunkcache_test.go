@@ -191,9 +191,8 @@ func TestChunkCacheTrimNeverStale(t *testing.T) {
 	})
 	t.Run("LivePrune", func(t *testing.T) {
 		dir := t.TempDir()
-		pins := store.NewPinSet()
 		wr, err := store.Create(store.Options{Dir: dir, SegmentBytes: 1 << 10,
-			Retain: store.Retention{MaxBytes: 4 << 10, Pins: pins}})
+			Retain: store.Retention{MaxBytes: 4 << 10}})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -201,7 +200,7 @@ func TestChunkCacheTrimNeverStale(t *testing.T) {
 		c.SetSpill(wr)
 		appendChain(c, 0, 1, 200)
 		c.Flush()
-		r, err := store.Open(dir, store.ReaderOptions{Follow: true, Pins: pins, Cache: store.NewChunkCache(16 << 10)})
+		r, err := store.Open(dir, store.ReaderOptions{Follow: true, Cache: store.NewChunkCache(16 << 10)})
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -366,12 +366,12 @@ func (g *Registry) PollLive() (closedIDs []string, err error) {
 	return closedIDs, firstErr
 }
 
-// EvictCold demotes idle cold readers to save index memory and fds:
-// first every reader idle past ReaderTTL, then — if more than
-// MaxReaders remain open — the least-recently-used down to the cap.
-// Live follow-mode traces are exempt on both passes: their pinned
-// tail fds are never force-closed, they simply age into eligibility
-// when the writer closes and the trace goes cold. An evicted trace
+// EvictCold demotes idle cold readers to save index memory: first
+// every reader idle past ReaderTTL, then — if more than MaxReaders
+// remain open — the least-recently-used down to the cap. Live
+// follow-mode traces are exempt on both passes: their polls extend the
+// index incrementally, so they simply age into eligibility when the
+// writer closes and the trace goes cold. An evicted trace
 // stays registered and queryable — the next query re-attaches, which
 // is the demote-to-cold-re-attach contract from ROADMAP item 1.
 // Returns the evicted ids, sorted.

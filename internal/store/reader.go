@@ -30,12 +30,6 @@ type ReaderOptions struct {
 	// prefix of each thread's stream that has durably landed — rather
 	// than the whole recorded range.
 	Follow bool
-	// Pins, when shared with the writer's Retention, advertises which
-	// segment file this follower currently holds an open tail fd for,
-	// so retention never unlinks it out from under the scan. Only
-	// meaningful in follow mode; nil is fine for stores without
-	// retention.
-	Pins *PinSet
 }
 
 // Reader reopens a store directory as a ddg.Source. Opening reads
@@ -44,14 +38,16 @@ type ReaderOptions struct {
 // index loads lazily on first access (sealed segments via their
 // footer, unsealed or damaged segments via a CRC-checked prefix
 // scan), and chunk payloads load and decode on demand into the
-// reader's ChunkCache. No file handles are held between calls,
-// so a store of many thousands of segments never exhausts the fd
-// limit.
+// reader's ChunkCache. The reader holds no file descriptor between
+// calls, live or closed: every index scan and chunk load opens its
+// segment and closes it before returning, so a store of many thousands
+// of segments never exhausts the fd limit.
 //
 // With ReaderOptions.Follow, the reader attaches to a store that is
 // still recording: Window reports the frontier of CRC-valid chunks
-// on disk, and Poll advances it incrementally — only bytes past the
-// last known-good offset of each tail segment are re-read.
+// on disk, and Poll advances it incrementally — each poll reopens a
+// thread's tail segment and reads only the bytes past its last
+// known-good offset.
 //
 // Reads are safe for concurrent use: threads are sharded into
 // independently locked states, so slicing.ParallelBackward's workers
@@ -107,25 +103,6 @@ type threadState struct {
 	// the cache, so a query still running on a closed reader cannot
 	// leave entries behind in a shared one.
 	closed bool
-	// Follow mode caches the open tail segment's fd across polls (and
-	// pins its file against retention) instead of reopening it once per
-	// poll; closed again the moment the segment completes or the store
-	// flips live→closed, so a non-live reader is always fd-free
-	// between calls.
-	tailF    *os.File
-	tailFile string // basename pinned in ReaderOptions.Pins
-}
-
-// closeTail drops the cached tail fd and its retention pin, if any
-// (ts.mu held).
-func (ts *threadState) closeTail(pins *PinSet) {
-	if ts.tailF == nil {
-		return
-	}
-	ts.tailF.Close()
-	ts.tailF = nil
-	pins.Unpin(ts.tailFile)
-	ts.tailFile = ""
 }
 
 // readerSeg is one segment file of a thread.
@@ -259,19 +236,16 @@ func parseSegName(name string) (tid, seq int, ok bool) {
 	return tid, seq, tid >= 0 && seq >= 0
 }
 
-// Close releases the reader's decoded chunks from its cache, and any
-// cached tail fds (follow mode holds one per thread while the store is
-// live) with their retention pins. The reader stays usable for queries
-// afterwards — the next access reopens what it needs — but caches no
-// chunk again, so a query still running on it cannot leave entries in
-// a shared cache.
+// Close releases the reader's decoded chunks from its cache. The
+// reader stays usable for queries afterwards, but caches no chunk
+// again, so a query still running on it cannot leave entries in a
+// shared cache.
 func (r *Reader) Close() error {
 	r.mu.Lock()
 	r.closed = true
 	r.mu.Unlock()
 	for _, ts := range r.allThreads() {
 		ts.mu.Lock()
-		ts.closeTail(r.opts.Pins)
 		ts.closed = true
 		r.opts.Cache.drop(ts)
 		ts.mu.Unlock()
@@ -502,13 +476,8 @@ func (r *Reader) ensureLoaded(ts *threadState) {
 // poll pays only for bytes appended since the previous one. With
 // live, an incomplete tail record means "still being written" and
 // the scan simply stops at the frontier; without it, the same bytes
-// are crash damage and the thread recovers its valid prefix.
-//
-// In follow mode the open tail's fd is kept (and its file pinned
-// against retention) between polls instead of reopened every time;
-// the moment the segment completes — it seals, its scan finishes, or
-// the store flips live→closed — the fd is closed, so only a live
-// frontier ever holds descriptors.
+// are crash damage and the thread recovers its valid prefix. Every
+// segment is opened and closed within the call, at the frontier too.
 func (r *Reader) advanceThread(ts *threadState, live bool) {
 	for ts.nextSeg < len(ts.segs) {
 		seg := &ts.segs[ts.nextSeg]
@@ -516,43 +485,34 @@ func (r *Reader) advanceThread(ts *threadState, live bool) {
 			// Retention deleted this segment (or is about to; the
 			// manifest already journaled it). Not crash loss: its
 			// chunks are officially below the trim floor.
-			ts.closeTail(r.opts.Pins)
 			ts.finishSeg()
 			continue
 		}
-		var f *os.File
-		if ts.tailF != nil && ts.tailFile == seg.file {
-			f = ts.tailF // resume the cached tail fd
-		} else {
-			ts.closeTail(r.opts.Pins)
-			var err error
-			f, err = os.Open(seg.path)
-			if err != nil {
-				// A missing segment is crash loss (only its own chunks
-				// are gone); anything else is a real I/O problem worth
-				// surfacing, not silently serving a partial graph.
-				if os.IsNotExist(err) {
-					r.markRecovered()
-				} else {
-					r.markErr(err)
-				}
-				ts.finishSeg()
-				continue
+		f, err := os.Open(seg.path)
+		if err != nil {
+			if live && os.IsNotExist(err) {
+				// A live writer's retention may have trimmed it after
+				// the manifest this reader last read; the next poll's
+				// manifest says so and prunes it. Stop here until then.
+				return
 			}
-		}
-		closeF := func() {
-			if f == ts.tailF {
-				ts.closeTail(r.opts.Pins)
+			// A missing segment is crash loss (only its own chunks
+			// are gone); anything else is a real I/O problem worth
+			// surfacing, not silently serving a partial graph.
+			if os.IsNotExist(err) {
+				r.markRecovered()
 			} else {
-				f.Close()
+				r.markErr(err)
 			}
+			ts.finishSeg()
+			continue
 		}
 		if seg.sealed {
 			// Footer fast path. A partially scanned tail that sealed
 			// between polls lands here too: the footer lists every
 			// chunk, so only the suffix past segChunks is new.
 			if metas, ok := readFooterIndex(f); ok {
-				closeF()
+				f.Close()
 				if ts.segChunks < len(metas) {
 					ts.appendChunks(metas[ts.segChunks:])
 				}
@@ -562,41 +522,29 @@ func (r *Reader) advanceThread(ts *threadState, live bool) {
 			r.markRecovered() // promised footer is gone/corrupt
 		}
 		metas, newOff, scanned, status := scanSegmentFrom(f, ts.segOff)
+		f.Close()
 		r.tailScanned.Add(scanned)
 		ts.appendChunks(metas)
 		ts.segOff = newOff
 		switch status {
 		case scanDone:
-			closeF()
 			ts.finishSeg()
 		case scanBoundary, scanPartial:
 			if live && !seg.sealed {
 				// The frontier: everything up to segOff is served; the
 				// rest is still in flight. Later segments of this
-				// thread cannot hold earlier instances, so stop here —
-				// and keep the fd for the next poll's incremental scan.
-				if ts.tailF == nil {
-					ts.tailF = f
-					ts.tailFile = seg.file
-					r.opts.Pins.Pin(seg.file)
-				}
+				// thread cannot hold earlier instances, so stop here.
 				return
 			}
-			closeF()
 			if status == scanPartial {
 				r.markRecovered() // torn record: crash prefix
 			}
 			ts.finishSeg()
 		case scanDamage:
-			closeF()
 			r.markRecovered()
 			ts.finishSeg()
 		}
 	}
-	// Every segment is fully indexed (the usual way here is the poll
-	// that observed the writer's close): nothing is in flight, so the
-	// thread must be fd-free again.
-	ts.closeTail(r.opts.Pins)
 }
 
 // appendChunks adopts freshly indexed chunks of segs[nextSeg]

@@ -5,7 +5,6 @@ import (
 	"os"
 	"path/filepath"
 	"sort"
-	"sync"
 	"time"
 )
 
@@ -23,83 +22,17 @@ type Retention struct {
 	// MaxAge deletes sealed segments whose seal time is older than
 	// this. 0 means no age limit.
 	MaxAge time.Duration
-	// Pins, when set, protects segments a live follower currently
-	// holds open: a pinned segment is never selected as a trim victim,
-	// and (belt and braces, since a pin can land between planning and
-	// unlink) never unlinked. Share one PinSet between the writer's
-	// Options and the followers' ReaderOptions.
-	Pins *PinSet
 }
 
 func (r Retention) enabled() bool { return r.MaxBytes > 0 || r.MaxAge > 0 }
 
-// PinSet is a shared, reference-counted set of segment basenames that
-// must not be unlinked: live followers pin the segment whose tail fd
-// they hold across polls, and retention skips pinned victims until
-// the follower moves on. The zero value is usable; a nil *PinSet
-// pins nothing.
-type PinSet struct {
-	mu sync.Mutex
-	n  map[string]int
-}
-
-// NewPinSet returns an empty pin set.
-func NewPinSet() *PinSet { return &PinSet{} }
-
-// Pin adds one reference to file (a segment basename).
-func (p *PinSet) Pin(file string) {
-	if p == nil || file == "" {
-		return
-	}
-	p.mu.Lock()
-	if p.n == nil {
-		p.n = make(map[string]int)
-	}
-	p.n[file]++
-	p.mu.Unlock()
-}
-
-// Unpin drops one reference to file.
-func (p *PinSet) Unpin(file string) {
-	if p == nil || file == "" {
-		return
-	}
-	p.mu.Lock()
-	if p.n[file] > 1 {
-		p.n[file]--
-	} else {
-		delete(p.n, file)
-	}
-	p.mu.Unlock()
-}
-
-// Pinned reports whether file holds at least one pin.
-func (p *PinSet) Pinned(file string) bool {
-	if p == nil {
-		return false
-	}
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	return p.n[file] > 0
-}
-
-// Len returns the number of distinct pinned files.
-func (p *PinSet) Len() int {
-	if p == nil {
-		return 0
-	}
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	return len(p.n)
-}
-
 // planTrim selects sealed manifest entries to delete under ret,
-// oldest first in global append order (FirstSeq). The selection keeps
-// two invariants: victims form a per-thread prefix of the segment
-// sequence (a pinned or retained segment blocks trimming everything
-// after it on its thread, so retained ranges never grow holes), and
-// pinned segments are never selected. Returns indexes into
-// man.Segments, ascending.
+// oldest first in global append order (FirstSeq). Victims form a
+// per-thread prefix of the segment sequence: a retained segment blocks
+// trimming everything after it on its thread, so retained ranges never
+// grow holes — even when a thread's SealedAt is not monotone (a wall
+// clock stepped back, or an old entry without one). Returns indexes
+// into man.Segments, ascending.
 func planTrim(man *manifest, ret Retention, now time.Time) []int {
 	if !ret.enabled() {
 		return nil
@@ -131,13 +64,7 @@ func planTrim(man *manifest, ret Retention, now time.Time) []int {
 	for _, c := range cands {
 		ms := &man.Segments[c.idx]
 		aged := cutoff > 0 && ms.SealedAt > 0 && ms.SealedAt < cutoff
-		if over <= 0 && !aged {
-			continue
-		}
-		if blocked[ms.TID] {
-			continue
-		}
-		if ret.Pins.Pinned(ms.File) {
+		if blocked[ms.TID] || (over <= 0 && !aged) {
 			blocked[ms.TID] = true
 			continue
 		}
@@ -201,15 +128,12 @@ func applyTrim(man *manifest, victims []int) []manifestSeg {
 // the manifest rewrite has landed (Sia-style journaling: metadata
 // first, then the destructive step), so a crash in between leaves
 // orphan files the reader skips via the manifest's Trimmed records —
-// never a manifest pointing at vanished data. Each victim re-consults
-// the pin set right before its unlink: a follower can pin a segment
-// between planning and this loop, and an unlink it loses the race to
-// just becomes such an orphan, swept by a later trim.
-func unlinkTrimmed(dir string, victims []manifestSeg, pins *PinSet) {
+// never a manifest pointing at vanished data. A live follower loses
+// nothing to the unlink: on POSIX a descriptor already open on the
+// file keeps reading it, and the follower's next Poll reads the
+// rewritten manifest and prunes the segment from its window.
+func unlinkTrimmed(dir string, victims []manifestSeg) {
 	for _, ms := range victims {
-		if pins.Pinned(ms.File) {
-			continue
-		}
 		// Best-effort: a failed unlink leaves an orphan the manifest no
 		// longer references; readers skip it and the next trim retries.
 		_ = os.Remove(filepath.Join(dir, ms.File))
@@ -240,10 +164,10 @@ func Trim(dir string, ret Retention) (removed int, err error) {
 		if err := syncDir(dir); err != nil {
 			return 0, err
 		}
-		unlinkTrimmed(dir, segs, ret.Pins)
+		unlinkTrimmed(dir, segs)
 		removed = len(segs)
 	}
-	sweepOrphans(dir, man, ret.Pins)
+	sweepOrphans(dir, man)
 	return removed, nil
 }
 
@@ -252,7 +176,7 @@ func Trim(dir string, ret Retention) (removed int, err error) {
 // thread's trimmed MinSeq and absent from the segment list. Readers
 // already skip these, so the sweep is pure disk reclamation and every
 // failure is ignorable.
-func sweepOrphans(dir string, man *manifest, pins *PinSet) {
+func sweepOrphans(dir string, man *manifest) {
 	if len(man.Trimmed) == 0 {
 		return
 	}
@@ -272,9 +196,6 @@ func sweepOrphans(dir string, man *manifest, pins *PinSet) {
 		name := e.Name()
 		tid, seq, ok := parseSegName(name)
 		if !ok || listed[name] || seq >= minSeq[tid] {
-			continue
-		}
-		if pins.Pinned(name) {
 			continue
 		}
 		_ = os.Remove(filepath.Join(dir, name))

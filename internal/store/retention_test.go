@@ -1,6 +1,7 @@
 package store
 
 import (
+	"fmt"
 	"os"
 	"path/filepath"
 	"testing"
@@ -12,8 +13,8 @@ import (
 // Retention suite: byte/age budgets delete whole sealed segments
 // oldest-first, the manifest journals the trimmed window BEFORE any
 // unlink (Sia persist style), readers report the trim floor exactly
-// like the old ring reported its window edge, and pinned segments are
-// never unlinked.
+// like the old ring reported its window edge, and a live follower
+// rides a trim of the segment it is scanning.
 
 // checkTrimmedWindows asserts r serves exactly the model's deps over
 // each surviving window, that surviving windows are a suffix [lo, hi]
@@ -241,77 +242,66 @@ func TestStoreTrimClosedStore(t *testing.T) {
 	}
 }
 
-func TestStoreRetentionSkipsPinnedSegments(t *testing.T) {
-	dir := t.TempDir()
-	spillAll(t, dir, Options{SegmentBytes: 1024}, 1, 800, 128)
-	man, err := readManifest(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(man.Segments) < 3 {
-		t.Fatal("need several segments")
-	}
-	oldest := man.Segments[0].File
-
-	// A pin on the oldest segment blocks the whole thread (trims are
-	// prefix-only: deleting around a pin would punch a hole in the
-	// retained range).
-	pins := NewPinSet()
-	pins.Pin(oldest)
-	removed, err := Trim(dir, Retention{MaxBytes: 2048, Pins: pins})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if removed != 0 {
-		t.Fatalf("trim removed %d segments around a pinned prefix", removed)
-	}
-	if !segFiles(t, dir)[oldest] {
-		t.Fatal("pinned segment unlinked")
-	}
-
-	// Unpinned, the same policy trims.
-	pins.Unpin(oldest)
-	removed, err = Trim(dir, Retention{MaxBytes: 2048, Pins: pins})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if removed == 0 {
-		t.Fatal("unpinned trim removed nothing")
-	}
-	if segFiles(t, dir)[oldest] {
-		t.Fatal("oldest segment survived an unpinned trim")
-	}
-}
-
-// TestStoreRetentionUnlinkRechecksPins covers the plan→unlink race:
-// a pin that lands after victim selection must still keep its file on
-// disk (the manifest no longer lists it, which is fine — the reader
-// skips it as a trim orphan and a later sweep reclaims it).
-func TestStoreRetentionUnlinkRechecksPins(t *testing.T) {
-	dir := t.TempDir()
-	spillAll(t, dir, Options{SegmentBytes: 1024}, 1, 800, 128)
-	man, err := readManifest(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	victims := planTrim(man, Retention{MaxBytes: 2048}, time.Now())
-	if len(victims) < 2 {
-		t.Fatal("need at least two victims")
-	}
-	segs := applyTrim(man, victims)
-
-	pins := NewPinSet()
-	pins.Pin(segs[0].File) // the race: pinned after planning
-	unlinkTrimmed(dir, segs, pins)
-
-	onDisk := segFiles(t, dir)
-	if !onDisk[segs[0].File] {
-		t.Fatal("segment pinned between plan and unlink was deleted anyway")
-	}
-	for _, ms := range segs[1:] {
-		if onDisk[ms.File] {
-			t.Fatalf("unpinned victim %s survived", ms.File)
-		}
+// TestStoreRetentionKeepsThreadPrefix pins planTrim's per-thread
+// prefix rule on manifests whose SealedAt is not monotone within a
+// thread: a kept segment must block every later segment of its thread,
+// or applyTrim raises MinSeq past a segment that is still on disk and
+// the retained range grows a hole no truncation label reports.
+func TestStoreRetentionKeepsThreadPrefix(t *testing.T) {
+	now := time.Now()
+	fresh := now.Add(-30 * time.Minute).Unix()
+	aged := now.Add(-2 * time.Hour).Unix()
+	for _, tc := range []struct {
+		name     string
+		sealedAt [][]int64 // per thread, per segment seq
+		want     int       // victims expected
+	}{
+		// tid 0's clock stepped back after seq 0 sealed; tid 1 is
+		// monotone and trims its aged prefix.
+		{"clock step back", [][]int64{{fresh, aged, aged}, {aged, aged, fresh}}, 2},
+		// An entry from before retention (SealedAt 0) never ages out,
+		// so the aged entry behind it stays too.
+		{"unstamped entry ahead", [][]int64{{0, aged}, {aged, fresh}}, 1},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			man := &manifest{}
+			seq := uint64(0)
+			for i := 0; ; i++ { // interleave threads in global append order
+				more := false
+				for tid, at := range tc.sealedAt {
+					if i >= len(at) {
+						continue
+					}
+					more = true
+					man.Segments = append(man.Segments, manifestSeg{
+						File: fmt.Sprintf("t%d-%d.seg", tid, i), TID: tid, Sealed: true,
+						Chunks: 1, FirstSeq: seq, LastSeq: seq, Bytes: 1024, SealedAt: at[i],
+					})
+					seq++
+				}
+				if !more {
+					break
+				}
+			}
+			victims := planTrim(man, Retention{MaxAge: time.Hour}, now)
+			trimmed := make(map[int]bool)
+			for _, i := range victims {
+				trimmed[i] = true
+			}
+			kept := make(map[int]string) // tid -> first kept segment
+			for i, ms := range man.Segments {
+				if !trimmed[i] {
+					if _, ok := kept[ms.TID]; !ok {
+						kept[ms.TID] = ms.File
+					}
+				} else if k, ok := kept[ms.TID]; ok {
+					t.Fatalf("victim %s follows kept %s on its thread", ms.File, k)
+				}
+			}
+			if len(victims) != tc.want {
+				t.Fatalf("%d victims, want %d", len(victims), tc.want)
+			}
+		})
 	}
 }
 
@@ -382,8 +372,7 @@ func TestStoreRetentionCrashBeforeUnlink(t *testing.T) {
 
 func TestStoreLiveFollowAcrossTrim(t *testing.T) {
 	dir := t.TempDir()
-	pins := NewPinSet()
-	w, err := Create(Options{Dir: dir, SegmentBytes: 1024, Retain: Retention{MaxBytes: 4 << 10, Pins: pins}})
+	w, err := Create(Options{Dir: dir, SegmentBytes: 1024, Retain: Retention{MaxBytes: 4 << 10}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -394,7 +383,7 @@ func TestStoreLiveFollowAcrossTrim(t *testing.T) {
 	appendPhase(c, model, threads, 1, 100)
 	c.Flush()
 
-	r, err := Open(dir, ReaderOptions{Follow: true, Pins: pins})
+	r, err := Open(dir, ReaderOptions{Follow: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -446,9 +435,6 @@ func TestStoreLiveFollowAcrossTrim(t *testing.T) {
 	if err := r.Err(); err != nil {
 		t.Fatal(err)
 	}
-	if pins.Len() != 0 {
-		t.Fatalf("%d pins leaked after the live→closed flip", pins.Len())
-	}
 	if n := checkTrimmedWindows(t, model, r); n == 0 {
 		t.Fatal("nothing survived to verify")
 	}
@@ -464,16 +450,92 @@ func countFDs(t *testing.T) int {
 	return len(entries)
 }
 
-// TestStoreFollowerClosesTailFDsOnFlip is the fd-pinning regression:
-// a follower caches one open tail fd per thread while the store is
-// live, and the poll that observes the writer's close must release
-// every one of them — a closed trace is fd-free between calls,
-// exactly like a cold reader.
+// TestStoreFollowerSurvivesTrimOfScannedTail: a follower knows a live
+// tail segment — it has indexed part of it (ScannedTail), or only
+// listed it and not loaded the thread yet (UnloadedThread). Before its
+// next Poll the writer seals that segment and its own retention trims
+// and unlinks it. The follower holds no fd on the segment and nothing
+// protects it from the unlink, yet the poll must move the window up to
+// the trim floor and keep serving exactly the recorded deps, with no
+// recovery and no error.
+func TestStoreFollowerSurvivesTrimOfScannedTail(t *testing.T) {
+	for _, tc := range []struct {
+		name    string
+		scanned bool
+	}{{"ScannedTail", true}, {"UnloadedThread", false}} {
+		scanned := tc.scanned
+		t.Run(tc.name, func(t *testing.T) {
+			dir := t.TempDir()
+			w, err := Create(Options{Dir: dir, SegmentBytes: 4096, Retain: Retention{MaxBytes: 1}})
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer w.Close()
+			c := ddg.NewCompactSized(0, 32)
+			c.SetSpill(w)
+			model := ddg.NewFull()
+			appendPhase(c, model, 1, 1, 100)
+			c.Flush()
+
+			r, err := Open(dir, ReaderOptions{Follow: true})
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer r.Close()
+			ts := r.thread(0)
+			ts.mu.Lock()
+			if scanned {
+				r.ensureLoaded(ts)
+			}
+			tail, off := ts.segs[ts.nextSeg], ts.segOff
+			ts.mu.Unlock()
+			if tail.sealed || (off == 0) == scanned {
+				t.Fatalf("setup: live tail %s sealed %v, scan offset %d", tail.file, tail.sealed, off)
+			}
+
+			appendPhase(c, model, 1, 101, 600)
+			c.Flush()
+			if segFiles(t, dir)[tail.file] {
+				t.Fatalf("setup: %s survived the writer's retention", tail.file)
+			}
+			// A query between the unlink and the poll opens the segment
+			// the manifest this reader last read still lists.
+			r.Threads()
+			if _, err := r.Poll(); err != nil {
+				t.Fatal(err)
+			}
+			floor, ok := r.TrimmedLo(0)
+			if !ok {
+				t.Fatal("follower never saw the trim floor")
+			}
+			lo, hi := r.Window(0)
+			if lo != floor || hi < lo {
+				t.Fatalf("window [%d,%d], want it to start at the trim floor %d", lo, hi, floor)
+			}
+			if r.Recovered() {
+				t.Fatal("trim of the live tail read as recovery")
+			}
+			if err := r.Err(); err != nil {
+				t.Fatal(err)
+			}
+			for n := lo; n <= hi; n++ {
+				id := ddg.MakeID(0, n)
+				if want, got := fmt.Sprint(ddg.CountDeps(model, id)), fmt.Sprint(ddg.CountDeps(r, id)); want != got {
+					t.Fatalf("deps of %v:\nmodel %s\ngot   %s", id, want, got)
+				}
+			}
+		})
+	}
+}
+
+// TestStoreFollowerClosesTailFDsOnFlip: a follower holds no fd between
+// calls, live or closed. Loading every index, a live Poll and the poll
+// that observes the writer's close all leave the process's fd count
+// where it was.
 func TestStoreFollowerClosesTailFDsOnFlip(t *testing.T) {
 	baseline := countFDs(t)
 
 	dir := t.TempDir()
-	pins := NewPinSet()
 	w, err := Create(Options{Dir: dir, SegmentBytes: 1 << 20}) // tails never seal mid-run
 	if err != nil {
 		t.Fatal(err)
@@ -484,59 +546,44 @@ func TestStoreFollowerClosesTailFDsOnFlip(t *testing.T) {
 	const threads = 3
 	appendPhase(c, model, threads, 1, 200)
 	c.Flush()
+	withWriter := countFDs(t)
 
-	r, err := Open(dir, ReaderOptions{Follow: true, Pins: pins})
+	r, err := Open(dir, ReaderOptions{Follow: true})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer r.Close()
-	r.Threads() // load every index: tail fds get cached here
-	if got := pins.Len(); got != threads {
-		t.Fatalf("%d tail pins while live, want %d", got, threads)
+	if got := len(r.Threads()); got != threads { // loads every index
+		t.Fatalf("%d threads, want %d", got, threads)
 	}
-	withTails := countFDs(t)
-	if withTails < baseline+threads {
-		t.Fatalf("expected ≥%d cached tail fds (fds %d -> %d)", threads, baseline, withTails)
+	if got := countFDs(t); got != withWriter {
+		t.Fatalf("loading the live indexes changed the fd count %d -> %d", withWriter, got)
 	}
 
-	// Polls reuse the cached fds instead of stacking new ones.
 	appendPhase(c, model, threads, 201, 400)
 	c.Flush()
-	if _, err := r.Poll(); err != nil {
-		t.Fatal(err)
+	if advanced, err := r.Poll(); err != nil || !advanced {
+		t.Fatalf("live poll = (%v, %v), want an advance", advanced, err)
 	}
-	if got := countFDs(t); got != withTails {
-		t.Fatalf("poll changed fd count %d -> %d; tail fds must be reused", withTails, got)
+	if got := countFDs(t); got != withWriter {
+		t.Fatalf("live poll changed the fd count %d -> %d", withWriter, got)
 	}
 
-	// The flip: writer closes, next poll observes it, every tail fd
-	// and pin must be gone.
+	// The flip: writer closes (dropping its own fds), the next poll
+	// observes it, and the process is back at the pre-store count.
 	if err := w.Close(); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := r.Poll(); err != nil {
 		t.Fatal(err)
 	}
+	if r.Live() {
+		t.Fatal("still live after the final manifest")
+	}
 	if got := countFDs(t); got != baseline {
-		t.Fatalf("fd count %d after live→closed flip, want the pre-store baseline %d (tail fds leaked)", got, baseline)
-	}
-	if got := pins.Len(); got != 0 {
-		t.Fatalf("%d pins survived the flip", got)
-	}
-	for _, ts := range r.allThreads() {
-		ts.mu.Lock()
-		leaked := ts.tailF != nil
-		ts.mu.Unlock()
-		if leaked {
-			t.Fatalf("tid %d still caches a tail fd after the flip", ts.tid)
-		}
+		t.Fatalf("fd count %d after the live→closed flip, want the pre-store baseline %d", got, baseline)
 	}
 	diffSource(t, model, r)
-
-	// Close on an already fd-free reader stays a no-op.
-	if err := r.Close(); err != nil {
-		t.Fatal(err)
-	}
 }
 
 // TestStoreDamageBurstKeepsHealthyCache is the negative-cache

@@ -273,7 +273,7 @@ func (w *Writer) unlinkLocked(victims []manifestSeg) {
 	if len(victims) == 0 {
 		return
 	}
-	unlinkTrimmed(w.opts.Dir, victims, w.opts.Retain.Pins)
+	unlinkTrimmed(w.opts.Dir, victims)
 	w.trimmed += uint64(len(victims))
 }
 
