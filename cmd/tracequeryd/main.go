@@ -17,12 +17,15 @@
 // provenance; traces recorded outside the built-in suite are served
 // as raw PC sets.
 //
-// The -janitor ticker keeps the fleet bounded: closed traces are
-// trimmed down to -retain-bytes / -retain-age (whole sealed segments,
-// oldest first, the trimmed window reported on every answer), and
-// cold readers idle past -reader-ttl or over -max-readers are
-// evicted — the trace stays registered and re-attaches on the next
-// query. DELETE /v1/traces/{id} (?purge=1) retires a trace outright.
+// Each registered trace keeps one reader until it is deleted or the
+// daemon exits. -cache-bytes is the one memory bound: the decoded
+// chunks every reader serves from and the reverse indexes forward
+// queries walk share it, oldest admitted evicted first. With
+// -retain-bytes or -retain-age set, the -janitor ticker trims closed
+// traces on disk (whole sealed segments, oldest first, the trimmed
+// window reported on every answer), and each trace's reader prunes the
+// trimmed segments in place. DELETE /v1/traces/{id} (?purge=1) retires
+// a trace outright.
 package main
 
 import (
@@ -62,14 +65,12 @@ func main() {
 	deadline := flag.Duration("deadline", 30*time.Second, "default per-query deadline")
 	maxDeadline := flag.Duration("max-deadline", 2*time.Minute, "clamp on requested per-query deadlines")
 	budget := flag.Int64("budget-chunks", 0, "default per-query chunk-load budget (0 = unlimited)")
-	cacheBytes := flag.Int64("cache-bytes", 0, "byte budget of the decoded-chunk cache every trace reader shares (0 = store default, 64 MiB)")
+	cacheBytes := flag.Int64("cache-bytes", 0, "byte budget of the cache every trace reader shares: decoded chunks and reverse indexes (0 = store default, 64 MiB)")
 	attach := flag.Bool("attach-workloads", true, "attach built-in workload programs to traces named after them")
-	readerTTL := flag.Duration("reader-ttl", 15*time.Minute, "evict a cold trace's reader after this much idle time (0 = never)")
-	maxReaders := flag.Int("max-readers", 0, "cap on open cold-trace readers; the least-recently-used are evicted past it (0 = uncapped)")
 	resultCache := flag.Int("result-cache", 0, "LRU result-cache entries for completed slice answers (0 = default 256, negative disables)")
 	retainBytes := flag.Int64("retain-bytes", 0, "per-trace sealed-segment byte budget the janitor trims closed stores down to (0 = retain everything)")
 	retainAge := flag.Duration("retain-age", 0, "delete sealed segments older than this (0 = no age limit)")
-	janitor := flag.Duration("janitor", time.Minute, "retention-trim and reader-eviction sweep interval (0 disables)")
+	janitor := flag.Duration("janitor", time.Minute, "retention-trim sweep interval, with -retain-bytes or -retain-age set (0 disables)")
 	flag.Parse()
 	if len(roots) == 0 {
 		fmt.Fprintln(os.Stderr, "tracequeryd: at least one -root is required")
@@ -80,8 +81,6 @@ func main() {
 	reg := query.NewRegistry(roots, query.RegistryOptions{
 		CacheBytes: *cacheBytes,
 		Live:       *live,
-		ReaderTTL:  *readerTTL,
-		MaxReaders: *maxReaders,
 	})
 	// onAdded runs for every discovery path — the startup scan, the
 	// ticker, and POST /v1/refresh (via ServerOptions.OnRefresh) — so
@@ -166,8 +165,8 @@ func main() {
 		}()
 	}
 
-	if *janitor > 0 {
-		ret := store.Retention{MaxBytes: *retainBytes, MaxAge: *retainAge}
+	ret := store.Retention{MaxBytes: *retainBytes, MaxAge: *retainAge}
+	if *janitor > 0 && (ret.MaxBytes > 0 || ret.MaxAge > 0) {
 		tickers.Add(1)
 		go func() {
 			defer tickers.Done()
@@ -212,29 +211,21 @@ func main() {
 	}
 }
 
-// janitorSweep is one lifecycle pass over the fleet: trim every
-// closed trace down to the retention policy (live traces skip — their
-// writers own retention), then evict readers idle past the TTL or
-// over the LRU cap. Trims are logged per trace; eviction is routine
-// and logged only in aggregate.
+// janitorSweep trims every closed trace down to the retention policy
+// (live traces skip — their writers own retention), logging each trim.
 func janitorSweep(reg *query.Registry, ret store.Retention) {
-	if ret.MaxBytes > 0 || ret.MaxAge > 0 {
-		for _, info := range reg.List() {
-			if info.Live {
-				continue
-			}
-			removed, err := reg.TrimTrace(info.ID, ret)
-			if err != nil && !errors.Is(err, query.ErrClosed) && !errors.Is(err, query.ErrUnknownTrace) {
-				log.Printf("janitor trim %s: %v", info.ID, err)
-				continue
-			}
-			if removed > 0 {
-				log.Printf("janitor: trimmed %d segment(s) from %s", removed, info.ID)
-			}
+	for _, info := range reg.List() {
+		if info.Live {
+			continue
 		}
-	}
-	if evicted := reg.EvictCold(time.Now()); len(evicted) > 0 {
-		log.Printf("janitor: evicted %d cold reader(s): %s", len(evicted), strings.Join(evicted, ", "))
+		removed, err := reg.TrimTrace(info.ID, ret)
+		if err != nil && !errors.Is(err, query.ErrClosed) && !errors.Is(err, query.ErrUnknownTrace) {
+			log.Printf("janitor trim %s: %v", info.ID, err)
+			continue
+		}
+		if removed > 0 {
+			log.Printf("janitor: trimmed %d segment(s) from %s", removed, info.ID)
+		}
 	}
 }
 

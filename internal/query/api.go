@@ -296,12 +296,6 @@ type StatsResponse struct {
 	QueriesServed int64 `json:"queries_served"`
 	Rejected      int64 `json:"queries_rejected"`
 	MaxConcurrent int   `json:"max_concurrent"`
-	// OpenReaders counts traces holding an attached reader right now;
-	// EvictedReaders/ReattachedReaders count lifecycle churn (TTL/LRU
-	// evictions and the cold re-attaches queries paid for).
-	OpenReaders       int   `json:"open_readers"`
-	EvictedReaders    int64 `json:"evicted_readers,omitempty"`
-	ReattachedReaders int64 `json:"reattached_readers,omitempty"`
 	// ResultCacheHits/Misses count slice answers served from (and
 	// filled into) the generation-keyed result cache.
 	ResultCacheHits   int64 `json:"result_cache_hits,omitempty"`
@@ -310,15 +304,16 @@ type StatsResponse struct {
 	// built (one per closed trace, program attachment and raw flag, or
 	// one per query on a live trace); ReverseIndexHits counts forward
 	// queries that walked a cached one instead; ReverseIndexBytes is
-	// what the cached indexes hold in memory right now.
+	// what the cached indexes hold in memory right now, a part of
+	// ChunkCacheBytes.
 	ReverseIndexBuilds int64 `json:"reverse_index_builds,omitempty"`
 	ReverseIndexHits   int64 `json:"reverse_index_hits,omitempty"`
 	ReverseIndexBytes  int64 `json:"reverse_index_bytes,omitempty"`
-	// ChunkCacheBytes is what the decoded-chunk cache every reader
-	// shares holds right now, against ChunkCacheBudgetBytes;
-	// ChunkCacheHits and ChunkCacheMisses count chunk lookups it served
-	// and did not, ChunkCacheEvictions the chunks it evicted to stay
-	// within the budget.
+	// ChunkCacheBytes is what the cache every reader shares holds
+	// right now, decoded chunks and reverse indexes, against
+	// ChunkCacheBudgetBytes; ChunkCacheHits and ChunkCacheMisses count
+	// chunk lookups it served and did not, ChunkCacheEvictions the
+	// entries it evicted to stay within the budget.
 	ChunkCacheBytes       int64 `json:"chunk_cache_bytes"`
 	ChunkCacheBudgetBytes int64 `json:"chunk_cache_budget_bytes"`
 	ChunkCacheHits        int64 `json:"chunk_cache_hits"`

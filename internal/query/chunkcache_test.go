@@ -6,7 +6,6 @@ import (
 	"net/http/httptest"
 	"path/filepath"
 	"testing"
-	"time"
 
 	"scaldift/internal/ddg"
 	"scaldift/internal/ontrac"
@@ -79,14 +78,14 @@ func TestServerChunkCacheStats(t *testing.T) {
 
 // TestChunkCacheBudget: a registry's readers share one budget. It
 // holds after every chunk a lookup admits, while two traces' chunks
-// are resident side by side, and EvictCold, Delete and Close each
-// take their reader's chunks out of it.
+// are resident side by side, and Delete and Close each take their
+// reader's chunks out of it.
 func TestChunkCacheBudget(t *testing.T) {
 	const budget = 8 << 10
 	root := t.TempDir()
 	bigClosedStore(t, filepath.Join(root, "a"))
 	bigClosedStore(t, filepath.Join(root, "b"))
-	reg := NewRegistry([]string{root}, RegistryOptions{CacheBytes: budget, MaxReaders: 1})
+	reg := NewRegistry([]string{root}, RegistryOptions{CacheBytes: budget})
 	if _, err := reg.Refresh(); err != nil {
 		t.Fatal(err)
 	}
@@ -98,22 +97,13 @@ func TestChunkCacheBudget(t *testing.T) {
 		}
 		return st.Bytes
 	}
-	readers := func() (ra, rb *store.Reader) {
-		ta, _ := reg.Get("a")
-		tb, _ := reg.Get("b")
-		ra, _, erra := ta.acquire()
-		rb, _, errb := tb.acquire()
-		if erra != nil || errb != nil {
-			t.Fatal(erra, errb)
-		}
-		return ra, rb
-	}
+	ta, _ := reg.Get("a")
+	tb, _ := reg.Get("b")
 
 	// Each lookup admits at most one chunk.
-	ra, rb := readers()
-	lo, hi := ra.Window(0)
+	lo, hi := ta.reader.Window(0)
 	for n := lo; n <= hi; n++ {
-		for _, r := range []*store.Reader{ra, rb} {
+		for _, r := range []*store.Reader{ta.reader, tb.reader} {
 			ddg.CountDeps(r, ddg.MakeID(0, n))
 			bytes()
 		}
@@ -123,32 +113,12 @@ func TestChunkCacheBudget(t *testing.T) {
 	}
 	both := bytes()
 
-	// EvictCold over a one-reader cap drops a, the least recently used.
-	ta, _ := reg.Get("a")
-	ta.lastUsed.Store(0)
-	if got := reg.EvictCold(time.Now()); fmt.Sprint(got) != "[a]" {
-		t.Fatalf("EvictCold evicted %v, want [a]", got)
-	}
-	onlyB := bytes()
-	if onlyB == 0 || onlyB >= both {
-		t.Fatalf("evicting a: %d → %d bytes; want b's share left", both, onlyB)
-	}
 	if err := reg.Delete("b", false); err != nil {
 		t.Fatal(err)
 	}
-	if got := bytes(); got != 0 {
-		t.Fatalf("%d bytes resident with a evicted and b deleted", got)
-	}
-
-	// a re-attaches on its next query, and Close releases it again.
-	ta, _ = reg.Get("a")
-	r, _, err := ta.acquire()
-	if err != nil {
-		t.Fatal(err)
-	}
-	ddg.CountDeps(r, ddg.MakeID(0, hi))
-	if bytes() == 0 {
-		t.Fatal("re-attached reader cached nothing")
+	onlyA := bytes()
+	if onlyA == 0 || onlyA >= both {
+		t.Fatalf("deleting b: %d → %d bytes; want a's share left", both, onlyA)
 	}
 	if err := reg.Close(); err != nil {
 		t.Fatal(err)
@@ -159,8 +129,8 @@ func TestChunkCacheBudget(t *testing.T) {
 }
 
 // TestChunkCacheTrimNeverStale: trims rewrite a trace's chunk index
-// under a warm shared cache — the janitor's TrimTrace swaps in a
-// reader over the trimmed store, and a live follower prunes trimmed
+// under a warm shared cache — the janitor's TrimTrace prunes a closed
+// trace's reader in place, and a live follower prunes trimmed
 // segments on Poll — and no answer after either comes from a chunk
 // cached under the old index: every lookup equals a cold reader's.
 func TestChunkCacheTrimNeverStale(t *testing.T) {
@@ -174,20 +144,12 @@ func TestChunkCacheTrimNeverStale(t *testing.T) {
 		}
 		defer reg.Close()
 		tr, _ := reg.Get("big")
-		r, _, err := tr.acquire()
-		if err != nil {
-			t.Fatal(err)
-		}
-		warm(r)
+		warm(tr.reader)
 		removed, err := reg.TrimTrace("big", store.Retention{MaxBytes: 4 << 10})
 		if err != nil || removed == 0 {
 			t.Fatalf("trim removed %d segments (%v)", removed, err)
 		}
-		r, _, err = tr.acquire()
-		if err != nil {
-			t.Fatal(err)
-		}
-		sameAsCold(t, r, dir)
+		sameAsCold(t, tr.reader, dir)
 	})
 	t.Run("LivePrune", func(t *testing.T) {
 		dir := t.TempDir()

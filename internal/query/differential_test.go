@@ -87,7 +87,7 @@ func TestServedSlicesMatchDirect(t *testing.T) {
 		entries = append(entries, entry{w: w, dir: recordTrace(t, root, w, opts, 3)})
 	}
 
-	reg := NewRegistry([]string{root}, RegistryOptions{CacheBytes: 64 << 10})
+	reg := NewRegistry([]string{root}, RegistryOptions{CacheBytes: roomyCache})
 	added, err := reg.Refresh()
 	if err != nil {
 		t.Fatal(err)

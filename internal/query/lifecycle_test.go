@@ -8,7 +8,6 @@ import (
 	"path/filepath"
 	"strings"
 	"testing"
-	"time"
 
 	"scaldift/internal/ddg"
 	"scaldift/internal/store"
@@ -28,142 +27,6 @@ func bigClosedStore(t *testing.T, dir string) {
 	c.Flush()
 	if err := wr.Close(); err != nil {
 		t.Fatal(err)
-	}
-}
-
-// TestRegistryEvictColdTTL: readers idle past ReaderTTL are dropped,
-// the trace stays registered and queryable (Info answers from the
-// snapshot, a query re-attaches cold), and the churn counters move.
-func TestRegistryEvictColdTTL(t *testing.T) {
-	root := t.TempDir()
-	closedStore(t, filepath.Join(root, "a"))
-	closedStore(t, filepath.Join(root, "b"))
-	reg := NewRegistry([]string{root}, RegistryOptions{ReaderTTL: time.Minute})
-	if _, err := reg.Refresh(); err != nil {
-		t.Fatal(err)
-	}
-	defer reg.Close()
-	if n := reg.OpenReaders(); n != 2 {
-		t.Fatalf("after refresh: %d open readers, want 2", n)
-	}
-
-	// Nothing is idle yet.
-	if ev := reg.EvictCold(time.Now()); len(ev) != 0 {
-		t.Fatalf("evicted fresh readers: %v", ev)
-	}
-	// Everything is idle from two TTLs in the future.
-	ev := reg.EvictCold(time.Now().Add(2 * time.Minute))
-	if len(ev) != 2 {
-		t.Fatalf("TTL pass evicted %v, want both traces", ev)
-	}
-	if n := reg.OpenReaders(); n != 0 {
-		t.Fatalf("after eviction: %d open readers, want 0", n)
-	}
-	if n := reg.EvictedReaders(); n != 2 {
-		t.Fatalf("evicted counter %d, want 2", n)
-	}
-
-	// An evicted trace still answers Info from its snapshot without
-	// re-attaching...
-	tr, ok := reg.Get("a")
-	if !ok {
-		t.Fatal("trace a unregistered by eviction")
-	}
-	if info := tr.Info(); info.Chunks == 0 || len(info.Threads) == 0 {
-		t.Fatalf("snapshot info lost after eviction: %+v", info)
-	}
-	if n := reg.ReattachedReaders(); n != 0 {
-		t.Fatalf("Info re-attached a reader: counter %d", n)
-	}
-	// ...and a real query re-attaches transparently.
-	src, err := tr.Source(nil, false)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, ok := src.NodePC(ddg.MakeID(0, 10)); !ok {
-		t.Fatal("re-attached source missing recorded node")
-	}
-	if n := reg.ReattachedReaders(); n != 1 {
-		t.Fatalf("reattach counter %d, want 1", n)
-	}
-	if n := reg.OpenReaders(); n != 1 {
-		t.Fatalf("after re-attach: %d open readers, want 1", n)
-	}
-}
-
-// TestRegistryEvictColdLRU: with MaxReaders set and no TTL, the
-// least-recently-used readers are dropped down to the cap.
-func TestRegistryEvictColdLRU(t *testing.T) {
-	root := t.TempDir()
-	closedStore(t, filepath.Join(root, "a"))
-	closedStore(t, filepath.Join(root, "b"))
-	closedStore(t, filepath.Join(root, "c"))
-	reg := NewRegistry([]string{root}, RegistryOptions{MaxReaders: 1})
-	if _, err := reg.Refresh(); err != nil {
-		t.Fatal(err)
-	}
-	defer reg.Close()
-
-	// Touch "b" last so it is the most recently used.
-	tb, _ := reg.Get("b")
-	time.Sleep(time.Millisecond)
-	if _, err := tb.Source(nil, false); err != nil {
-		t.Fatal(err)
-	}
-	ev := reg.EvictCold(time.Now())
-	if len(ev) != 2 || ev[0] != "a" || ev[1] != "c" {
-		t.Fatalf("LRU pass evicted %v, want [a c]", ev)
-	}
-	if tb.currentReader() == nil {
-		t.Fatal("most-recently-used reader was evicted")
-	}
-	if n := reg.OpenReaders(); n != 1 {
-		t.Fatalf("%d open readers after LRU pass, want 1", n)
-	}
-}
-
-// TestRegistryEvictSkipsLive: a follow-mode trace's reader pins tail
-// fds and owns poll state — eviction must never force-close it, no
-// matter how idle. Once the writer closes and the poll observes it,
-// the same trace becomes evictable.
-func TestRegistryEvictSkipsLive(t *testing.T) {
-	root := t.TempDir()
-	dir := filepath.Join(root, "hot")
-	wr, err := store.Create(store.Options{Dir: dir, SegmentBytes: 4 << 10})
-	if err != nil {
-		t.Fatal(err)
-	}
-	c := ddg.NewCompactSized(0, 32)
-	c.SetSpill(wr)
-	appendChain(c, 0, 1, 100)
-	c.Flush()
-
-	reg := NewRegistry([]string{root}, RegistryOptions{Live: true, ReaderTTL: time.Nanosecond})
-	if _, err := reg.Refresh(); err != nil {
-		t.Fatal(err)
-	}
-	defer reg.Close()
-
-	if ev := reg.EvictCold(time.Now().Add(time.Hour)); len(ev) != 0 {
-		t.Fatalf("evicted a live trace: %v", ev)
-	}
-	if n := reg.OpenReaders(); n != 1 {
-		t.Fatalf("live reader closed under eviction: %d open", n)
-	}
-
-	if err := wr.Close(); err != nil {
-		t.Fatal(err)
-	}
-	closed, err := reg.PollLive()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(closed) != 1 {
-		t.Fatalf("poll missed the close: %v", closed)
-	}
-	ev := reg.EvictCold(time.Now().Add(time.Hour))
-	if len(ev) != 1 || ev[0] != "hot" {
-		t.Fatalf("closed trace not evictable: %v", ev)
 	}
 }
 

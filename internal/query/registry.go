@@ -10,7 +10,6 @@ import (
 	"sort"
 	"sync"
 	"sync/atomic"
-	"time"
 
 	"scaldift/internal/ddg"
 	"scaldift/internal/isa"
@@ -20,10 +19,10 @@ import (
 
 // RegistryOptions shapes a Registry.
 type RegistryOptions struct {
-	// CacheBytes budgets the decoded-chunk cache every reader of the
-	// fleet shares (store.ChunkCache); 0 takes
-	// store.DefaultCacheBytes. Per-query budgets bound how much of it
-	// one query may churn.
+	// CacheBytes budgets the cache every reader of the fleet shares
+	// (store.ChunkCache): decoded chunks and the reverse indexes forward
+	// queries walk; 0 takes store.DefaultCacheBytes. Per-query budgets
+	// bound how much of it one query may churn.
 	CacheBytes int64
 	// Live registers stores whose writer has not closed yet: the
 	// reader attaches in follow mode, the trace reports live: true
@@ -31,15 +30,6 @@ type RegistryOptions struct {
 	// final manifest lands. Off, Refresh keeps today's behavior of
 	// skipping directories still being written.
 	Live bool
-	// ReaderTTL evicts a trace's reader (its loaded indexes and
-	// caches, not its registration) after this much idle time; the
-	// next query re-attaches cold. 0 disables TTL eviction.
-	ReaderTTL time.Duration
-	// MaxReaders caps how many cold traces keep an open reader; past
-	// it, EvictCold drops the least-recently-used first. Live traces
-	// never count against the cap and are never evicted. 0 means no
-	// cap.
-	MaxReaders int
 }
 
 // ErrClosed reports an operation against a registry that Close has
@@ -50,16 +40,15 @@ var ErrClosed = errors.New("query: registry closed")
 // deleted).
 var ErrUnknownTrace = errors.New("query: unknown trace")
 
-// regStats counts reader-lifecycle events across the fleet.
+// regStats counts reverse-index use across the fleet.
 type regStats struct {
-	evicted    atomic.Int64
-	reattached atomic.Int64
-	revBuilds  atomic.Int64 // reverse indexes built (forward queries)
-	revHits    atomic.Int64 // forward queries served from a cached one
+	revBuilds atomic.Int64 // reverse indexes built (forward queries)
+	revHits   atomic.Int64 // forward queries served from a cached one
 }
 
 // Registry discovers and holds open store.Readers over a fleet of
-// trace directories. Refresh scans the roots and registers each
+// trace directories, one reader per trace from registration until
+// Delete or Close. Refresh scans the roots and registers each
 // store exactly once, so a recording box can keep dropping new trace
 // directories under a root and a periodic refresh publishes them
 // without a restart. A directory still being written (no final
@@ -76,10 +65,10 @@ type Registry struct {
 	roots []string
 	opts  RegistryOptions
 
-	refreshMu sync.Mutex // serializes Refresh / PollLive / EvictCold / lifecycle ops / Close
+	refreshMu sync.Mutex // serializes Refresh / PollLive / lifecycle ops / Close
 
 	stats regStats
-	cache *store.ChunkCache // every reader's decoded chunks, one budget
+	cache *store.ChunkCache // every reader's decoded chunks and held indexes, one budget
 
 	mu     sync.RWMutex
 	closed bool
@@ -87,86 +76,23 @@ type Registry struct {
 	byDir  map[string]string // canonical dir -> assigned trace id
 }
 
-// Trace is one registered trace directory plus the metadata the
-// service reports. ID and Dir are fixed at registration; the
-// published snapshot (windows, chunk count, liveness, generation,
-// trimmed floors) advances under its own lock as PollLive tails a
-// live store or retention trims it. The reader is a cache: eviction
-// drops it (indexes, chunk cache and forward queries' reverse indexes
-// with it) and the next query re-attaches cold through acquire. The
-// program attachment swaps in atomically.
+// Trace is one registered trace directory and the one reader that
+// serves it. ID and Dir are fixed at registration; windows, chunk
+// count, liveness, generation and trimmed floors are the reader's, and
+// advance as PollLive tails a live store or retention trims it in
+// place. The program attachment swaps in atomically.
 type Trace struct {
 	ID  string
 	Dir string
 
-	stats *regStats
-
-	// rmu guards the reader's lifecycle. A query that acquired the
-	// reader keeps using its own pointer even if eviction drops the
-	// registry's — store.Reader stays queryable after Close (it holds
-	// no fds between calls), so in-flight work is never cut off.
-	rmu        sync.Mutex
-	reader     *store.Reader
-	revs       *revCache           // reverse indexes over reader; replaced with it
-	readerOpts store.ReaderOptions // re-attach options (never follow: only closed traces evict)
-
-	lastUsed atomic.Int64 // unix nanos of the last acquire
-
-	mu         sync.RWMutex
-	live       bool
-	generation uint64
-	threads    []ThreadWindow
-	chunks     int
-	recovered  bool
-	trimmed    []TrimmedWindow
+	stats  *regStats
+	reader *store.Reader
+	revs   revCache // reverse indexes over reader, charged to its cache
 
 	attached atomic.Pointer[progAttachment]
 	// attachSeq counts AttachProgram calls. An attach changes answers
 	// without bumping the generation, so result-cache keys fold it in.
 	attachSeq atomic.Uint64
-}
-
-// acquire returns the trace's reader and the reverse-index cache that
-// belongs to it, re-attaching a cold reader, and stamps the LRU clock.
-func (t *Trace) acquire() (*store.Reader, *revCache, error) {
-	t.lastUsed.Store(time.Now().UnixNano())
-	t.rmu.Lock()
-	defer t.rmu.Unlock()
-	if t.reader != nil {
-		return t.reader, t.revs, nil
-	}
-	r, err := store.Open(t.Dir, t.readerOpts)
-	if err != nil {
-		return nil, nil, fmt.Errorf("query: re-attach %s: %w", t.ID, err)
-	}
-	t.reader, t.revs = r, new(revCache)
-	if t.stats != nil {
-		t.stats.reattached.Add(1)
-	}
-	t.refreshSnapshot(r)
-	return r, t.revs, nil
-}
-
-// currentReader returns the open reader without re-attaching (nil
-// when evicted).
-func (t *Trace) currentReader() *store.Reader {
-	t.rmu.Lock()
-	defer t.rmu.Unlock()
-	return t.reader
-}
-
-// dropReader detaches and closes the trace's reader, releasing the
-// reverse indexes built over it, and reports whether one was open.
-func (t *Trace) dropReader() bool {
-	t.rmu.Lock()
-	r := t.reader
-	t.reader, t.revs = nil, nil
-	t.rmu.Unlock()
-	if r == nil {
-		return false
-	}
-	r.Close()
-	return true
 }
 
 // progAttachment pairs a program with its O1 reconstructor.
@@ -281,18 +207,9 @@ func (g *Registry) register(dir, canon, base string) (id string, ok bool, err er
 		return "", false, fmt.Errorf("query: open %s: %w", dir, err)
 	}
 	// Load indexes now: queries start against a warm index, and a
-	// live trace's first frontier is published before it is visible.
-	t := &Trace{
-		Dir:   dir,
-		stats: &g.stats,
-		// Re-attach after eviction is always cold: only closed traces
-		// evict, so follow mode never outlives the first reader.
-		readerOpts: store.ReaderOptions{Cache: g.cache},
-		reader:     r,
-		revs:       new(revCache),
-	}
-	t.lastUsed.Store(time.Now().UnixNano())
-	t.refreshSnapshot(r)
+	// live trace's first frontier is in place before it is visible.
+	r.Chunks()
+	t := &Trace{Dir: dir, stats: &g.stats, reader: r}
 
 	g.mu.Lock()
 	defer g.mu.Unlock()
@@ -325,11 +242,10 @@ func dirTag(canon string) string {
 	return hex.EncodeToString(sum[:4])
 }
 
-// PollLive advances every live trace (store.Reader.Poll) and
-// republishes its snapshot: new chunks extend the frontier, and a
-// writer that closed flips its trace to served-complete mode — those
-// ids are returned. Serialized against Refresh and Close; cheap when
-// nothing is live.
+// PollLive advances every live trace (store.Reader.Poll): new chunks
+// extend the frontier, and a writer that closed flips its trace to
+// served-complete mode — those ids are returned. Serialized against
+// Refresh and Close; cheap when nothing is live.
 func (g *Registry) PollLive() (closedIDs []string, err error) {
 	g.refreshMu.Lock()
 	defer g.refreshMu.Unlock()
@@ -347,16 +263,8 @@ func (g *Registry) PollLive() (closedIDs []string, err error) {
 
 	var firstErr error
 	for _, t := range live {
-		r := t.currentReader()
-		if r == nil {
-			continue // live traces are never evicted; defensive
-		}
-		advanced, perr := r.Poll()
-		if perr != nil && firstErr == nil {
+		if _, perr := t.reader.Poll(); perr != nil && firstErr == nil {
 			firstErr = fmt.Errorf("query: poll %s: %w", t.ID, perr)
-		}
-		if advanced {
-			t.refreshSnapshot(r)
 		}
 		if !t.Live() {
 			closedIDs = append(closedIDs, t.ID)
@@ -366,72 +274,12 @@ func (g *Registry) PollLive() (closedIDs []string, err error) {
 	return closedIDs, firstErr
 }
 
-// EvictCold demotes idle cold readers to save index memory: first
-// every reader idle past ReaderTTL, then — if more than MaxReaders
-// remain open — the least-recently-used down to the cap. Live
-// follow-mode traces are exempt on both passes: their polls extend the
-// index incrementally, so they simply age into eligibility when the
-// writer closes and the trace goes cold. An evicted trace
-// stays registered and queryable — the next query re-attaches, which
-// is the demote-to-cold-re-attach contract from ROADMAP item 1.
-// Returns the evicted ids, sorted.
-func (g *Registry) EvictCold(now time.Time) []string {
-	g.refreshMu.Lock()
-	defer g.refreshMu.Unlock()
-	if g.isClosed() {
-		return nil
-	}
-	g.mu.RLock()
-	traces := make([]*Trace, 0, len(g.traces))
-	for _, t := range g.traces {
-		traces = append(traces, t)
-	}
-	g.mu.RUnlock()
-
-	type cold struct {
-		t    *Trace
-		used int64
-	}
-	var open []cold
-	for _, t := range traces {
-		if t.Live() || t.currentReader() == nil {
-			continue
-		}
-		open = append(open, cold{t, t.lastUsed.Load()})
-	}
-	var evicted []string
-	evict := func(c cold) {
-		if c.t.dropReader() {
-			g.stats.evicted.Add(1)
-			evicted = append(evicted, c.t.ID)
-		}
-	}
-	if ttl := g.opts.ReaderTTL; ttl > 0 {
-		remaining := open[:0]
-		for _, c := range open {
-			if now.Sub(time.Unix(0, c.used)) > ttl {
-				evict(c)
-			} else {
-				remaining = append(remaining, c)
-			}
-		}
-		open = remaining
-	}
-	if maxOpen := g.opts.MaxReaders; maxOpen > 0 && len(open) > maxOpen {
-		sort.Slice(open, func(i, j int) bool { return open[i].used < open[j].used })
-		for _, c := range open[:len(open)-maxOpen] {
-			evict(c)
-		}
-	}
-	sort.Strings(evicted)
-	return evicted
-}
-
 // TrimTrace applies a retention policy to a closed trace's on-disk
 // store (the janitor path — a live trace's writer owns its own
-// retention and this refuses it), then republishes the snapshot under
-// the store's bumped generation, which naturally invalidates result
-// caches keyed on it.
+// retention and this refuses it), then polls the trace's reader, which
+// prunes the trimmed segments in place and publishes the store's
+// bumped generation. That invalidates result caches keyed on it and
+// gives back the reader's held reverse indexes.
 func (g *Registry) TrimTrace(id string, ret store.Retention) (removed int, err error) {
 	g.refreshMu.Lock()
 	defer g.refreshMu.Unlock()
@@ -449,17 +297,13 @@ func (g *Registry) TrimTrace(id string, ret store.Retention) (removed int, err e
 	if err != nil {
 		return 0, err
 	}
-	if removed == 0 {
-		return 0, nil
-	}
-	// Swap in a reader over the trimmed store. In-flight queries
-	// finish against the old reader's index; its trimmed segments read
-	// as holes at worst, never as wrong data.
-	t.dropReader()
-	if _, _, err := t.acquire(); err != nil {
-		return removed, err
-	}
-	return removed, nil
+	// In-flight queries see the trimmed segments as holes until the
+	// poll prunes them, never as wrong data or crash loss. The poll
+	// runs even when nothing was removed, so a trim whose poll failed
+	// is pruned on the next sweep; with the generation unchanged it
+	// returns at once.
+	_, err = t.reader.Poll()
+	return removed, err
 }
 
 // Delete unregisters a trace: it leaves the fleet listing, its reader
@@ -481,7 +325,7 @@ func (g *Registry) Delete(id string, purge bool) error {
 	}
 	delete(g.traces, id)
 	g.mu.Unlock()
-	t.dropReader()
+	t.reader.Close()
 	if purge {
 		//scaldift:ignore lockio refreshMu serializes lifecycle ops by design; the query read path never takes it
 		if err := os.RemoveAll(t.Dir); err != nil {
@@ -490,30 +334,6 @@ func (g *Registry) Delete(id string, purge bool) error {
 	}
 	return nil
 }
-
-// OpenReaders counts traces currently holding an attached reader.
-func (g *Registry) OpenReaders() int {
-	g.mu.RLock()
-	traces := make([]*Trace, 0, len(g.traces))
-	for _, t := range g.traces {
-		traces = append(traces, t)
-	}
-	g.mu.RUnlock()
-	n := 0
-	for _, t := range traces {
-		if t.currentReader() != nil {
-			n++
-		}
-	}
-	return n
-}
-
-// EvictedReaders returns how many readers EvictCold has dropped.
-func (g *Registry) EvictedReaders() int64 { return g.stats.evicted.Load() }
-
-// ReattachedReaders returns how many cold re-attaches queries have
-// paid for.
-func (g *Registry) ReattachedReaders() int64 { return g.stats.reattached.Load() }
 
 // ReverseIndexBuilds returns how many reverse indexes forward queries
 // have built (cached or not).
@@ -534,17 +354,15 @@ func (g *Registry) ReverseIndexBytes() int64 {
 	g.mu.RUnlock()
 	var n int64
 	for _, t := range traces {
-		t.rmu.Lock()
-		revs := t.revs
-		t.rmu.Unlock()
-		n += revs.bytes()
+		n += t.revs.bytes()
 	}
 	return n
 }
 
-// ChunkCacheStats snapshots the decoded-chunk cache the fleet's
-// readers share. A reader's chunks leave it when eviction, deletion,
-// a trim's reader swap or Close drops the reader.
+// ChunkCacheStats snapshots the cache the fleet's readers share: its
+// bytes count decoded chunks and held reverse indexes alike. A
+// reader's entries leave it when Delete or Close closes the reader; a
+// trim takes out its pruned chunks and its indexes.
 func (g *Registry) ChunkCacheStats() store.CacheStats { return g.cache.Stats() }
 
 // LiveCount returns how many registered traces are still recording.
@@ -579,7 +397,7 @@ func (g *Registry) Close() error {
 	}
 	g.mu.Unlock()
 	for _, t := range traces {
-		t.dropReader()
+		t.reader.Close()
 	}
 	return nil
 }
@@ -639,67 +457,38 @@ func (g *Registry) AttachProgram(id string, p *isa.Program, opts ontrac.Options)
 	return nil
 }
 
-// refreshSnapshot republishes the trace's windows, chunk count,
-// liveness, generation, recovery flag, and trimmed floors from r.
-// Runs at registration, on cold re-attach, and after every poll that
-// advanced the store.
-func (t *Trace) refreshSnapshot(r *store.Reader) {
-	chunks := r.Chunks()
-	var threads []ThreadWindow
-	for _, tid := range r.Threads() {
-		lo, hi := r.Window(tid)
-		threads = append(threads, ThreadWindow{TID: tid, Lo: lo, Hi: hi})
-	}
-	live := r.Live()
-	gen := r.Generation()
-	recovered := r.Recovered()
-	var trimmed []TrimmedWindow
-	for tid, lo := range r.Trimmed() {
-		trimmed = append(trimmed, TrimmedWindow{TID: tid, Lo: lo})
-	}
-	sort.Slice(trimmed, func(i, j int) bool { return trimmed[i].TID < trimmed[j].TID })
-	t.mu.Lock()
-	t.chunks = chunks
-	t.threads = threads
-	t.live = live
-	t.generation = gen
-	t.recovered = recovered
-	t.trimmed = trimmed
-	t.mu.Unlock()
-}
-
 // Live reports whether the trace's writer had not yet closed as of
 // the last poll.
-func (t *Trace) Live() bool {
-	t.mu.RLock()
-	defer t.mu.RUnlock()
-	return t.live
-}
+func (t *Trace) Live() bool { return t.reader.Live() }
 
-// Frontier returns the last published per-thread windows: for a live
-// trace, the monotone frontier of instances that have landed; for a
-// closed one, the full retained range.
+// Frontier returns the per-thread windows: for a live trace, the
+// monotone frontier of instances that have landed; for a closed one,
+// the full retained range.
 func (t *Trace) Frontier() []ThreadWindow {
-	t.mu.RLock()
-	defer t.mu.RUnlock()
-	return append([]ThreadWindow(nil), t.threads...)
+	var out []ThreadWindow
+	for _, tid := range t.reader.Threads() {
+		lo, hi := t.reader.Window(tid)
+		out = append(out, ThreadWindow{TID: tid, Lo: lo, Hi: hi})
+	}
+	return out
 }
 
-// Info reports the trace's registry metadata (from the published
-// snapshot — an evicted trace answers without re-attaching).
+// Info reports the trace's registry metadata.
 func (t *Trace) Info() TraceInfo {
-	t.mu.RLock()
+	r := t.reader
 	info := TraceInfo{
 		ID:         t.ID,
 		Dir:        t.Dir,
-		Threads:    append([]ThreadWindow(nil), t.threads...),
-		Chunks:     t.chunks,
-		Live:       t.live,
-		Generation: t.generation,
-		Recovered:  t.recovered,
-		Trimmed:    append([]TrimmedWindow(nil), t.trimmed...),
+		Threads:    t.Frontier(),
+		Chunks:     r.Chunks(),
+		Live:       r.Live(),
+		Generation: r.Generation(),
+		Recovered:  r.Recovered(),
 	}
-	t.mu.RUnlock()
+	for tid, lo := range r.Trimmed() {
+		info.Trimmed = append(info.Trimmed, TrimmedWindow{TID: tid, Lo: lo})
+	}
+	sort.Slice(info.Trimmed, func(i, j int) bool { return info.Trimmed[i].TID < info.Trimmed[j].TID })
 	if a := t.attached.Load(); a != nil {
 		info.Program = a.prog.Name
 		info.Reconstructing = true
@@ -707,14 +496,11 @@ func (t *Trace) Info() TraceInfo {
 	return info
 }
 
-// Generation returns the trace's last published manifest generation.
-// It advances on every seal and trim, so it is the cache-invalidation
-// token for anything derived from the trace's contents.
-func (t *Trace) Generation() uint64 {
-	t.mu.RLock()
-	defer t.mu.RUnlock()
-	return t.generation
-}
+// Generation returns the trace's manifest generation as of the last
+// poll. It advances on every seal and trim, so it is the
+// cache-invalidation token for anything derived from the trace's
+// contents.
+func (t *Trace) Generation() uint64 { return t.reader.Generation() }
 
 // Program returns the attached program, if any.
 func (t *Trace) Program() *isa.Program {
@@ -724,42 +510,21 @@ func (t *Trace) Program() *isa.Program {
 	return nil
 }
 
-// Source builds the ddg.Source one query traverses: the shared
-// reader (re-attached if evicted), viewed through the query's budget
-// (nil = unlimited), with O1 reconstruction composed on top unless
-// raw or no program is attached.
-func (t *Trace) Source(b *store.Budget, raw bool) (ddg.Source, error) {
-	src, _, err := t.source(b, raw)
-	return src, err
-}
-
-// source is Source plus the reverse-index cache of the reader src
-// reads.
-func (t *Trace) source(b *store.Budget, raw bool) (ddg.Source, *revCache, error) {
-	r, revs, err := t.acquire()
-	if err != nil {
-		return nil, nil, err
-	}
-	var src ddg.Source = r
+// source builds the ddg.Source one query traverses: the trace's
+// reader, viewed through the query's budget (nil = unlimited), with O1
+// reconstruction composed on top unless raw or no program is attached.
+func (t *Trace) source(b *store.Budget, raw bool) ddg.Source {
+	var src ddg.Source = t.reader
 	if b != nil {
-		src = r.Budgeted(b)
+		src = t.reader.Budgeted(b)
 	}
 	if a := t.attached.Load(); a != nil && !raw {
-		return a.recon.ReaderOver(src), revs, nil
+		return a.recon.ReaderOver(src)
 	}
-	return src, revs, nil
+	return src
 }
 
-// Window returns the thread's last published range (lo = hi = 0 for
-// unknown threads). For a live trace this is the frontier, so "the
-// newest instance" criteria resolve against what has landed.
-func (t *Trace) Window(tid int) (lo, hi uint64) {
-	t.mu.RLock()
-	defer t.mu.RUnlock()
-	for _, w := range t.threads {
-		if w.TID == tid {
-			return w.Lo, w.Hi
-		}
-	}
-	return 0, 0
-}
+// Window returns the thread's range (lo = hi = 0 for unknown threads).
+// For a live trace this is the frontier, so "the newest instance"
+// criteria resolve against what has landed.
+func (t *Trace) Window(tid int) (lo, hi uint64) { return t.reader.Window(tid) }

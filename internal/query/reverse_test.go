@@ -5,7 +5,10 @@ import (
 	"net/http/httptest"
 	"path/filepath"
 	"reflect"
+	"runtime"
+	"sync"
 	"testing"
+	"weak"
 
 	"scaldift/internal/ddg"
 	"scaldift/internal/ontrac"
@@ -16,9 +19,14 @@ import (
 
 // The reverse-index cache's correctness edges. Every server here runs
 // with the result cache off, so each forward query reaches the index
-// path and the reverse_index_* counters tell which way it went.
+// path and the reverse_index_* counters tell which way it went. An
+// index is charged to the chunk cache, so the services that must keep
+// one run with a cache it fits in.
 
 var noResultCache = ServerOptions{ResultCacheEntries: -1}
+
+// roomyCache holds every test trace's reverse index (67–360 KB).
+const roomyCache = 1 << 20
 
 // revCounters reads the reverse-index counters off /v1/stats.
 func revCounters(t *testing.T, cl *Client) (builds, hits, bytes int64) {
@@ -56,8 +64,8 @@ func sameAnswer(a, b *SliceResponse) bool {
 // that had the program attached from the start.
 func TestReverseIndexRebuiltOnAttach(t *testing.T) {
 	w := prog.Compress(300, 1)
-	cl, id, reg, _ := newService(t, w, false, noResultCache)
-	fresh, freshID, _, _ := newService(t, w, true, noResultCache)
+	cl, id, reg, _ := newServiceCache(t, w, false, noResultCache, roomyCache)
+	fresh, freshID, _, _ := newServiceCache(t, w, true, noResultCache, roomyCache)
 	tr, _ := reg.Get(id)
 	lo, _ := tr.Window(0)
 
@@ -128,7 +136,7 @@ func TestReverseIndexLiveTrace(t *testing.T) {
 }
 
 // TestReverseIndexRebuiltOnTrim: a retention trim bumps the generation
-// and swaps the reader, dropping the index; the next forward query
+// and the reader's poll drops the index; the next forward query
 // builds one over the trimmed store and answers like a direct
 // ParallelForward over a freshly opened reader.
 func TestReverseIndexRebuiltOnTrim(t *testing.T) {
@@ -178,7 +186,7 @@ func TestReverseIndexRebuiltOnTrim(t *testing.T) {
 // and caches the index, and the one after walks it.
 func TestReverseIndexBudget(t *testing.T) {
 	w := prog.Compress(1500, 1)
-	cl, id, reg, _ := newService(t, w, true, noResultCache)
+	cl, id, reg, _ := newServiceCache(t, w, true, noResultCache, roomyCache)
 	tr, _ := reg.Get(id)
 	lo, _ := tr.Window(0)
 
@@ -206,6 +214,177 @@ func TestReverseIndexBudget(t *testing.T) {
 	if b, h, _ := revCounters(t, cl); b != 2 || h != 1 {
 		t.Fatalf("cached walk: %d builds, %d hits; want 2, 1", b, h)
 	}
+}
+
+// TestReverseIndexSharesChunkBudget: a cached reverse index is charged
+// to the chunk cache. Over a budget smaller than the index (12 KB for
+// the 600-chain) every forward query rebuilds it and none is kept. Under
+// one it fits, it counts in chunk_cache_bytes, chunk churn evicts it
+// like a chunk, nothing keeps it reachable after, and the rebuild
+// answers identically; TrimTrace, Delete and Close each give its bytes
+// back.
+func TestReverseIndexSharesChunkBudget(t *testing.T) {
+	serve := func(t *testing.T, budget int64, traces ...string) (*Client, *Registry) {
+		t.Helper()
+		root := t.TempDir()
+		for _, id := range traces {
+			bigClosedStore(t, filepath.Join(root, id))
+		}
+		reg := NewRegistry([]string{root}, RegistryOptions{CacheBytes: budget})
+		if _, err := reg.Refresh(); err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(func() { reg.Close() })
+		srv := httptest.NewServer(NewServer(reg, noResultCache).Handler())
+		t.Cleanup(srv.Close)
+		return NewClient(srv.URL, srv.Client()), reg
+	}
+	// cacheBytes reads chunk_cache_bytes and holds it to the budget.
+	cacheBytes := func(t *testing.T, cl *Client) int64 {
+		t.Helper()
+		st, err := cl.Stats(context.Background())
+		if err != nil {
+			t.Fatal(err)
+		}
+		if st.ChunkCacheBytes > st.ChunkCacheBudgetBytes {
+			t.Fatalf("chunk_cache_bytes %d over the %d budget", st.ChunkCacheBytes, st.ChunkCacheBudgetBytes)
+		}
+		return st.ChunkCacheBytes
+	}
+
+	t.Run("OverBudget", func(t *testing.T) {
+		cl, _ := serve(t, 8<<10, "big")
+		first := forward(t, cl, "big", 0, 500, 0)
+		again := forward(t, cl, "big", 0, 500, 0)
+		if !sameAnswer(first, again) {
+			t.Fatal("the rebuilt index answered differently")
+		}
+		if b, h, bytes := revCounters(t, cl); b != 2 || h != 0 || bytes != 0 {
+			t.Fatalf("index over the budget: %d builds, %d hits, %d cached bytes; want 2, 0, 0", b, h, bytes)
+		}
+		cacheBytes(t, cl)
+	})
+
+	t.Run("Evicted", func(t *testing.T) {
+		cl, reg := serve(t, 16<<10, "a", "b")
+		ta, _ := reg.Get("a")
+		tb, _ := reg.Get("b")
+		first := forward(t, cl, "a", 0, 500, 0)
+		_, _, index := revCounters(t, cl)
+		if index == 0 {
+			t.Fatal("an index that fits the budget was not cached")
+		}
+		if got := cacheBytes(t, cl); got < index {
+			t.Fatalf("chunk_cache_bytes %d does not count the %d-byte index", got, index)
+		}
+		gone := weakIndex(ta)
+		warm(tb.reader) // b's chunks push out everything admitted before them
+		if _, _, bytes := revCounters(t, cl); bytes != 0 {
+			t.Fatalf("chunk churn left %d bytes of index cached", bytes)
+		}
+		runtime.GC()
+		if gone.Value() != nil {
+			t.Fatal("the evicted index is still reachable")
+		}
+		again := forward(t, cl, "a", 0, 500, 0)
+		if !sameAnswer(first, again) {
+			t.Fatal("the rebuilt index answered differently")
+		}
+		if b, h, _ := revCounters(t, cl); b != 2 || h != 0 {
+			t.Fatalf("forward after eviction: %d builds, %d hits; want 2, 0", b, h)
+		}
+
+		// Each release path gives the index's bytes back.
+		gaveBack := func(t *testing.T, what string, do func()) {
+			t.Helper()
+			_, _, index := revCounters(t, cl)
+			before := cacheBytes(t, cl)
+			do()
+			if _, _, bytes := revCounters(t, cl); bytes != 0 {
+				t.Fatalf("%s kept %d bytes of index cached", what, bytes)
+			}
+			if after := cacheBytes(t, cl); index == 0 || after > before-index {
+				t.Fatalf("%s: chunk_cache_bytes %d → %d; want the %d-byte index gone", what, before, after, index)
+			}
+		}
+		gaveBack(t, "TrimTrace", func() {
+			if removed, err := reg.TrimTrace("a", store.Retention{MaxBytes: 4 << 10}); err != nil || removed == 0 {
+				t.Fatalf("trim: removed %d, %v", removed, err)
+			}
+		})
+		forward(t, cl, "a", 0, 580, 0)
+		gaveBack(t, "Delete", func() {
+			if err := reg.Delete("a", false); err != nil {
+				t.Fatal(err)
+			}
+		})
+		forward(t, cl, "b", 0, 580, 0)
+		gaveBack(t, "Close", func() { reg.Close() })
+		if got := cacheBytes(t, cl); got != 0 {
+			t.Fatalf("%d bytes resident after Close", got)
+		}
+	})
+}
+
+// TestReverseIndexConcurrentChurn: forward and backward queries on two
+// traces run at once over a cache that holds one index and a few
+// chunks, while a trim prunes one trace in place and the registry
+// closes at the end. Holds, chunk admissions, evictions and the trim's
+// release race each other; every forward answer stays exact and the
+// cache ends empty within its budget.
+func TestReverseIndexConcurrentChurn(t *testing.T) {
+	const budget = 16 << 10
+	root := t.TempDir()
+	for _, id := range []string{"a", "b"} {
+		bigClosedStore(t, filepath.Join(root, id))
+	}
+	reg := NewRegistry([]string{root}, RegistryOptions{CacheBytes: budget})
+	if _, err := reg.Refresh(); err != nil {
+		t.Fatal(err)
+	}
+	srv := httptest.NewServer(NewServer(reg, ServerOptions{ResultCacheEntries: -1, MaxConcurrent: 8}).Handler())
+	defer srv.Close()
+	cl := NewClient(srv.URL, srv.Client())
+
+	var wg sync.WaitGroup
+	for g := 0; g < 4; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 0; i < 20; i++ {
+				id := []string{"a", "b"}[(g+i)%2]
+				n := uint64(580 + (g*7+i)%21) // above the trim floor
+				dir := []string{DirForward, DirBackward}[i%3/2]
+				resp, err := cl.Slice(context.Background(), &SliceRequest{Trace: id, Direction: dir,
+					Criteria: []Criterion{{TID: 0, N: n}}, FollowControl: true})
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				if dir == DirForward && resp.Nodes != int(601-n) {
+					t.Errorf("forward from %s 0:%d reached %d nodes, want %d", id, n, resp.Nodes, 601-n)
+				}
+			}
+		}()
+	}
+	if removed, err := reg.TrimTrace("a", store.Retention{MaxBytes: 4 << 10}); err != nil || removed == 0 {
+		t.Errorf("trim: removed %d, %v", removed, err)
+	}
+	wg.Wait()
+	if st := reg.ChunkCacheStats(); st.Bytes > budget || st.Evictions == 0 {
+		t.Fatalf("cache %+v: want evictions within the %d budget", st, budget)
+	}
+	reg.Close()
+	if st := reg.ChunkCacheStats(); st.Bytes != 0 || reg.ReverseIndexBytes() != 0 {
+		t.Fatalf("%d bytes resident, %d of them index, after Close", st.Bytes, reg.ReverseIndexBytes())
+	}
+}
+
+// weakIndex returns a weak pointer to t's cached raw-record index.
+func weakIndex(t *Trace) weak.Pointer[slicing.Reverse] {
+	t.revs.mu.Lock()
+	defer t.revs.mu.Unlock()
+	return weak.Make(t.revs.slots[0].rev)
 }
 
 // forwardBenchService serves a closed 4-thread, 20 000-instance chain
@@ -250,9 +429,14 @@ func benchmarkServedForward(b *testing.B, cold bool) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if cold {
-			tr.rmu.Lock()
-			tr.revs = new(revCache)
-			tr.rmu.Unlock()
+			for i := range tr.revs.slots {
+				tr.revs.mu.Lock()
+				e := tr.revs.slots[i]
+				tr.revs.mu.Unlock()
+				if e != nil {
+					e.release()
+				}
+			}
 		}
 		resp, err := cl.Slice(ctx, req)
 		if err != nil {

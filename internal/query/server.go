@@ -264,9 +264,6 @@ func (s *Server) handleStats(w http.ResponseWriter, _ *http.Request) {
 		Rejected:      s.rejected.Load(),
 		MaxConcurrent: s.opts.MaxConcurrent,
 
-		OpenReaders:       s.reg.OpenReaders(),
-		EvictedReaders:    s.reg.EvictedReaders(),
-		ReattachedReaders: s.reg.ReattachedReaders(),
 		ResultCacheHits:   s.cacheHits(),
 		ResultCacheMisses: s.cacheMisses(),
 
@@ -427,19 +424,20 @@ func (s *Server) runSlice(ctx context.Context, req *SliceRequest) (*SliceRespons
 	} else if s.opts.BudgetChunkLoads > 0 {
 		budget = store.NewBudget(int(s.opts.BudgetChunkLoads))
 	}
+	// Read the generation first: a poll publishes a new one only after
+	// the reader reflects it, so an answer computed from here on is
+	// never older than the key it is cached under. A trim racing the
+	// query can only file a newer answer under an older key.
+	gen := t.Generation()
 	// Snapshot liveness and the frontier once: criteria resolve
 	// against it, and the response reports the same windows, so the
 	// answer names exactly the prefix it was computed over even if a
 	// poll lands mid-query.
 	live := t.Live()
 	frontier := t.Frontier()
-	// Read before Source loads the program: a racing attach can then
-	// only file a newer answer under an older key, never the reverse.
+	// Read before source loads the program, for the same reason.
 	attach := t.attachSeq.Load()
-	src, revs, err := t.source(budget, req.Raw)
-	if err != nil {
-		return nil, http.StatusInternalServerError, err
-	}
+	src := t.source(budget, req.Raw)
 	crits, err := resolveCriteria(frontier, src, req.Criteria)
 	if err != nil {
 		return nil, http.StatusUnprocessableEntity, err
@@ -450,7 +448,6 @@ func (s *Server) runSlice(ctx context.Context, req *SliceRequest) (*SliceRespons
 	// repeat queries hit the result cache; live traces advance between
 	// polls without a generation bump, so they always recompute.
 	var key string
-	gen := t.Generation()
 	if !live {
 		key = sliceCacheKey(req.Trace, gen, attach, req, crits)
 		if resp := s.cache.get(key); resp != nil {
@@ -475,7 +472,7 @@ func (s *Server) runSlice(ctx context.Context, req *SliceRequest) (*SliceRespons
 		for i, c := range crits {
 			ids[i] = c.ID
 		}
-		rev := t.reverse(revs, src, live, gen, attach, req.Raw, budget, ctx.Done())
+		rev := t.reverse(src, live, gen, attach, req.Raw, budget, ctx.Done())
 		sl = slicing.ForwardOver(rev, src, t.Program(), ids, sopts, sliceWorkers)
 	}
 	wall := time.Since(start)

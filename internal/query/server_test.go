@@ -23,10 +23,16 @@ import (
 // the trace id, the registry, and the server.
 func newService(t *testing.T, w *prog.Workload, attach bool, sopts ServerOptions) (*Client, string, *Registry, *Server) {
 	t.Helper()
+	return newServiceCache(t, w, attach, sopts, 64<<10)
+}
+
+// newServiceCache is newService with a cacheBytes chunk cache.
+func newServiceCache(t *testing.T, w *prog.Workload, attach bool, sopts ServerOptions, cacheBytes int64) (*Client, string, *Registry, *Server) {
+	t.Helper()
 	opts := ontrac.StaticOptions()
 	root := t.TempDir()
 	dir := recordTrace(t, root, w, opts, 1)
-	reg := NewRegistry([]string{root}, RegistryOptions{CacheBytes: 64 << 10})
+	reg := NewRegistry([]string{root}, RegistryOptions{CacheBytes: cacheBytes})
 	if _, err := reg.Refresh(); err != nil {
 		t.Fatal(err)
 	}

@@ -89,16 +89,6 @@ func writeManifest(dir string, m *manifest) error {
 	return os.Rename(tmp.Name(), filepath.Join(dir, manifestName))
 }
 
-// IsClosed reports whether dir holds a trace store whose writer
-// closed cleanly (final manifest written). A missing or foreign
-// manifest returns ok=false with a nil error — "not a closed store
-// here" is an answer, not a failure — so pollers can cheaply skip
-// directories still being written.
-func IsClosed(dir string) (closed bool, err error) {
-	_, closed, err = Status(dir)
-	return closed, err
-}
-
 // Status reports whether dir holds a trace store at all (a valid
 // manifest exists) and, if so, whether its writer has closed. The
 // distinction lets a live-following registry tell "still recording"

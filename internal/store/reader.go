@@ -47,7 +47,9 @@ type ReaderOptions struct {
 // still recording: Window reports the frontier of CRC-valid chunks
 // on disk, and Poll advances it incrementally — each poll reopens a
 // thread's tail segment and reads only the bytes past its last
-// known-good offset.
+// known-good offset. On any reader, Poll also prunes what retention
+// trimmed since the last manifest it read, so one reader serves a
+// store for its whole life.
 //
 // Reads are safe for concurrent use: threads are sharded into
 // independently locked states, so slicing.ParallelBackward's workers
@@ -70,6 +72,7 @@ type Reader struct {
 	trimLo     map[int]uint64 // per-tid retention floor from the manifest
 	err        error          // first unexpected I/O error (not crash damage)
 	closed     bool           // Close ran: new threads admit nothing to the cache
+	holds      holdSet        // what Hold charged (opts.Cache.mu)
 
 	tailScanned atomic.Int64 // bytes read by incremental tail scans
 }
@@ -147,6 +150,7 @@ func Open(dir string, opts ReaderOptions) (*Reader, error) {
 		threads: make(map[int]*threadState),
 		known:   make(map[string]bool),
 		trimLo:  make(map[int]uint64),
+		holds:   make(holdSet),
 		// Cold-opening an unclosed store is crash recovery: the reader
 		// serves the longest valid prefix of whatever landed.
 		recovered: !man.Closed && !opts.Follow,
@@ -155,20 +159,19 @@ func Open(dir string, opts ReaderOptions) (*Reader, error) {
 	for tid, segs := range fresh {
 		r.threads[tid].segs = segs
 	}
+	r.publish(man)
 	return r, nil
 }
 
 // adopt registers every segment the reader has not seen yet — those
 // the manifest lists, then directory strays (created since the last
-// manifest write, or a crashed run's never-listed tail) — and, in the
-// same r.mu section, publishes the manifest's liveness, generation and
-// trim floors. A stray below its thread's trim floor is a crash
-// orphan: retention journaled its deletion but died before the
-// unlink, so its chunks are officially trimmed and adopting it would
-// resurrect them. The new segments come back per thread in seq order
-// (the writer numbers each thread's segments increasingly), ready to
-// append after the ones already indexed; minSeq is each thread's trim
-// floor.
+// manifest write, or a crashed run's never-listed tail). A stray below
+// its thread's trim floor is a crash orphan: retention journaled its
+// deletion but died before the unlink, so its chunks are officially
+// trimmed and adopting it would resurrect them. The new segments come
+// back per thread in seq order (the writer numbers each thread's
+// segments increasingly), ready to append after the ones already
+// indexed; minSeq is each thread's trim floor.
 func (r *Reader) adopt(man *manifest, entries []os.DirEntry) (fresh map[int][]readerSeg, minSeq map[int]int) {
 	minSeq = make(map[int]int)
 	for _, tr := range man.Trimmed {
@@ -217,12 +220,20 @@ func (r *Reader) adopt(man *manifest, entries []os.DirEntry) (fresh map[int][]re
 		}
 	}
 	sort.Ints(r.tids)
+	return fresh, minSeq
+}
+
+// publish makes man's liveness, generation and trim floors the
+// reader's. Poll publishes only once every thread reflects man, so a
+// caller that reads the new generation never reads the old contents.
+func (r *Reader) publish(man *manifest) {
+	r.mu.Lock()
+	defer r.mu.Unlock()
 	r.live = r.opts.Follow && !man.Closed
 	r.generation = man.Generation
 	for _, tr := range man.Trimmed {
 		r.trimLo[tr.TID] = max(r.trimLo[tr.TID], tr.Lo)
 	}
-	return fresh, minSeq
 }
 
 // parseSegName decodes a t<tid>-<seq>.seg segment filename.
@@ -236,14 +247,15 @@ func parseSegName(name string) (tid, seq int, ok bool) {
 	return tid, seq, tid >= 0 && seq >= 0
 }
 
-// Close releases the reader's decoded chunks from its cache. The
-// reader stays usable for queries afterwards, but caches no chunk
-// again, so a query still running on it cannot leave entries in a
-// shared cache.
+// Close releases the reader's decoded chunks and holds from its
+// cache. The reader stays usable for queries afterwards, but caches no
+// chunk and takes no hold again, so a query still running on it cannot
+// leave entries in a shared cache.
 func (r *Reader) Close() error {
 	r.mu.Lock()
 	r.closed = true
 	r.mu.Unlock()
+	r.opts.Cache.dropHolds(r.holds)
 	for _, ts := range r.allThreads() {
 		ts.mu.Lock()
 		ts.closed = true
@@ -251,6 +263,30 @@ func (r *Reader) Close() error {
 		ts.mu.Unlock()
 	}
 	return nil
+}
+
+// Hold charges size bytes of memory the caller derived from the
+// reader's contents, such as an index over its chunks, to the reader's
+// ChunkCache, where they age in one admission order with decoded
+// chunks. The cache calls drop exactly once, with no lock held, when
+// it lets the bytes go: on eviction, on Close, or when Poll publishes
+// a new generation. The holder must then let go of the memory too, or
+// the budget no longer bounds it. The function Hold returns lets the
+// bytes go early, calling drop if it has not run. Hold charges nothing
+// and returns nil when size exceeds the whole budget or the reader is
+// closed: the caller uses the memory once and keeps nothing.
+func (r *Reader) Hold(size int64, drop func()) func() {
+	r.mu.Lock()
+	if r.closed {
+		r.mu.Unlock()
+		return nil
+	}
+	// Under r.mu, so a concurrent Close either sees this hold or
+	// refuses it.
+	let, victims := r.opts.Cache.hold(r.holds, size, drop)
+	r.mu.Unlock()
+	release(victims)
+	return let
 }
 
 // TrimmedLo returns tid's retention floor: every instance below it
@@ -333,12 +369,6 @@ func (r *Reader) markErr(err error) {
 	r.mu.Unlock()
 }
 
-func (r *Reader) isLive() bool {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return r.live
-}
-
 // thread returns tid's state under r.mu (Poll may grow the map
 // concurrently with queries).
 func (r *Reader) thread(tid int) *threadState {
@@ -358,26 +388,30 @@ func (r *Reader) allThreads() []*threadState {
 	return out
 }
 
-// Poll re-examines a live store: it re-reads the manifest (a bumped
-// generation means segments sealed or the writer closed), discovers
-// newly created segment files, and extends each thread's index by
-// scanning only bytes past the previous frontier. It reports whether
-// anything advanced — new chunks landed, or the store transitioned
-// to closed. On a reader that is not live, Poll is a no-op.
+// Poll re-examines the store: it re-reads the manifest (a bumped
+// generation means segments sealed, retention trimmed some, or the
+// writer closed) and prunes trimmed segments from the window. On a
+// live reader it also discovers newly created segment files and
+// extends each thread's index by scanning only bytes past the previous
+// frontier. It reports whether anything advanced — new chunks landed,
+// a trim moved a window's lo edge, or the store transitioned to
+// closed. On a reader that is not live, an unchanged generation
+// returns at once. The new generation, liveness and trim floors are
+// published only after every thread reflects them, and a new
+// generation drops every Hold.
 func (r *Reader) Poll() (advanced bool, err error) {
 	r.pollMu.Lock()
 	defer r.pollMu.Unlock()
 
-	r.mu.Lock()
-	wasLive := r.live
-	r.mu.Unlock()
-	if !wasLive {
-		return false, nil
-	}
-
 	man, err := readManifest(r.dir)
 	if err != nil {
 		return false, err
+	}
+	r.mu.Lock()
+	wasLive, gen := r.live, r.generation
+	r.mu.Unlock()
+	if !wasLive && man.Generation == gen {
+		return false, nil
 	}
 	//scaldift:ignore lockio pollMu only single-flights Poll itself; the read path locks ts.mu, never this
 	entries, err := os.ReadDir(r.dir)
@@ -391,7 +425,7 @@ func (r *Reader) Poll() (advanced bool, err error) {
 		}
 	}
 	fresh, minSeq := r.adopt(man, entries)
-	nowLive := !man.Closed
+	nowLive := r.opts.Follow && !man.Closed
 	for _, ts := range r.allThreads() {
 		ts.mu.Lock()
 		ts.segs = append(ts.segs, fresh[ts.tid]...)
@@ -404,17 +438,18 @@ func (r *Reader) Poll() (advanced bool, err error) {
 			advanced = true // the window's lo edge moved up
 		}
 		before := len(ts.chunks)
-		if !ts.loaded {
-			r.ensureLoaded(ts)
-		} else {
-			r.advanceThread(ts, nowLive)
-		}
+		ts.loaded = true
+		r.advanceThread(ts, nowLive)
 		if len(ts.chunks) > before {
 			advanced = true
 		}
 		ts.mu.Unlock()
 	}
-	if !nowLive {
+	r.publish(man)
+	if man.Generation != gen {
+		r.opts.Cache.dropHolds(r.holds)
+	}
+	if wasLive && !nowLive {
 		advanced = true // live → closed is itself an advance
 	}
 	return advanced, nil
@@ -467,7 +502,7 @@ func (r *Reader) ensureLoaded(ts *threadState) {
 		return
 	}
 	ts.loaded = true
-	r.advanceThread(ts, r.isLive())
+	r.advanceThread(ts, r.Live())
 }
 
 // advanceThread indexes newly available chunks for one thread (ts.mu
@@ -490,10 +525,11 @@ func (r *Reader) advanceThread(ts *threadState, live bool) {
 		}
 		f, err := os.Open(seg.path)
 		if err != nil {
-			if live && os.IsNotExist(err) {
-				// A live writer's retention may have trimmed it after
-				// the manifest this reader last read; the next poll's
-				// manifest says so and prunes it. Stop here until then.
+			if os.IsNotExist(err) && (live || r.trimmedAway(ts.tid, seg.seq)) {
+				// Retention may have trimmed it after the manifest this
+				// reader last read (a live writer's may have, unseen);
+				// the next poll's manifest says so and prunes it. Stop
+				// here until then.
 				return
 			}
 			// A missing segment is crash loss (only its own chunks
@@ -545,6 +581,23 @@ func (r *Reader) advanceThread(ts *threadState, live bool) {
 			ts.finishSeg()
 		}
 	}
+}
+
+// trimmedAway reports whether the store's current manifest puts tid's
+// segment seq below its thread's trim floor: retention deleted it.
+//
+//scaldift:io
+func (r *Reader) trimmedAway(tid, seq int) bool {
+	man, err := readManifest(r.dir)
+	if err != nil {
+		return false
+	}
+	for _, tr := range man.Trimmed {
+		if tr.TID == tid {
+			return seq < tr.MinSeq
+		}
+	}
+	return false
 }
 
 // appendChunks adopts freshly indexed chunks of segs[nextSeg]
@@ -869,7 +922,7 @@ func (r *Reader) chunkAt(id ddg.ID, budget *Budget) *ddg.Decoded {
 	// underneath it.
 	epoch := ts.epoch
 	tc := ts.chunks[idx]
-	path := ts.segs[tc.seg].path
+	seg := ts.segs[tc.seg]
 	ts.mu.Unlock()
 
 	if !budget.charge() {
@@ -877,8 +930,14 @@ func (r *Reader) chunkAt(id ddg.ID, budget *Budget) *ddg.Decoded {
 		// left alone so other queries are unaffected.
 		return nil
 	}
-	d, err := readChunk(path, ts.tid, tc)
+	d, err := readChunk(seg.path, ts.tid, tc)
 	if err != nil {
+		if os.IsNotExist(err) && r.trimmedAway(ts.tid, seg.seq) {
+			// Retention trimmed the segment after the manifest this
+			// reader last read: not crash loss, and the next Poll
+			// prunes it from the window.
+			return nil
+		}
 		if !errors.Is(err, errDamage) {
 			// Missing files and short reads can be transient — an fs
 			// blip, or a racing writer the index got ahead of — so

@@ -242,6 +242,70 @@ func TestStoreTrimClosedStore(t *testing.T) {
 	}
 }
 
+// TestStoreTrimPrunesClosedReader: a reader open on a closed store
+// rides a janitor Trim in place. A lookup between the trim and the
+// next Poll finds its segment gone without reading that as crash loss;
+// the Poll prunes the trimmed segments, so each window starts at its
+// trim floor and every lookup equals a cold reader's; and a second
+// Poll reports nothing.
+func TestStoreTrimPrunesClosedReader(t *testing.T) {
+	dir := t.TempDir()
+	spillAll(t, dir, Options{SegmentBytes: 2048}, 2, 400, 256)
+	r, err := Open(dir, ReaderOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer r.Close()
+	lo0, _ := r.Window(0) // loads the index, no chunk
+	gen := r.Generation()
+
+	if removed, err := Trim(dir, Retention{MaxBytes: 4 << 10}); err != nil || removed == 0 {
+		t.Fatalf("trim = (%d, %v), want segments removed", removed, err)
+	}
+	ddg.CountDeps(r, ddg.MakeID(0, lo0))
+	if r.Recovered() {
+		t.Fatal("a lookup racing the trim read as crash recovery")
+	}
+	if advanced, err := r.Poll(); err != nil || !advanced {
+		t.Fatalf("poll after trim = (%v, %v), want an advance", advanced, err)
+	}
+	if r.Generation() <= gen {
+		t.Fatalf("generation %d not past %d after the trim's poll", r.Generation(), gen)
+	}
+	if len(r.Trimmed()) == 0 {
+		t.Fatal("the poll published no trim floor")
+	}
+	cold, err := Open(dir, ReaderOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer cold.Close()
+	if fmt.Sprint(r.Threads()) != fmt.Sprint(cold.Threads()) {
+		t.Fatalf("threads %v, cold reader %v", r.Threads(), cold.Threads())
+	}
+	for _, tid := range r.Threads() {
+		lo, hi := r.Window(tid)
+		if floor, ok := r.TrimmedLo(tid); ok && lo != floor {
+			t.Fatalf("tid %d window starts at %d, trim floor %d", tid, lo, floor)
+		}
+		if clo, chi := cold.Window(tid); lo != clo || hi != chi {
+			t.Fatalf("tid %d window [%d,%d], cold reader [%d,%d]", tid, lo, hi, clo, chi)
+		}
+		for n := lo; n <= hi; n++ {
+			id := ddg.MakeID(tid, n)
+			if got, want := fmt.Sprint(ddg.CountDeps(r, id)), fmt.Sprint(ddg.CountDeps(cold, id)); got != want {
+				t.Fatalf("deps of %v: %s, cold reader %s", id, got, want)
+			}
+		}
+	}
+	if r.Recovered() || r.Err() != nil {
+		t.Fatalf("recovered=%v err=%v after an in-place prune", r.Recovered(), r.Err())
+	}
+	if advanced, err := r.Poll(); err != nil || advanced {
+		t.Fatalf("second poll = (%v, %v), want nothing", advanced, err)
+	}
+}
+
 // TestStoreRetentionKeepsThreadPrefix pins planTrim's per-thread
 // prefix rule on manifests whose SealedAt is not monotone within a
 // thread: a kept segment must block every later segment of its thread,
@@ -525,6 +589,66 @@ func TestStoreFollowerSurvivesTrimOfScannedTail(t *testing.T) {
 				}
 			}
 		})
+	}
+}
+
+// TestStoreFollowerChunkLoadRacingTrim: a follower's index still lists
+// segments the writer's retention has since trimmed and unlinked. A
+// chunk load from one of them before the next Poll finds no file; the
+// manifest says retention took it, so the reader is not marked
+// recovered and reports no error, and the Poll prunes the window to
+// the trim floor.
+func TestStoreFollowerChunkLoadRacingTrim(t *testing.T) {
+	dir := t.TempDir()
+	w, err := Create(Options{Dir: dir, SegmentBytes: 1024, Retain: Retention{MaxBytes: 4 << 10}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer w.Close()
+	c := ddg.NewCompactSized(0, 32)
+	c.SetSpill(w)
+	model := ddg.NewFull()
+	appendPhase(c, model, 1, 1, 200)
+	c.Flush()
+
+	r, err := Open(dir, ReaderOptions{Follow: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer r.Close()
+	lo, _ := r.Window(0) // indexes the thread, loads no chunk
+	appendPhase(c, model, 1, 201, 1200)
+	c.Flush()
+	man, err := readManifest(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(man.Trimmed) == 0 || man.Trimmed[0].Lo <= lo {
+		t.Fatalf("setup: trims %+v leave instance %d on disk", man.Trimmed, lo)
+	}
+
+	ddg.CountDeps(r, ddg.MakeID(0, lo))
+	if r.Recovered() {
+		t.Fatal("a chunk load racing retention marked the reader recovered")
+	}
+	if err := r.Err(); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := r.Poll(); err != nil {
+		t.Fatal(err)
+	}
+	wlo, hi := r.Window(0)
+	if wlo != man.Trimmed[0].Lo {
+		t.Fatalf("window starts at %d after the poll, want the trim floor %d", wlo, man.Trimmed[0].Lo)
+	}
+	for n := wlo; n <= hi; n++ {
+		id := ddg.MakeID(0, n)
+		if want, got := fmt.Sprint(ddg.CountDeps(model, id)), fmt.Sprint(ddg.CountDeps(r, id)); want != got {
+			t.Fatalf("deps of %v:\nmodel %s\ngot   %s", id, want, got)
+		}
+	}
+	if r.Recovered() {
+		t.Fatal("the prune read as recovery")
 	}
 }
 
