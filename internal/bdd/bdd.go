@@ -3,18 +3,32 @@
 // integers — the lineage sets of §3.4 / [12] of the paper.
 //
 // A set S ⊆ {0..2^bits-1} is encoded as the boolean function that is
-// true exactly on the binary encodings of S's elements, with the most
-// significant bit as the top variable. The paper's two observations —
-// lineage sets of live values overlap heavily, and the input indices
-// in a set are clustered — are exactly the cases where this encoding
-// collapses: shared subsets share subgraphs, and a contiguous run of
-// indices needs O(bits) nodes rather than O(run length).
+// true exactly on the binary encodings of S's elements. Level l tests
+// bit l, so the least significant bit is the top variable. The paper's
+// two observations — lineage sets of live values overlap heavily, and
+// the input indices in a set are clustered — are exactly the cases
+// where this encoding collapses: shared subsets share subgraphs, and a
+// contiguous run of indices needs O(bits) nodes rather than O(run
+// length).
+//
+// The low bit goes on top because lineage labels are minted in input
+// order. A singleton is a chain built bottom-up, from the most
+// significant bit, and its part from level l down depends only on
+// x>>l. Consecutive inputs differ only in their low bits, so they
+// share that part for every level above the highest bit in which they
+// differ. The Manager keeps the previous singleton's chain and
+// rebuilds only the levels up to that bit: about two hash-cons probes
+// per sequential input instead of one per bit.
 //
 // Nodes are hash-consed in a manager table, so set equality is
 // pointer (handle) equality and memory is shared across all sets.
 package bdd
 
-import "fmt"
+import (
+	"fmt"
+	"math/bits"
+	"slices"
+)
 
 // Ref is a handle to a BDD node owned by a Manager. The constants
 // False and True are the terminal nodes.
@@ -27,7 +41,7 @@ const (
 )
 
 type node struct {
-	level int32 // variable index, 0 = most significant bit
+	level int32 // variable index: level l tests bit l, 0 = least significant
 	lo    Ref   // child when the variable is 0
 	hi    Ref   // child when the variable is 1
 }
@@ -77,6 +91,16 @@ type Manager struct {
 	// Avoids allocating a map per query on hot reporting paths.
 	seen  []uint32
 	stamp uint32
+
+	// The previous Singleton's chain: chain[l] is the node for levels
+	// l..bits-1 of `last`, and chain[bits] is True. chain[l] depends
+	// only on last>>l, so Singleton(x) keeps chain[d..bits] for
+	// d = bits.Len64(x^last) and rebuilds chain[0..d-1]. last starts at
+	// -1, which shares no level with any element. The chain holds refs
+	// that no caller may retain: a node collector must treat it as a
+	// root, or reset it (last = -1), when it runs.
+	last  int64
+	chain []Ref
 }
 
 const (
@@ -96,7 +120,10 @@ func NewManager(bits int) *Manager {
 		unique: make([]Ref, initialUniqueSlots),
 		ops:    make([]opEntry, initialOpSlots),
 		counts: make(map[Ref]uint64),
+		last:   -1,
+		chain:  make([]Ref, bits+1),
 	}
+	m.chain[bits] = True
 	// nodes[0] and nodes[1] are the terminals; level = bits marks
 	// "below the last variable".
 	m.nodes[0] = node{level: int32(bits)}
@@ -150,11 +177,9 @@ func (m *Manager) storeOp(op uint8, a, b Ref, r Ref) {
 	m.ops[(hashNode(int32(op), a, b))&uint64(len(m.ops)-1)] = opEntry{a: a, b: b, op: op, ok: true, r: r}
 }
 
-// Bits returns the universe width.
-func (m *Manager) Bits() int { return m.bits }
-
-// NumNodes returns the number of live nodes (including terminals) —
-// the memory figure the lineage experiments report.
+// NumNodes returns the number of nodes ever allocated, terminals
+// included. Nothing is freed, so this counts unreachable nodes too —
+// the manager's memory figure, not the live one (NodeSizeAll is).
 func (m *Manager) NumNodes() int { return len(m.nodes) }
 
 // mk returns the canonical node (level, lo, hi), applying the
@@ -185,51 +210,48 @@ func (m *Manager) mk(level int32, lo, hi Ref) Ref {
 	return r
 }
 
-// Empty returns the empty set.
-func (m *Manager) Empty() Ref { return False }
-
-// Universe returns the full set {0..2^bits-1}.
-func (m *Manager) Universe() Ref { return True }
+// mkBit returns the node at level l that continues to below when bit
+// l of x is set as in x, and to False otherwise.
+func (m *Manager) mkBit(l int, x int64, below Ref) Ref {
+	if (x>>uint(l))&1 == 1 {
+		return m.mk(int32(l), False, below)
+	}
+	return m.mk(int32(l), below, False)
+}
 
 // Singleton returns the set {x}.
 func (m *Manager) Singleton(x int64) Ref {
 	if x < 0 || x >= 1<<uint(m.bits) {
 		panic(fmt.Sprintf("bdd: element %d outside universe of %d bits", x, m.bits))
 	}
-	r := True
-	for level := int32(m.bits) - 1; level >= 0; level-- {
-		bit := (x >> uint(int32(m.bits)-1-level)) & 1
-		if bit == 1 {
-			r = m.mk(level, False, r)
-		} else {
-			r = m.mk(level, r, False)
+	for l := min(bits.Len64(uint64(x^m.last)), m.bits) - 1; l >= 0; l-- {
+		m.chain[l] = m.mkBit(l, x, m.chain[l+1])
+	}
+	m.last = x
+	return m.chain[0]
+}
+
+// Interval returns the set {lo..hi} (inclusive), clipped to the
+// universe. Clustered lineage sets are intervals, which BDDs encode in
+// O(bits) nodes: the interval is the union of its aligned power-of-two
+// blocks, and a block of 2^k elements is a chain over levels
+// k..bits-1 whose levels below k are don't-care.
+func (m *Manager) Interval(lo, hi int64) Ref {
+	lo, hi = max(lo, 0), min(hi, int64(1)<<uint(m.bits)-1)
+	r := False
+	for lo <= hi {
+		k := min(bits.TrailingZeros64(uint64(lo)), m.bits)
+		for hi-lo < int64(1)<<uint(k)-1 {
+			k--
 		}
+		b := True
+		for l := m.bits - 1; l >= k; l-- {
+			b = m.mkBit(l, lo, b)
+		}
+		r = m.Union(r, b)
+		lo += int64(1) << uint(k)
 	}
 	return r
-}
-
-// Interval returns the set {lo..hi} (inclusive). Clustered lineage
-// sets are intervals, which BDDs encode in O(bits) nodes.
-func (m *Manager) Interval(lo, hi int64) Ref {
-	if lo > hi {
-		return False
-	}
-	return m.interval(0, 0, int64(1)<<uint(m.bits)-1, lo, hi)
-}
-
-// interval builds the BDD for [lo,hi] restricted to the subtree at
-// the given level covering values [min,max].
-func (m *Manager) interval(level int32, min, max, lo, hi int64) Ref {
-	if hi < min || lo > max {
-		return False
-	}
-	if lo <= min && max <= hi {
-		return True
-	}
-	mid := min + (max-min)/2
-	l := m.interval(level+1, min, mid, lo, hi)
-	h := m.interval(level+1, mid+1, max, lo, hi)
-	return m.mk(level, l, h)
 }
 
 // Union returns a ∪ b.
@@ -326,21 +348,6 @@ func (m *Manager) Diff(a, b Ref) Ref {
 	return r
 }
 
-// Contains reports whether x ∈ s. Levels absent from the path are
-// don't-care variables, so only the levels present are tested.
-func (m *Manager) Contains(s Ref, x int64) bool {
-	r := s
-	for r > True {
-		n := m.nodes[r]
-		if (x>>uint(int32(m.bits)-1-n.level))&1 == 1 {
-			r = n.hi
-		} else {
-			r = n.lo
-		}
-	}
-	return r == True
-}
-
 // Count returns |s|.
 func (m *Manager) Count(s Ref) uint64 {
 	return m.countAt(s, 0)
@@ -368,30 +375,25 @@ func (m *Manager) countAt(s Ref, level int32) uint64 {
 // Elements appends the members of s to dst in increasing order and
 // returns it. Intended for small sets (tests, reports).
 func (m *Manager) Elements(s Ref, dst []int64) []int64 {
-	var walk func(r Ref, level int32, prefix int64)
-	walk = func(r Ref, level int32, prefix int64) {
+	start := len(dst)
+	var walk func(r Ref, level int32, acc int64)
+	walk = func(r Ref, level int32, acc int64) {
 		if r == False {
 			return
 		}
 		if level == int32(m.bits) {
-			dst = append(dst, prefix)
+			dst = append(dst, acc)
 			return
 		}
-		if r == True {
-			walk(True, level+1, prefix<<1)
-			walk(True, level+1, prefix<<1|1)
-			return
+		lo, hi := r, r // a skipped level is don't-care
+		if r != True && m.nodes[r].level == level {
+			lo, hi = m.nodes[r].lo, m.nodes[r].hi
 		}
-		n := m.nodes[r]
-		if n.level > level {
-			walk(r, level+1, prefix<<1)
-			walk(r, level+1, prefix<<1|1)
-			return
-		}
-		walk(n.lo, level+1, prefix<<1)
-		walk(n.hi, level+1, prefix<<1|1)
+		walk(lo, level+1, acc)
+		walk(hi, level+1, acc|int64(1)<<uint(level))
 	}
 	walk(s, 0, 0)
+	slices.Sort(dst[start:])
 	return dst
 }
 
@@ -439,6 +441,3 @@ func (m *Manager) countReachable(r Ref) int {
 	n := m.nodes[r]
 	return 1 + m.countReachable(n.lo) + m.countReachable(n.hi)
 }
-
-// Subset reports whether a ⊆ b.
-func (m *Manager) Subset(a, b Ref) bool { return m.Diff(a, b) == False }

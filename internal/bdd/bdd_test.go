@@ -8,30 +8,43 @@ import (
 
 func TestSingletonContains(t *testing.T) {
 	m := NewManager(10)
-	s := m.Singleton(345)
-	if !m.Contains(s, 345) {
-		t.Fatal("singleton should contain its element")
-	}
-	for _, x := range []int64{0, 1, 344, 346, 1023} {
-		if m.Contains(s, x) {
-			t.Fatalf("singleton contains stray %d", x)
+	for _, x := range []int64{345, 0, 1023, 344, 345} {
+		s := m.Singleton(x)
+		if got := m.Elements(s, nil); len(got) != 1 || got[0] != x {
+			t.Fatalf("Singleton(%d) = %v", x, got)
 		}
-	}
-	if m.Count(s) != 1 {
-		t.Fatalf("count = %d", m.Count(s))
+		if m.Count(s) != 1 {
+			t.Fatalf("count = %d", m.Count(s))
+		}
 	}
 }
 
 func TestEmptyAndUniverse(t *testing.T) {
 	m := NewManager(8)
-	if m.Count(m.Empty()) != 0 {
-		t.Fatal("empty count")
+	if m.Count(False) != 0 || len(m.Elements(False, nil)) != 0 {
+		t.Fatal("empty set has members")
 	}
-	if m.Count(m.Universe()) != 256 {
-		t.Fatalf("universe count = %d", m.Count(m.Universe()))
+	if m.Count(True) != 256 {
+		t.Fatalf("universe count = %d", m.Count(True))
 	}
-	if m.Contains(m.Empty(), 3) || !m.Contains(m.Universe(), 3) {
-		t.Fatal("membership wrong")
+	for i, x := range m.Elements(True, nil) {
+		if x != int64(i) {
+			t.Fatalf("universe element %d = %d", i, x)
+		}
+	}
+}
+
+// TestSingletonRunIsLinear pins the singleton chain memo: consecutive
+// elements share every level above their lowest differing bit, so a
+// run of N singletons allocates about 2 nodes each, not one per bit.
+func TestSingletonRunIsLinear(t *testing.T) {
+	const bits, n = 30, 4096
+	m := NewManager(bits)
+	for x := int64(1 << 20); x < 1<<20+n; x++ {
+		m.Singleton(x)
+	}
+	if got, limit := m.NumNodes(), 2*n+bits+2; got > limit {
+		t.Fatalf("%d singletons hold %d nodes, want ≤ %d", n, got, limit)
 	}
 }
 
@@ -44,7 +57,7 @@ func TestUnionIntersectDiff(t *testing.T) {
 		t.Fatalf("union count = %d", m.Count(u))
 	}
 	i := m.Intersect(a, b)
-	if m.Count(i) != 1 || !m.Contains(i, 3) {
+	if m.Count(i) != 1 || m.Elements(i, nil)[0] != 3 {
 		t.Fatalf("intersect = %v", m.Elements(i, nil))
 	}
 	d := m.Diff(a, b)
@@ -75,8 +88,11 @@ func TestInterval(t *testing.T) {
 	if m.Count(s) != 101 {
 		t.Fatalf("count = %d", m.Count(s))
 	}
-	if !m.Contains(s, 100) || !m.Contains(s, 200) || m.Contains(s, 99) || m.Contains(s, 201) {
-		t.Fatal("interval bounds wrong")
+	if got := m.Elements(s, nil); got[0] != 100 || got[len(got)-1] != 200 {
+		t.Fatalf("interval bounds wrong: %d..%d", got[0], got[len(got)-1])
+	}
+	if m.Interval(-7, 3) != m.Interval(0, 3) || m.Interval(1000, 5000) != m.Interval(1000, 1023) {
+		t.Fatal("interval not clipped to the universe")
 	}
 	if m.Interval(5, 4) != False {
 		t.Fatal("reversed interval should be empty")
@@ -97,7 +113,7 @@ func TestIntervalCompactness(t *testing.T) {
 	if runSize > 4*20 {
 		t.Fatalf("interval BDD has %d nodes, want O(bits)", runSize)
 	}
-	scattered := m.Empty()
+	scattered := False
 	for i := int64(0); i < 2000; i++ {
 		scattered = m.Union(scattered, m.Singleton(i*397%1000000))
 	}
@@ -110,7 +126,7 @@ func TestIntervalCompactness(t *testing.T) {
 func TestElementsSorted(t *testing.T) {
 	m := NewManager(10)
 	want := []int64{3, 17, 18, 19, 512, 1000}
-	s := m.Empty()
+	s := False
 	for _, x := range want {
 		s = m.Union(s, m.Singleton(x))
 	}
@@ -131,7 +147,7 @@ func TestElementsSorted(t *testing.T) {
 func TestSetAlgebraProperties(t *testing.T) {
 	m := NewManager(10)
 	mk := func(xs []uint16) Ref {
-		s := m.Empty()
+		s := False
 		for _, x := range xs {
 			s = m.Union(s, m.Singleton(int64(x%1024)))
 		}
@@ -163,11 +179,11 @@ func TestSetAlgebraProperties(t *testing.T) {
 	}
 }
 
-func TestContainsMatchesElements(t *testing.T) {
+func TestElementsMatchModel(t *testing.T) {
 	m := NewManager(9)
 	f := func(xs []uint16) bool {
 		ref := map[int64]bool{}
-		s := m.Empty()
+		s := False
 		for _, x := range xs {
 			v := int64(x % 512)
 			ref[v] = true
@@ -176,8 +192,12 @@ func TestContainsMatchesElements(t *testing.T) {
 		if m.Count(s) != uint64(len(ref)) {
 			return false
 		}
-		for v := int64(0); v < 512; v++ {
-			if m.Contains(s, v) != ref[v] {
+		got := m.Elements(s, nil)
+		if len(got) != len(ref) {
+			return false
+		}
+		for _, v := range got {
+			if !ref[v] {
 				return false
 			}
 		}
@@ -206,11 +226,11 @@ func TestSharingAcrossSets(t *testing.T) {
 func TestDiffWithUniverse(t *testing.T) {
 	m := NewManager(8)
 	a := m.Union(m.Singleton(10), m.Singleton(20))
-	comp := m.Diff(m.Universe(), a)
+	comp := m.Diff(True, a)
 	if m.Count(comp) != 254 {
 		t.Fatalf("complement count = %d", m.Count(comp))
 	}
-	if m.Contains(comp, 10) || !m.Contains(comp, 11) {
+	if got := m.Elements(comp, nil); got[10] != 11 || got[19] != 21 {
 		t.Fatal("complement membership wrong")
 	}
 	if m.Intersect(comp, a) != False {
@@ -226,9 +246,20 @@ func BenchmarkUnionClustered(b *testing.B) {
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		s := m.Empty()
+		s := False
 		for _, x := range sets {
 			s = m.Union(s, x)
 		}
+	}
+}
+
+// BenchmarkSingletonSequential mints one singleton per input index in
+// order, as lineage.Domain.Source does for a stream of input words.
+func BenchmarkSingletonSequential(b *testing.B) {
+	m := NewManager(24)
+	x := int64(0)
+	for b.Loop() {
+		m.Singleton(x)
+		x = (x + 1) & (1<<24 - 1)
 	}
 }

@@ -11,12 +11,17 @@ const fuzzUniverse = 1 << fuzzBits
 
 // FuzzSetOps drives the roBDD set algebra from an arbitrary operation
 // stream and cross-checks every slot against a map[int]bool reference
-// model: Union, Intersect, Diff, Subset, Contains, Count, Elements,
-// and the NodeSize/NodeSizeAll accounting invariants.
+// model: Union, Intersect, Diff, membership, subset, Count, Elements,
+// intervals clipped to the universe, and the NodeSize/NodeSizeAll
+// accounting invariants. It also checks canonicity by Ref across the
+// singleton chain memo: Singleton(x) equals Interval(x, x), a repeated
+// Singleton(x) returns the Ref it returned before, and an interval
+// equals the union of its two halves.
 func FuzzSetOps(f *testing.F) {
 	f.Add([]byte{0, 5, 0, 1, 20, 60, 2, 0, 1})
 	f.Add([]byte{0, 127, 0, 1, 0, 127, 3, 1, 0, 4, 0, 1, 7, 0, 1})
 	f.Add([]byte{1, 10, 11, 1, 12, 13, 2, 0, 1, 5, 0, 12})
+	f.Add([]byte{0, 64, 0, 8, 63, 0, 16, 65, 0, 0, 64, 0, 8, 3, 120})
 	f.Fuzz(func(t *testing.T, data []byte) {
 		m := NewManager(fuzzBits)
 		const slots = 4
@@ -25,27 +30,43 @@ func FuzzSetOps(f *testing.F) {
 		for i := range model {
 			model[i] = map[int]bool{}
 		}
+		singles := map[int64]Ref{} // every Singleton result so far
+		singleton := func(x int64) Ref {
+			r := m.Singleton(x)
+			if prev, ok := singles[x]; ok && prev != r {
+				t.Fatalf("Singleton(%d) = %d, earlier %d", x, r, prev)
+			}
+			singles[x] = r
+			return r
+		}
+		interval := func(lo, hi int64) (Ref, map[int]bool) {
+			r := m.Interval(lo, hi)
+			if mid := lo + (hi-lo)/2; m.Union(m.Interval(lo, mid), m.Interval(mid+1, hi)) != r {
+				t.Fatalf("Interval(%d, %d) is not the union of its halves at %d", lo, hi, mid)
+			}
+			in := map[int]bool{}
+			for v := max(lo, 0); v <= min(hi, fuzzUniverse-1); v++ {
+				in[int(v)] = true
+			}
+			return r, in
+		}
 		for i := 0; i+2 < len(data); i += 3 {
-			op := data[i] % 8
+			op := data[i] % 9
 			x := int64(data[i+1]) % fuzzUniverse
 			y := int64(data[i+2]) % fuzzUniverse
-			dst := int(data[i]>>3) % slots
+			dst := int(data[i]>>4) % slots
 			a := int(data[i+1]>>1) % slots
 			b := int(data[i+2]>>1) % slots
+			lo, hi := min(x, y), max(x, y)
 			switch op {
 			case 0: // dst = {x}
-				sets[dst] = m.Singleton(x)
+				sets[dst] = singleton(x)
 				model[dst] = map[int]bool{int(x): true}
-			case 1: // dst = [min(x,y), max(x,y)]
-				lo, hi := x, y
-				if lo > hi {
-					lo, hi = hi, lo
+				if iv := m.Interval(x, x); iv != sets[dst] {
+					t.Fatalf("Singleton(%d) = %d, Interval(%d, %d) = %d", x, sets[dst], x, x, iv)
 				}
-				sets[dst] = m.Interval(lo, hi)
-				model[dst] = map[int]bool{}
-				for v := lo; v <= hi; v++ {
-					model[dst][int(v)] = true
-				}
+			case 1: // dst = [lo, hi]
+				sets[dst], model[dst] = interval(lo, hi)
 			case 2: // dst = a ∪ b
 				sets[dst] = m.Union(sets[a], sets[b])
 				model[dst] = setUnion(model[a], model[b])
@@ -55,26 +76,26 @@ func FuzzSetOps(f *testing.F) {
 			case 4: // dst = a \ b
 				sets[dst] = m.Diff(sets[a], sets[b])
 				model[dst] = setDiff(model[a], model[b])
-			case 5: // check Contains
-				if m.Contains(sets[a], x) != model[a][int(x)] {
-					t.Fatalf("Contains(slot %d, %d) = %v, want %v",
-						a, x, m.Contains(sets[a], x), model[a][int(x)])
+			case 5: // check x ∈ a
+				if in := m.Intersect(sets[a], singleton(x)) != False; in != model[a][int(x)] {
+					t.Fatalf("%d ∈ slot %d = %v, want %v", x, a, in, model[a][int(x)])
 				}
-			case 6: // check Subset both ways
-				if m.Subset(sets[a], sets[b]) != setSubset(model[a], model[b]) {
-					t.Fatalf("Subset(%d, %d) diverged from model", a, b)
+			case 6: // check a ⊆ b
+				if sub := m.Diff(sets[a], sets[b]) == False; sub != setSubset(model[a], model[b]) {
+					t.Fatalf("slot %d ⊆ slot %d = %v, diverged from model", a, b, sub)
 				}
 			case 7: // dst = ∅ or universe
 				if x%2 == 0 {
-					sets[dst] = m.Empty()
+					sets[dst] = False
 					model[dst] = map[int]bool{}
 				} else {
-					sets[dst] = m.Universe()
-					model[dst] = map[int]bool{}
-					for v := 0; v < fuzzUniverse; v++ {
-						model[dst][v] = true
+					sets[dst], model[dst] = interval(0, fuzzUniverse-1)
+					if sets[dst] != True {
+						t.Fatalf("universe interval = %d, want True", sets[dst])
 					}
 				}
+			case 8: // dst = [lo-64, hi+64], clipped to the universe
+				sets[dst], model[dst] = interval(lo-fuzzUniverse/2, hi+fuzzUniverse/2)
 			}
 		}
 		// Final full check of every slot.
