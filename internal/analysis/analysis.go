@@ -2,9 +2,11 @@
 // suite: a set of analyzers that machine-check the hard-won
 // concurrency and I/O invariants this codebase keeps re-learning from
 // bugs (pooled-event pointer retention in PR 3, chunk I/O under ts.mu
-// in PR 5, negative-caching transient read errors in PR 7), plus the
-// driver machinery to run them as a `go vet -vettool=` unitchecker
-// (cmd/scaldiftvet) and as in-repo fixture tests (antest).
+// in PR 5, negative-caching transient read errors in PR 7) and the
+// least-code rule (deadexport: no exported name without a non-test
+// caller), plus the driver machinery to run them as a `go vet
+// -vettool=` unitchecker, as a standalone whole-program check
+// (cmd/scaldiftvet) and as in-repo fixture tests.
 //
 // The framework mirrors the shape of golang.org/x/tools/go/analysis —
 // an Analyzer owns a Run function over a type-checked Pass — but is
@@ -55,6 +57,11 @@ type Analyzer struct {
 	Name string
 	Doc  string
 	Run  func(*Pass)
+
+	// runProgram, set instead of Run, checks every package at once.
+	// Only the standalone driver loads a whole program, so go vet's
+	// per-package mode skips such an analyzer and its ignores.
+	runProgram func([]*Pass)
 }
 
 // Pass carries one type-checked package through an analyzer.

@@ -1,10 +1,4 @@
-// Package antest is a miniature analysistest: it loads a fixture
-// package from a testdata tree, type-checks it offline (fixture-local
-// imports resolve inside testdata/src, standard-library imports
-// compile from GOROOT source), runs one analyzer through the full
-// driver — directive suppression included — and matches diagnostics
-// against `// want "regexp"` comments in the fixtures.
-package antest
+package analysis
 
 import (
 	"fmt"
@@ -20,9 +14,14 @@ import (
 	"strings"
 	"sync"
 	"testing"
-
-	"scaldift/internal/analysis"
 )
+
+// This file is a miniature analysistest: it loads fixture packages
+// from a testdata tree, type-checks them offline (fixture-local imports
+// resolve inside testdata/src, standard-library imports compile from
+// GOROOT source), runs one analyzer through the full driver — directive
+// suppression included — and matches diagnostics against
+// `// want "regexp"` comments in the fixtures.
 
 // srcImporter compiles stdlib packages from GOROOT source; it needs no
 // export data and no network, but is slow, so it is shared and cached
@@ -43,7 +42,8 @@ func stdlibImporter() (*token.FileSet, types.Importer) {
 
 // fixtureImporter resolves fixture-local import paths (bare names like
 // "ddg" or "vm") from the testdata src root first, then falls back to
-// the stdlib source importer.
+// the stdlib source importer. Like export data, an imported fixture
+// package leaves out its _test.go files.
 type fixtureImporter struct {
 	srcroot string
 	fset    *token.FileSet
@@ -57,7 +57,7 @@ func (fi *fixtureImporter) Import(path string) (*types.Package, error) {
 	}
 	dir := filepath.Join(fi.srcroot, path)
 	if st, err := os.Stat(dir); err == nil && st.IsDir() {
-		pkg, _, _, err := loadDir(fi.fset, dir, path, fi)
+		pkg, _, _, err := loadDir(fi.fset, dir, path, fi, false)
 		if err != nil {
 			return nil, fmt.Errorf("fixture import %q: %w", path, err)
 		}
@@ -67,15 +67,16 @@ func (fi *fixtureImporter) Import(path string) (*types.Package, error) {
 	return fi.std.Import(path)
 }
 
-// loadDir parses and type-checks every .go file in dir as one package.
-func loadDir(fset *token.FileSet, dir, path string, imp types.Importer) (*types.Package, []*ast.File, *types.Info, error) {
+// loadDir parses and type-checks every .go file in dir as one package,
+// its _test.go files only if tests is set.
+func loadDir(fset *token.FileSet, dir, path string, imp types.Importer, tests bool) (*types.Package, []*ast.File, *types.Info, error) {
 	ents, err := os.ReadDir(dir)
 	if err != nil {
 		return nil, nil, nil, err
 	}
 	var files []*ast.File
 	for _, ent := range ents {
-		if ent.IsDir() || !strings.HasSuffix(ent.Name(), ".go") {
+		if ent.IsDir() || !strings.HasSuffix(ent.Name(), ".go") || !tests && strings.HasSuffix(ent.Name(), "_test.go") {
 			continue
 		}
 		f, err := parser.ParseFile(fset, filepath.Join(dir, ent.Name()), nil, parser.ParseComments)
@@ -87,7 +88,7 @@ func loadDir(fset *token.FileSet, dir, path string, imp types.Importer) (*types.
 	if len(files) == 0 {
 		return nil, nil, nil, fmt.Errorf("no .go files in %s", dir)
 	}
-	info := analysis.NewInfo()
+	info := newInfo()
 	conf := types.Config{Importer: imp}
 	pkg, err := conf.Check(path, fset, files, info)
 	if err != nil {
@@ -106,26 +107,30 @@ type expectation struct {
 	hit  bool
 }
 
-// Run loads testdata/src/<pkgpath>, runs the analyzer over it via the
-// full driver (so ignore directives and staleness checks behave as in
-// production), and asserts that diagnostics and `// want` expectations
-// match one-to-one.
-func Run(t *testing.T, testdata string, a *analysis.Analyzer, pkgpath string) {
+// runFixture loads each testdata/src/<pkgpath>, runs the analyzer over
+// them via the full driver (so ignore directives and staleness checks
+// behave as in production), and asserts that diagnostics and `// want`
+// expectations match one-to-one. Each package is type-checked against
+// its own fresh load of its imports, as the standalone driver's export
+// data gives them, so a whole-program analyzer sees one declaration as
+// a different object in every package that uses it.
+func runFixture(t *testing.T, testdata string, a *Analyzer, pkgpaths ...string) {
 	t.Helper()
-	stdFset, std := stdlibImporter()
-	_ = stdFset // stdlib packages live in their own fset; positions unused here
-
+	_, std := stdlibImporter()
 	fset := token.NewFileSet()
 	srcroot := filepath.Join(testdata, "src")
-	fi := &fixtureImporter{srcroot: srcroot, fset: fset, std: std, loaded: map[string]*types.Package{}}
-	dir := filepath.Join(srcroot, pkgpath)
-	pkg, files, info, err := loadDir(fset, dir, pkgpath, fi)
-	if err != nil {
-		t.Fatalf("loading fixture %s: %v", pkgpath, err)
+	var units []unit
+	var wants []*expectation
+	for _, pkgpath := range pkgpaths {
+		fi := &fixtureImporter{srcroot: srcroot, fset: fset, std: std, loaded: map[string]*types.Package{}}
+		pkg, files, info, err := loadDir(fset, filepath.Join(srcroot, pkgpath), pkgpath, fi, true)
+		if err != nil {
+			t.Fatalf("loading fixture %s: %v", pkgpath, err)
+		}
+		units = append(units, unit{files, pkg, info})
+		wants = append(wants, collectWants(t, fset, files)...)
 	}
-
-	wants := collectWants(t, fset, files)
-	diags := analysis.RunPackage(fset, files, pkg, info, []*analysis.Analyzer{a})
+	diags := runUnits(fset, units, []*Analyzer{a}, true)
 
 	var unexpected []string
 	for _, d := range diags {

@@ -145,13 +145,14 @@ func (d *directives) suppressed(fset *token.FileSet, diag Diagnostic) bool {
 	return hit
 }
 
-// stale returns a diagnostic for every ignore that suppressed
-// nothing: either the flagged code was fixed (delete the directive)
-// or the directive never matched a finding (it was misplaced).
-func (d *directives) stale() []Diagnostic {
+// stale returns a diagnostic for every ignore of an analyzer that ran
+// and suppressed nothing: either the flagged code was fixed (delete
+// the directive) or the directive never matched a finding (it was
+// misplaced).
+func (d *directives) stale(ran map[string]bool) []Diagnostic {
 	var out []Diagnostic
 	for _, ig := range d.ignores {
-		if !ig.used {
+		if !ig.used && ran[ig.analyzer] {
 			out = append(out, Diagnostic{
 				Pos: ig.pos, Analyzer: "directive",
 				Message: sprintf("stale //scaldift:ignore %s: it suppresses no diagnostic; delete it or move it to the flagged line", ig.analyzer),

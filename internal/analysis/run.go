@@ -7,36 +7,64 @@ import (
 	"sort"
 )
 
-// RunPackage runs the analyzers over one type-checked package,
-// applies //scaldift:ignore suppression, and appends the directive
-// checks (malformed directives, stale ignores). Diagnostics come back
-// sorted by position.
-func RunPackage(fset *token.FileSet, files []*ast.File, pkg *types.Package, info *types.Info, analyzers []*Analyzer) []Diagnostic {
+// unit is one type-checked package.
+type unit struct {
+	files []*ast.File
+	pkg   *types.Package
+	info  *types.Info
+}
+
+// runUnits runs the analyzers over type-checked packages sharing
+// fset, applies //scaldift:ignore suppression, and appends the
+// directive checks (malformed directives, stale ignores). Whole-program
+// analyzers run only when whole says units is the whole program.
+// Diagnostics come back sorted by position.
+func runUnits(fset *token.FileSet, units []unit, analyzers []*Analyzer, whole bool) []Diagnostic {
 	known := make(map[string]bool, len(analyzers))
 	for _, a := range analyzers {
 		known[a.Name] = true
 	}
-	dirs := parseDirectives(fset, files, info, known)
+	dirs := make([]*directives, len(units))
+	for i, u := range units {
+		dirs[i] = parseDirectives(fset, u.files, u.info, known)
+	}
 
 	var out []Diagnostic
+	ran := make(map[string]bool, len(analyzers))
 	for _, a := range analyzers {
-		pass := &Pass{
-			Analyzer:  a,
-			Fset:      fset,
-			Files:     files,
-			Pkg:       pkg,
-			TypesInfo: info,
-			dirs:      dirs,
+		if a.runProgram != nil && !whole {
+			continue
 		}
-		pass.report = func(d Diagnostic) {
-			if !dirs.suppressed(fset, d) {
-				out = append(out, d)
+		ran[a.Name] = true
+		passes := make([]*Pass, len(units))
+		for i, u := range units {
+			d := dirs[i]
+			pass := &Pass{
+				Analyzer:  a,
+				Fset:      fset,
+				Files:     u.files,
+				Pkg:       u.pkg,
+				TypesInfo: u.info,
+				dirs:      d,
+			}
+			pass.report = func(diag Diagnostic) {
+				if !d.suppressed(fset, diag) {
+					out = append(out, diag)
+				}
+			}
+			passes[i] = pass
+			if a.Run != nil {
+				a.Run(pass)
 			}
 		}
-		a.Run(pass)
+		if a.runProgram != nil {
+			a.runProgram(passes)
+		}
 	}
-	out = append(out, dirs.malformed...)
-	out = append(out, dirs.stale()...)
+	for _, d := range dirs {
+		out = append(out, d.malformed...)
+		out = append(out, d.stale(ran)...)
+	}
 	sort.Slice(out, func(i, j int) bool {
 		if out[i].Pos != out[j].Pos {
 			return out[i].Pos < out[j].Pos
@@ -53,11 +81,12 @@ func Suite() []*Analyzer {
 		LockIO,
 		CancelPoll,
 		StickyErr,
+		DeadExport,
 	}
 }
 
-// NewInfo allocates a types.Info with every map the analyzers read.
-func NewInfo() *types.Info {
+// newInfo allocates a types.Info with every map the analyzers read.
+func newInfo() *types.Info {
 	return &types.Info{
 		Types:      make(map[ast.Expr]types.TypeAndValue),
 		Defs:       make(map[*ast.Ident]types.Object),

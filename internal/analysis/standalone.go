@@ -13,12 +13,16 @@ import (
 	"os"
 	"os/exec"
 	"path/filepath"
+	"strings"
 )
 
 // This file implements `scaldiftvet ./...` without go vet: it shells
 // out to `go list -deps -export -json` for the package graph and the
 // compiled export data of every dependency, then typechecks the
-// matched packages from source and runs the suite. Test files are not
+// matched packages from source and runs the suite over all of them at
+// once, whole-program analyzers included. A pattern rooted in a
+// directory with its own go.mod (`./bench/...`) names a nested module:
+// it gets its own go list, run in that directory. Test files are not
 // loaded in this mode (go list's GoFiles excludes them); the go vet
 // path is the one that covers _test.go.
 
@@ -26,7 +30,6 @@ import (
 type listPkg struct {
 	Dir        string
 	ImportPath string
-	Name       string
 	Standard   bool
 	DepOnly    bool
 	Export     string
@@ -36,13 +39,44 @@ type listPkg struct {
 }
 
 func runStandalone(patterns []string) int {
+	// Group the patterns by module root, keeping their order.
+	var roots []string
+	byRoot := map[string][]string{}
+	for _, pat := range patterns {
+		root, rel := ".", pat
+		dir := strings.TrimSuffix(strings.TrimSuffix(pat, "..."), "/")
+		if _, err := os.Stat(filepath.Join(dir, "go.mod")); err == nil && filepath.Clean(dir) != "." {
+			root, rel = dir, "."+strings.TrimPrefix(pat, dir)
+		}
+		if byRoot[root] == nil {
+			roots = append(roots, root)
+		}
+		byRoot[root] = append(byRoot[root], rel)
+	}
+
+	fset := token.NewFileSet()
+	var units []unit
+	for _, root := range roots {
+		u, err := loadRoot(fset, root, byRoot[root])
+		if err != nil {
+			fmt.Fprintf(os.Stderr, "scaldiftvet: %v\n", err)
+			return 1
+		}
+		units = append(units, u...)
+	}
+	return reportDiags(fset, runUnits(fset, units, Suite(), true))
+}
+
+// loadRoot lists patterns in the module at root and typechecks every
+// matched package from source against its dependencies' export data.
+func loadRoot(fset *token.FileSet, root string, patterns []string) ([]unit, error) {
 	args := append([]string{"list", "-deps", "-export", "-json"}, patterns...)
 	cmd := exec.Command("go", args...)
+	cmd.Dir = root
 	cmd.Stderr = os.Stderr
 	out, err := cmd.Output()
 	if err != nil {
-		fmt.Fprintf(os.Stderr, "scaldiftvet: go list: %v\n", err)
-		return 1
+		return nil, fmt.Errorf("go list in %s: %v", root, err)
 	}
 
 	exports := map[string]string{}
@@ -53,45 +87,43 @@ func runStandalone(patterns []string) int {
 		if err := dec.Decode(&p); err == io.EOF {
 			break
 		} else if err != nil {
-			fmt.Fprintf(os.Stderr, "scaldiftvet: decoding go list output: %v\n", err)
-			return 1
+			return nil, fmt.Errorf("decoding go list output: %v", err)
 		}
 		if p.Error != nil {
-			fmt.Fprintf(os.Stderr, "scaldiftvet: %s: %s\n", p.ImportPath, p.Error.Err)
-			return 1
+			return nil, fmt.Errorf("%s: %s", p.ImportPath, p.Error.Err)
 		}
 		if p.Export != "" {
 			exports[p.ImportPath] = p.Export
 		}
 		if !p.DepOnly && !p.Standard {
-			pkg := p
-			targets = append(targets, &pkg)
+			targets = append(targets, &p)
 		}
 	}
 
-	exit := 0
+	var units []unit
 	for _, p := range targets {
-		code := checkFromSource(p, exports)
-		if code > exit {
-			exit = code
+		u, err := checkFromSource(fset, p, exports)
+		if err != nil {
+			return nil, err
+		}
+		if len(u.files) > 0 {
+			units = append(units, u)
 		}
 	}
-	return exit
+	return units, nil
 }
 
-func checkFromSource(p *listPkg, exports map[string]string) int {
-	fset := token.NewFileSet()
+func checkFromSource(fset *token.FileSet, p *listPkg, exports map[string]string) (unit, error) {
 	var files []*ast.File
 	for _, name := range p.GoFiles {
 		f, err := parser.ParseFile(fset, filepath.Join(p.Dir, name), nil, parser.ParseComments)
 		if err != nil {
-			fmt.Fprintf(os.Stderr, "scaldiftvet: %v\n", err)
-			return 1
+			return unit{}, err
 		}
 		files = append(files, f)
 	}
 	if len(files) == 0 {
-		return 0
+		return unit{}, nil
 	}
 	lookup := func(path string) (io.ReadCloser, error) {
 		if canon, ok := p.ImportMap[path]; ok {
@@ -104,11 +136,10 @@ func checkFromSource(p *listPkg, exports map[string]string) int {
 		return os.Open(file)
 	}
 	conf := types.Config{Importer: importer.ForCompiler(fset, "gc", lookup)}
-	info := NewInfo()
+	info := newInfo()
 	pkg, err := conf.Check(p.ImportPath, fset, files, info)
 	if err != nil {
-		fmt.Fprintf(os.Stderr, "scaldiftvet: typechecking %s: %v\n", p.ImportPath, err)
-		return 1
+		return unit{}, fmt.Errorf("typechecking %s: %v", p.ImportPath, err)
 	}
-	return reportDiags(fset, RunPackage(fset, files, pkg, info, Suite()))
+	return unit{files, pkg, info}, nil
 }

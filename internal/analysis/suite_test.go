@@ -1,32 +1,31 @@
-package analysis_test
+package analysis
 
-import (
-	"testing"
-
-	"scaldift/internal/analysis"
-	"scaldift/internal/analysis/antest"
-)
+import "testing"
 
 func TestPoolEscape(t *testing.T) {
-	antest.Run(t, "testdata/poolescape", analysis.PoolEscape, "a")
+	runFixture(t, "testdata/poolescape", PoolEscape, "a")
 }
 
 func TestLockIO(t *testing.T) {
-	antest.Run(t, "testdata/lockio", analysis.LockIO, "a")
+	runFixture(t, "testdata/lockio", LockIO, "a")
 }
 
 func TestCancelPoll(t *testing.T) {
-	antest.Run(t, "testdata/cancelpoll", analysis.CancelPoll, "slicing")
+	runFixture(t, "testdata/cancelpoll", CancelPoll, "slicing")
 }
 
 func TestStickyErr(t *testing.T) {
-	antest.Run(t, "testdata/stickyerr", analysis.StickyErr, "store")
+	runFixture(t, "testdata/stickyerr", StickyErr, "store")
+}
+
+func TestDeadExport(t *testing.T) {
+	runFixture(t, "testdata/deadexport", DeadExport, "a", "b", "bench/c")
 }
 
 func TestSuiteNamesAreUnique(t *testing.T) {
 	seen := map[string]bool{}
-	for _, a := range analysis.Suite() {
-		if a.Name == "" || a.Doc == "" || a.Run == nil {
+	for _, a := range Suite() {
+		if a.Name == "" || a.Doc == "" || a.Run == nil && a.runProgram == nil {
 			t.Errorf("analyzer %+v incomplete", a)
 		}
 		if seen[a.Name] {
@@ -34,7 +33,7 @@ func TestSuiteNamesAreUnique(t *testing.T) {
 		}
 		seen[a.Name] = true
 	}
-	if len(seen) < 4 {
-		t.Errorf("suite has %d analyzers, want at least 4", len(seen))
+	if len(seen) < 5 {
+		t.Errorf("suite has %d analyzers, want at least 5", len(seen))
 	}
 }

@@ -24,20 +24,15 @@ import (
 // importer, runs the analyzer suite, prints findings to stderr, and
 // exits 2 when there are any — exactly the contract go vet expects.
 
-// vetConfig mirrors the JSON cmd/go writes for vet tools.
+// vetConfig is the subset of the JSON cmd/go writes for vet tools
+// that the driver reads.
 type vetConfig struct {
-	ID                        string
 	Compiler                  string
-	Dir                       string
 	ImportPath                string
 	GoVersion                 string
 	GoFiles                   []string
-	NonGoFiles                []string
-	IgnoredFiles              []string
 	ImportMap                 map[string]string
 	PackageFile               map[string]string
-	Standard                  map[string]bool
-	PackageVetx               map[string]string
 	VetxOnly                  bool
 	VetxOutput                string
 	SucceedOnTypecheckFailure bool
@@ -134,7 +129,7 @@ func runUnit(cfgFile string) int {
 		Importer:  importer.ForCompiler(fset, compiler, lookup),
 		GoVersion: cfg.GoVersion,
 	}
-	info := NewInfo()
+	info := newInfo()
 	pkg, err := conf.Check(cfg.ImportPath, fset, files, info)
 	if err != nil {
 		if cfg.SucceedOnTypecheckFailure {
@@ -144,7 +139,7 @@ func runUnit(cfgFile string) int {
 		return 1
 	}
 
-	diags := RunPackage(fset, files, pkg, info, Suite())
+	diags := runUnits(fset, []unit{{files, pkg, info}}, Suite(), false)
 	return reportDiags(fset, diags)
 }
 

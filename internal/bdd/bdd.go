@@ -46,11 +46,8 @@ type node struct {
 	hi    Ref   // child when the variable is 1
 }
 
-const (
-	opUnion uint8 = iota
-	opIntersect
-	opDiff
-)
+// opUnion tags Union's entries in the computed table.
+const opUnion uint8 = 0
 
 // opEntry is one slot of the direct-mapped computed table: the last
 // result of `op` applied to (a, b) that hashed here. Slots are lossy —
@@ -80,9 +77,10 @@ type Manager struct {
 	// consed). The node a slot identifies lives in nodes[ref].
 	unique  []Ref
 	uniqLen int
-	// ops is the direct-mapped computed table for Union / Intersect /
-	// Diff. It is reallocated (entries dropped) when the node table
-	// grows, keeping its size proportional to the working set.
+	// ops is the direct-mapped computed table for Union (and, in the
+	// tests, Intersect and Diff). It is reallocated (entries dropped)
+	// when the node table grows, keeping its size proportional to the
+	// working set.
 	ops    []opEntry
 	counts map[Ref]uint64 // memoized set cardinalities
 
@@ -231,29 +229,6 @@ func (m *Manager) Singleton(x int64) Ref {
 	return m.chain[0]
 }
 
-// Interval returns the set {lo..hi} (inclusive), clipped to the
-// universe. Clustered lineage sets are intervals, which BDDs encode in
-// O(bits) nodes: the interval is the union of its aligned power-of-two
-// blocks, and a block of 2^k elements is a chain over levels
-// k..bits-1 whose levels below k are don't-care.
-func (m *Manager) Interval(lo, hi int64) Ref {
-	lo, hi = max(lo, 0), min(hi, int64(1)<<uint(m.bits)-1)
-	r := False
-	for lo <= hi {
-		k := min(bits.TrailingZeros64(uint64(lo)), m.bits)
-		for hi-lo < int64(1)<<uint(k)-1 {
-			k--
-		}
-		b := True
-		for l := m.bits - 1; l >= k; l-- {
-			b = m.mkBit(l, lo, b)
-		}
-		r = m.Union(r, b)
-		lo += int64(1) << uint(k)
-	}
-	return r
-}
-
 // Union returns a ∪ b.
 func (m *Manager) Union(a, b Ref) Ref {
 	switch {
@@ -283,68 +258,6 @@ func (m *Manager) Union(a, b Ref) Ref {
 		r = m.mk(nb.level, m.Union(a, nb.lo), m.Union(a, nb.hi))
 	}
 	m.storeOp(opUnion, a, b, r)
-	return r
-}
-
-// Intersect returns a ∩ b.
-func (m *Manager) Intersect(a, b Ref) Ref {
-	switch {
-	case a == b:
-		return a
-	case a == False || b == False:
-		return False
-	case a == True:
-		return b
-	case b == True:
-		return a
-	}
-	if a > b {
-		a, b = b, a
-	}
-	if r, ok := m.lookupOp(opIntersect, a, b); ok {
-		return r
-	}
-	na, nb := m.nodes[a], m.nodes[b]
-	var r Ref
-	switch {
-	case na.level == nb.level:
-		r = m.mk(na.level, m.Intersect(na.lo, nb.lo), m.Intersect(na.hi, nb.hi))
-	case na.level < nb.level:
-		r = m.mk(na.level, m.Intersect(na.lo, b), m.Intersect(na.hi, b))
-	default:
-		r = m.mk(nb.level, m.Intersect(a, nb.lo), m.Intersect(a, nb.hi))
-	}
-	m.storeOp(opIntersect, a, b, r)
-	return r
-}
-
-// Diff returns a \ b.
-func (m *Manager) Diff(a, b Ref) Ref {
-	switch {
-	case a == False || b == True:
-		return False
-	case b == False:
-		return a
-	case a == b:
-		return False
-	}
-	if r, ok := m.lookupOp(opDiff, a, b); ok {
-		return r
-	}
-	na, nb := m.nodes[a], m.nodes[b]
-	var r Ref
-	switch {
-	case a == True:
-		// universe minus b at b's level
-		r = m.mk(nb.level, m.Diff(True, nb.lo), m.Diff(True, nb.hi))
-	case na.level == nb.level:
-		r = m.mk(na.level, m.Diff(na.lo, nb.lo), m.Diff(na.hi, nb.hi))
-	case na.level < nb.level:
-		r = m.mk(na.level, m.Diff(na.lo, b), m.Diff(na.hi, b))
-	default:
-		r = m.mk(nb.level, m.Diff(a, nb.lo), m.Diff(a, nb.hi))
-	}
-	m.storeOp(opDiff, a, b, r)
 	return r
 }
 

@@ -24,9 +24,6 @@ type Parent struct {
 	PC int32
 }
 
-// None is the absent parent.
-var None = Parent{}
-
 type region struct {
 	parent Parent
 	endPC  int  // region closes when this PC is reached...
@@ -69,49 +66,32 @@ func New(prog *isa.Program) *Tracker {
 		threads: make(map[int]*threadState)}
 }
 
-func (t *Tracker) state(tid int) *threadState {
-	s, ok := t.threads[tid]
-	if !ok {
-		s = &threadState{}
-		t.threads[tid] = s
-	}
-	return s
-}
-
-// ThreadTracker is one thread's view of a Tracker. Distinct threads'
-// handles may Observe concurrently from different goroutines: each
-// touches only its own region stack plus the tracker's immutable
-// postdominator tables. Obtain handles with Tracker.Thread on a
-// single goroutine before handing them out.
+// ThreadTracker is one thread's view of a Tracker: its region stack
+// plus the tracker's immutable postdominator tables.
 type ThreadTracker struct {
 	t *Tracker
 	s *threadState
 }
 
 // Thread returns (creating if needed) the per-thread handle for tid.
-// Not safe to call concurrently with itself or with Tracker.Observe.
 func (t *Tracker) Thread(tid int) *ThreadTracker {
-	return &ThreadTracker{t: t, s: t.state(tid)}
+	s, ok := t.threads[tid]
+	if !ok {
+		s = &threadState{}
+		t.threads[tid] = s
+	}
+	return &ThreadTracker{t: t, s: s}
 }
 
-// Observe is Tracker.Observe for this handle's thread.
-func (tt *ThreadTracker) Observe(pc int, n uint64, op isa.Op, taken bool) Parent {
-	return tt.t.observe(tt.s, pc, n, op, taken)
-}
-
-// Observe processes one executed instruction: pc is its static index,
-// n its per-thread dynamic number, and op its opcode. It returns the
-// instruction's dynamic control parent (computed before the
-// instruction opens any region of its own).
+// Observe processes one executed instruction of the handle's thread:
+// pc is its static index, n its per-thread dynamic number, and op its
+// opcode. It returns the instruction's dynamic control parent
+// (computed before the instruction opens any region of its own).
 //
 // Observe must be called for every instruction the thread executes,
 // in execution order.
-func (t *Tracker) Observe(tid int, pc int, n uint64, op isa.Op, taken bool) Parent {
-	return t.observe(t.state(tid), pc, n, op, taken)
-}
-
-// observe is the shared implementation over an explicit thread state.
-func (t *Tracker) observe(s *threadState, pc int, n uint64, op isa.Op, taken bool) Parent {
+func (tt *ThreadTracker) Observe(pc int, n uint64, op isa.Op, taken bool) Parent {
+	t, s := tt.t, tt.s
 	// Close regions whose end has been reached at the same frame, or
 	// whose frame has been popped entirely.
 	for len(s.stack) > 0 {
@@ -171,9 +151,3 @@ func (t *Tracker) observe(s *threadState, pc int, n uint64, op isa.Op, taken boo
 	}
 	return parent
 }
-
-// Depth returns the current region-stack depth for a thread (tests).
-func (t *Tracker) Depth(tid int) int { return len(t.state(tid).stack) }
-
-// Reset clears all per-thread state.
-func (t *Tracker) Reset() { t.threads = make(map[int]*threadState) }

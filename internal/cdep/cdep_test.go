@@ -20,7 +20,7 @@ func observeRun(t *testing.T, prog *isa.Program, inputs []int64) (pcs []int, par
 			return
 		}
 		tseq++
-		p := tr.Observe(ev.TID, ev.PC, tseq, ev.Instr.Op, ev.Taken)
+		p := tr.Thread(ev.TID).Observe(ev.PC, tseq, ev.Instr.Op, ev.Taken)
 		pcs = append(pcs, ev.PC)
 		parents = append(parents, p)
 	}))
@@ -51,16 +51,16 @@ join:
 			}
 		}
 		t.Fatalf("pc %d not executed (%v)", pc, pcs)
-		return None
+		return Parent{}
 	}
-	if find(0) != None {
+	if find(0) != (Parent{}) {
 		t.Fatal("entry instruction should have no parent")
 	}
 	if p := find(2); p.PC != 1 {
 		t.Fatalf("then-arm parent PC = %d, want 1", p.PC)
 	}
 	// The join point is NOT control dependent on the branch.
-	if p := find(5); p != None {
+	if p := find(5); p != (Parent{}) {
 		t.Fatalf("join parent = %+v, want none", p)
 	}
 
@@ -97,7 +97,7 @@ done:
 	}
 	// The instruction after the loop is not control dependent on it.
 	for i := range pcs {
-		if pcs[i] == 5 && parents[i] != None {
+		if pcs[i] == 5 && parents[i] != (Parent{}) {
 			t.Fatalf("post-loop parent = %+v", parents[i])
 		}
 	}
@@ -120,8 +120,8 @@ done:
 	maxDepth := 0
 	m.AttachTool(vm.ToolFunc(func(_ *vm.Machine, ev *vm.Event) {
 		tseq++
-		tr.Observe(ev.TID, ev.PC, tseq, ev.Instr.Op, ev.Taken)
-		if d := tr.Depth(ev.TID); d > maxDepth {
+		tr.Thread(ev.TID).Observe(ev.PC, tseq, ev.Instr.Op, ev.Taken)
+		if d := len(tr.threads[ev.TID].stack); d > maxDepth {
 			maxDepth = d
 		}
 	}))
@@ -167,7 +167,7 @@ main:
 	}
 	// After the return, the call region is closed: out has no parent.
 	for i := range pcs {
-		if prog.Instrs[pcs[i]].Op == isa.OUT && parents[i] != None {
+		if prog.Instrs[pcs[i]].Op == isa.OUT && parents[i] != (Parent{}) {
 			t.Fatalf("post-call instruction parent = %+v", parents[i])
 		}
 	}
@@ -241,7 +241,7 @@ cskip:
 			return
 		}
 		counts[ev.TID]++
-		p := tr.Observe(ev.TID, ev.PC, counts[ev.TID], ev.Instr.Op, ev.Taken)
+		p := tr.Thread(ev.TID).Observe(ev.PC, counts[ev.TID], ev.Instr.Op, ev.Taken)
 		// movi r2,1 at pc 4 belongs to thread 0 under branch pc 3;
 		// if thread state leaked the parent could be the child's
 		// branch at pc 8.
@@ -254,18 +254,5 @@ cskip:
 	}
 	if bad {
 		t.Fatal("cross-thread control-dependence leak")
-	}
-}
-
-func TestReset(t *testing.T) {
-	prog := isa.MustAssemble("r", "movi r1, 1\nbeqz r1, e\nnop\ne:\nhalt")
-	tr := New(prog)
-	tr.Observe(0, 1, 1, isa.BEQZ, false)
-	if tr.Depth(0) != 1 {
-		t.Fatal("region not opened")
-	}
-	tr.Reset()
-	if tr.Depth(0) != 0 {
-		t.Fatal("reset failed")
 	}
 }

@@ -110,9 +110,9 @@ func TestAppendMatchesReference(t *testing.T) {
 					if step++; step%97 != 0 && capBytes != 600 {
 						return
 					}
-					if c.CurrentBytes() != ref.bytes || c.EvictedChunks() != ref.evicted {
-						t.Fatalf("step %d: ring holds %d bytes after %d evictions, reference %d after %d",
-							step, c.CurrentBytes(), c.EvictedChunks(), ref.bytes, ref.evicted)
+					if c.bytes != ref.bytes || len(c.order) != len(ref.order) {
+						t.Fatalf("step %d: ring holds %d bytes in %d chunks, reference %d in %d",
+							step, c.bytes, len(c.order), ref.bytes, len(ref.order))
 					}
 					for tid := 0; tid < threads; tid++ {
 						var wlo, whi uint64
@@ -129,7 +129,7 @@ func TestAppendMatchesReference(t *testing.T) {
 			if err := DiffChunks(got.chunks, want.chunks); err != nil {
 				t.Fatalf("chunk size %d, capacity %d: %v", chunkSize, capBytes, err)
 			}
-			if capBytes == 600 && c.EvictedChunks() == 0 {
+			if capBytes == 600 && ref.evicted == 0 {
 				t.Fatal("the ring never evicted — vacuous")
 			}
 		}

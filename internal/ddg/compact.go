@@ -39,10 +39,6 @@ type Compact struct {
 	order   []*chunk       // retained chunks, oldest first, for eviction
 	bytes   int
 	written uint64 // cumulative bytes ever appended
-	records uint64
-	deps    uint64
-	evicted uint64 // chunks dropped
-	spilled uint64 // chunks handed to the spill sink
 
 	spill ChunkSink
 
@@ -127,7 +123,6 @@ func (c *Compact) seal(ch *chunk) {
 	c.threads[ch.tid].open = nil
 	if c.spill != nil {
 		c.spill.SpillChunk(RawChunk{TID: ch.tid, BaseN: ch.baseN, LastN: ch.lastN, Count: ch.count, Buf: ch.buf})
-		c.spilled++
 	}
 }
 
@@ -213,8 +208,6 @@ func (c *Compact) Append(use ID, usePC int32, deps []Dep, rlDelta uint64) {
 	ch.count++
 	c.bytes += len(buf) - start
 	c.written += uint64(len(buf) - start)
-	c.records++
-	c.deps += uint64(len(deps))
 	if len(buf) >= c.chunkSize {
 		c.seal(ch)
 	}
@@ -245,7 +238,6 @@ func (c *Compact) evict() {
 		th.chunks[0] = nil // == ch
 		th.chunks = th.chunks[1:]
 		c.bytes -= len(ch.buf)
-		c.evicted++
 		delete(c.cache, ch)
 	}
 }
@@ -598,23 +590,8 @@ func (c *Compact) Window(tid int) (uint64, uint64) {
 	return lst[0].baseN, lst[len(lst)-1].lastN
 }
 
-// CurrentBytes returns the retained encoded size.
-func (c *Compact) CurrentBytes() int { return c.bytes }
-
 // BytesWritten returns cumulative bytes ever encoded (pre-eviction),
 // the numerator of the bytes-per-instruction metric.
 func (c *Compact) BytesWritten() uint64 { return c.written }
-
-// Records returns the number of stored records.
-func (c *Compact) Records() uint64 { return c.records }
-
-// Deps returns the number of stored dependences.
-func (c *Compact) Deps() uint64 { return c.deps }
-
-// EvictedChunks returns how many chunks the ring dropped.
-func (c *Compact) EvictedChunks() uint64 { return c.evicted }
-
-// SpilledChunks returns how many sealed chunks went to the sink.
-func (c *Compact) SpilledChunks() uint64 { return c.spilled }
 
 var _ Source = (*Compact)(nil)

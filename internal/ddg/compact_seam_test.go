@@ -33,7 +33,7 @@ func TestCompactSingletonChunk(t *testing.T) {
 	if lo != 10 || hi != 10 {
 		t.Fatalf("window = [%d,%d], want [10,10]", lo, hi)
 	}
-	got := CountDeps(c, use)
+	got := depsOf(c, use)
 	if len(got) != 7 {
 		t.Fatalf("deps = %d, want 7", len(got))
 	}
@@ -41,10 +41,10 @@ func TestCompactSingletonChunk(t *testing.T) {
 	// with its own base, and both stay readable.
 	use2 := MakeID(0, 11)
 	c.Append(use2, 6, bigRecord(use2, 6), 0)
-	if got := CountDeps(c, use2); len(got) != 7 {
+	if got := depsOf(c, use2); len(got) != 7 {
 		t.Fatalf("second singleton: %d deps", len(got))
 	}
-	if got := CountDeps(c, use); len(got) != 7 {
+	if got := depsOf(c, use); len(got) != 7 {
 		t.Fatalf("first singleton lost after seal: %d deps", len(got))
 	}
 	lo, hi = c.Window(0)
@@ -67,7 +67,7 @@ func TestCompactRecordStraddlesChunkSize(t *testing.T) {
 	// Small records until just under the threshold, then one big
 	// record that straddles it.
 	n := uint64(1)
-	for c.CurrentBytes() < chunkSize-2 {
+	for c.bytes < chunkSize-2 {
 		use := MakeID(0, n)
 		deps := []Dep{{Use: use, UsePC: 3, Def: MakeID(1, 7), DefPC: 4, Kind: Data}}
 		c.Append(use, 3, deps, 0)
@@ -86,7 +86,7 @@ func TestCompactRecordStraddlesChunkSize(t *testing.T) {
 	recs = append(recs, rec{use2, deps2})
 
 	for _, r := range recs {
-		got := CountDeps(c, r.use)
+		got := depsOf(c, r.use)
 		if fmt.Sprintf("%+v", got) != fmt.Sprintf("%+v", r.deps) {
 			t.Fatalf("record %v:\nwant %+v\ngot  %+v", r.use, r.deps, got)
 		}
@@ -131,14 +131,14 @@ func TestCompactWindowAtEvictionSeam(t *testing.T) {
 	if hi != n-1 {
 		t.Fatalf("hi = %d, want %d", hi, n-1)
 	}
-	if deps := CountDeps(c, MakeID(0, firstChunkLast)); deps != nil {
+	if deps := depsOf(c, MakeID(0, firstChunkLast)); deps != nil {
 		t.Fatalf("evicted seam record still readable: %+v", deps)
 	}
-	if deps := CountDeps(c, MakeID(0, secondChunkFirst)); len(deps) != 1 {
+	if deps := depsOf(c, MakeID(0, secondChunkFirst)); len(deps) != 1 {
 		t.Fatalf("seam survivor unreadable: %+v", deps)
 	}
-	if c.EvictedChunks() != 1 {
-		t.Fatalf("evicted %d chunks, want 1", c.EvictedChunks())
+	if len(c.order) != 1 {
+		t.Fatalf("%d chunks retained, want only the open one", len(c.order))
 	}
 }
 
@@ -179,9 +179,6 @@ func TestCompactSealFlushSpill(t *testing.T) {
 	if len(sink.chunks) != sealed+1 {
 		t.Fatal("second Flush re-spilled")
 	}
-	if c.SpilledChunks() != uint64(len(sink.chunks)) {
-		t.Fatalf("SpilledChunks = %d, sink has %d", c.SpilledChunks(), len(sink.chunks))
-	}
 
 	// The spilled stream must decode to exactly the same records the
 	// in-memory store serves, and cover the whole window contiguously.
@@ -201,7 +198,7 @@ func TestCompactSealFlushSpill(t *testing.T) {
 		}
 		total += len(d.recs)
 		d.Records(func(useN uint64, _ int32, deps []Dep, _ uint64) {
-			got := CountDeps(c, MakeID(0, useN))
+			got := depsOf(c, MakeID(0, useN))
 			if fmt.Sprintf("%+v", got) != fmt.Sprintf("%+v", deps) {
 				t.Fatalf("record %d diverged between memory and spill", useN)
 			}
@@ -221,8 +218,8 @@ func TestCompactSealFlushSpill(t *testing.T) {
 			Def: MakeID(40+i, 1<<40), DefPC: int32(2000 + i), Kind: Data})
 	}
 	c.Append(use, 9, wide, 0)
-	if c.SpilledChunks() != uint64(sealed)+2 {
-		t.Fatalf("post-flush append did not spill on seal: %d", c.SpilledChunks())
+	if len(sink.chunks) != sealed+2 {
+		t.Fatalf("post-flush append did not spill on seal: %d chunks", len(sink.chunks))
 	}
 }
 
@@ -232,14 +229,14 @@ func TestCompactOpenChunkNotStaleCached(t *testing.T) {
 	c := NewCompact(0) // large chunk: stays open throughout
 	u1 := MakeID(0, 1)
 	c.Append(u1, 3, []Dep{{Use: u1, UsePC: 3, Def: MakeID(1, 9), DefPC: 2, Kind: Data}}, 0)
-	if got := CountDeps(c, u1); len(got) != 1 {
+	if got := depsOf(c, u1); len(got) != 1 {
 		t.Fatalf("first record: %+v", got)
 	}
 	// Decode above may have touched the cache; this append goes into
 	// the same still-open chunk.
 	u2 := MakeID(0, 2)
 	c.Append(u2, 4, []Dep{{Use: u2, UsePC: 4, Def: u1, DefPC: 3, Kind: Data}}, 0)
-	if got := CountDeps(c, u2); len(got) != 1 || got[0].Def != u1 {
+	if got := depsOf(c, u2); len(got) != 1 || got[0].Def != u1 {
 		t.Fatalf("record appended after a query is invisible: %+v", got)
 	}
 }

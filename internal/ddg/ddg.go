@@ -100,10 +100,3 @@ type Source interface {
 	// NodePC returns the static PC of a recorded instance.
 	NodePC(id ID) (int32, bool)
 }
-
-// CountDeps is a convenience that materializes DepsOf.
-func CountDeps(s Source, id ID) []Dep {
-	var out []Dep
-	s.DepsOf(id, func(d Dep) { out = append(out, d) })
-	return out
-}

@@ -8,6 +8,28 @@ import (
 	"scaldift/internal/vm"
 )
 
+// depsOf materializes s.DepsOf.
+func depsOf(s Source, id ID) []Dep {
+	var out []Dep
+	s.DepsOf(id, func(d Dep) { out = append(out, d) })
+	return out
+}
+
+// fullCounts returns g's node and edge counts and its in-memory size:
+// 4 bytes per node PC, 24 per edge-slice header and 40 per Dep, the
+// figure the storage experiments report for the naive graph.
+func fullCounts(g *Full) (nodes, edges, size uint64) {
+	for _, ft := range g.threads {
+		nodes += uint64(len(ft.pcs))
+		size += 4*uint64(len(ft.pcs)) + 24*uint64(len(ft.deps))
+		for _, ds := range ft.deps {
+			edges += uint64(len(ds))
+			size += 40 * uint64(cap(ds))
+		}
+	}
+	return nodes, edges, size
+}
+
 func TestIDRoundTrip(t *testing.T) {
 	f := func(tid uint8, n uint32) bool {
 		id := MakeID(int(tid), uint64(n))
@@ -43,7 +65,7 @@ func TestExtractorRegisterDeps(t *testing.T) {
     halt
 `, nil, ExtractorOpts{})
 	// Node 3 (add) depends on nodes 1 and 2.
-	deps := CountDeps(g, MakeID(0, 3))
+	deps := depsOf(g, MakeID(0, 3))
 	if len(deps) != 2 {
 		t.Fatalf("deps = %+v", deps)
 	}
@@ -66,7 +88,7 @@ func TestExtractorMemoryDeps(t *testing.T) {
     load r2, r0, 50
     halt
 `, nil, ExtractorOpts{})
-	deps := CountDeps(g, MakeID(0, 3)) // load
+	deps := depsOf(g, MakeID(0, 3)) // load
 	// load depends on the store (mem) — store value reg r1 dep is on
 	// the store node, not the load.
 	found := false
@@ -88,7 +110,7 @@ func TestExtractorControlDeps(t *testing.T) {
 skip:
     halt
 `, []int64{1}, ExtractorOpts{ControlDeps: true})
-	deps := CountDeps(g, MakeID(0, 3)) // movi under the branch
+	deps := depsOf(g, MakeID(0, 3)) // movi under the branch
 	var ctrl *Dep
 	for i, d := range deps {
 		if d.Kind == Control {
@@ -109,7 +131,7 @@ func TestExtractorWARWAW(t *testing.T) {
     store r0, r3, 10   ; n5: write again -> WAW to n2, WAR to n3
     halt
 `, nil, ExtractorOpts{WARWAW: true})
-	deps := CountDeps(g, MakeID(0, 5))
+	deps := depsOf(g, MakeID(0, 5))
 	var war, waw bool
 	for _, d := range deps {
 		switch d.Kind {
@@ -140,7 +162,7 @@ child:
 `, []int64{5}, ExtractorOpts{})
 	// Child's first instruction uses r1, defined by the spawn (node
 	// 0:2).
-	deps := CountDeps(g, MakeID(1, 1))
+	deps := depsOf(g, MakeID(1, 1))
 	found := false
 	for _, d := range deps {
 		if d.Def == MakeID(0, 2) {
@@ -158,7 +180,7 @@ func TestExtractorDupSrcRegsOneEdge(t *testing.T) {
     add r2, r1, r1
     halt
 `, nil, ExtractorOpts{})
-	deps := CountDeps(g, MakeID(0, 2))
+	deps := depsOf(g, MakeID(0, 2))
 	if len(deps) != 1 {
 		t.Fatalf("want one edge for add r2,r1,r1; got %+v", deps)
 	}
@@ -175,13 +197,14 @@ func TestFullGraphWindowAndSize(t *testing.T) {
 	if lo != 1 || hi != 4 {
 		t.Fatalf("window = [%d,%d]", lo, hi)
 	}
-	if g.Nodes() != 4 || ex.Instrs() != 4 {
-		t.Fatalf("nodes=%d instrs=%d", g.Nodes(), ex.Instrs())
+	nodes, edges, size := fullCounts(g)
+	if nodes != 4 || ex.Instrs() != 4 {
+		t.Fatalf("nodes=%d instrs=%d", nodes, ex.Instrs())
 	}
-	if g.Edges() != 2 {
-		t.Fatalf("edges = %d", g.Edges())
+	if edges != 2 {
+		t.Fatalf("edges = %d", edges)
 	}
-	if g.SizeBytes() == 0 {
+	if size == 0 {
 		t.Fatal("size should be positive")
 	}
 	if pc, ok := g.NodePC(MakeID(0, 2)); !ok || pc != 1 {
@@ -204,7 +227,7 @@ func TestCompactRoundTrip(t *testing.T) {
 	c.Append(use2, 6, []Dep{{Use: use2, UsePC: 6, Def: MakeID(1, 3), DefPC: 9, Kind: Data}}, 0)
 	c.Append(MakeID(0, 15), 5, nil, 3) // redundant-load marker
 
-	got := CountDeps(c, use)
+	got := depsOf(c, use)
 	if len(got) != 2 {
 		t.Fatalf("got %+v", got)
 	}
@@ -214,11 +237,11 @@ func TestCompactRoundTrip(t *testing.T) {
 	if got[1].Def != MakeID(0, 9) || got[1].Kind != Control {
 		t.Fatalf("ctrl dep = %+v", got[1])
 	}
-	got = CountDeps(c, use2)
+	got = depsOf(c, use2)
 	if len(got) != 1 || got[0].Def != MakeID(1, 3) || got[0].DefPC != 9 {
 		t.Fatalf("cross-thread dep = %+v", got)
 	}
-	got = CountDeps(c, MakeID(0, 15))
+	got = depsOf(c, MakeID(0, 15))
 	if len(got) != 1 || got[0].Kind != SameAs || got[0].Def != MakeID(0, 12) {
 		t.Fatalf("rl = %+v", got)
 	}
@@ -242,11 +265,8 @@ func TestCompactEviction(t *testing.T) {
 		}
 		c.Append(use, 3, deps, 0)
 	}
-	if c.CurrentBytes() > 17*1024 {
-		t.Fatalf("ring over capacity: %d", c.CurrentBytes())
-	}
-	if c.EvictedChunks() == 0 {
-		t.Fatal("nothing evicted")
+	if c.bytes > 17*1024 {
+		t.Fatalf("ring over capacity: %d", c.bytes)
 	}
 	lo, hi := c.Window(0)
 	if hi != 200000 {
@@ -256,13 +276,13 @@ func TestCompactEviction(t *testing.T) {
 		t.Fatal("oldest records should be gone")
 	}
 	// Old instance unavailable, recent available.
-	if deps := CountDeps(c, MakeID(0, 5)); deps != nil {
+	if deps := depsOf(c, MakeID(0, 5)); deps != nil {
 		t.Fatalf("evicted node still readable: %+v", deps)
 	}
-	if deps := CountDeps(c, MakeID(0, 199999)); len(deps) != 1 {
+	if deps := depsOf(c, MakeID(0, 199999)); len(deps) != 1 {
 		t.Fatalf("recent node unreadable: %+v", deps)
 	}
-	if c.BytesWritten() < uint64(c.CurrentBytes()) {
+	if c.BytesWritten() < uint64(c.bytes) {
 		t.Fatal("written < retained")
 	}
 }
@@ -283,7 +303,7 @@ func TestCompactManyThreads(t *testing.T) {
 		t.Fatalf("threads = %v", got)
 	}
 	for tid := 0; tid < 5; tid++ {
-		deps := CountDeps(c, MakeID(tid, 100))
+		deps := depsOf(c, MakeID(tid, 100))
 		if len(deps) != 1 || deps[0].Def != MakeID(tid, 98) {
 			t.Fatalf("tid %d: %+v", tid, deps)
 		}
@@ -312,7 +332,7 @@ func TestCompactRoundTripProperty(t *testing.T) {
 			recs = append(recs, rec{use: use, deps: deps})
 		}
 		for _, r := range recs {
-			got := CountDeps(c, r.use)
+			got := depsOf(c, r.use)
 			if len(got) != len(r.deps) {
 				return false
 			}
@@ -351,8 +371,8 @@ loop:
 	if res := m.Run(); res.Failed {
 		t.Fatal(res.FailMsg)
 	}
-	fullB := full.G.SizeBytes()
-	compB := uint64(compact.CurrentBytes())
+	_, _, fullB := fullCounts(full.G)
+	compB := uint64(compact.bytes)
 	if compB*4 > fullB {
 		t.Fatalf("compact %dB should be <1/4 of full %dB", compB, fullB)
 	}

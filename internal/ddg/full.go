@@ -96,39 +96,4 @@ func (g *Full) NodePC(id ID) (int32, bool) {
 	return ft.pcs[n-1], true
 }
 
-// Nodes returns the total node count.
-func (g *Full) Nodes() uint64 {
-	var n uint64
-	for _, ft := range g.threads {
-		n += uint64(len(ft.pcs))
-	}
-	return n
-}
-
-// Edges returns the total edge count.
-func (g *Full) Edges() uint64 {
-	var n uint64
-	for _, ft := range g.threads {
-		for _, ds := range ft.deps {
-			n += uint64(len(ds))
-		}
-	}
-	return n
-}
-
-// SizeBytes estimates the in-memory footprint: 4 bytes per node PC,
-// 24 bytes per edge-slice header, and the 40-byte Dep per edge. This
-// is the figure the storage experiments report for the naive graph.
-func (g *Full) SizeBytes() uint64 {
-	var b uint64
-	for _, ft := range g.threads {
-		b += 4 * uint64(len(ft.pcs))
-		b += 24 * uint64(len(ft.deps))
-		for _, ds := range ft.deps {
-			b += 40 * uint64(cap(ds))
-		}
-	}
-	return b
-}
-
 var _ Source = (*Full)(nil)

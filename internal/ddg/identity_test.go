@@ -6,6 +6,7 @@ import (
 
 	"scaldift/internal/ddg"
 	"scaldift/internal/ontrac"
+	"scaldift/internal/pipeline"
 	"scaldift/internal/prog"
 )
 
@@ -14,19 +15,16 @@ type chunkSink struct{ chunks []ddg.RawChunk }
 
 func (s *chunkSink) SpillChunk(ch ddg.RawChunk) { s.chunks = append(s.chunks, ch) }
 
-// traceChunks runs w under the inline tracer and returns every chunk
-// its buffer sealed, in spill order.
+// traceChunks traces w and returns every chunk its buffer sealed, in
+// spill order.
 func traceChunks(tb testing.TB, w *prog.Workload, opts ontrac.Options) []ddg.RawChunk {
 	tb.Helper()
 	var sink chunkSink
-	tr := ontrac.New(w.Prog, opts)
-	tr.Buffer().SetSpill(&sink)
-	m := w.NewMachine()
-	m.AttachTool(tr.Tool())
-	if res := m.Run(); res.Failed {
+	off := ontrac.NewOffloaded(w.Prog, opts, pipeline.Options{})
+	off.SpillTo(&sink)
+	if res := ontrac.Trace(w.NewMachine(), off); res.Failed {
 		tb.Fatalf("%s: %s", w.Name, res.FailMsg)
 	}
-	tr.Buffer().Flush()
 	return sink.chunks
 }
 

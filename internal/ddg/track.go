@@ -173,19 +173,6 @@ func (e *Extractor) OnEvent(_ *vm.Machine, ev *vm.Event) {
 	e.depBuf = deps[:0]
 }
 
-// Reset clears all shadow state (between runs on one machine).
-func (e *Extractor) Reset() {
-	e.threads = nil
-	e.memTags.Clear()
-	if e.readTags != nil {
-		e.readTags.Clear()
-	}
-	if e.ctrl != nil {
-		e.ctrl.Reset()
-	}
-	e.instrs = 0
-}
-
 var _ vm.Tool = (*Extractor)(nil)
 
 // FullSink builds a Full graph from the extractor stream.
@@ -194,6 +181,8 @@ type FullSink struct {
 }
 
 // NewFullSink wraps an empty Full graph.
+//
+//scaldift:ignore deadexport test-support: builds the uncompressed reference graph ddg, slicing, ontrac and store tests check against
 func NewFullSink() *FullSink { return &FullSink{G: NewFull()} }
 
 // Node implements Sink.

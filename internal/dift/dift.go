@@ -68,13 +68,14 @@ type Sink[L comparable] interface {
 
 // Engine is the taint-propagation tool. Attach it to a vm.Machine.
 type Engine[L comparable] struct {
-	dom    Domain[L]
-	pol    Policy
-	regs   [][isa.NumRegs]L
-	mem    *shadow.Mem[L]
-	sinks  []Sink[L]
-	zero   L
-	events uint64
+	dom Domain[L]
+	pol Policy
+	// regs holds each thread's register file in its own allocation, so
+	// a Regs pointer stays valid while later threads grow the slice.
+	regs  []*[isa.NumRegs]L
+	mem   *shadow.Mem[L]
+	sinks []Sink[L]
+	zero  L
 }
 
 // NewEngine creates a DIFT engine over the given domain and policy.
@@ -87,7 +88,7 @@ func (e *Engine[L]) AddSink(s Sink[L]) { e.sinks = append(e.sinks, s) }
 
 // RegTaint returns the label of register r in thread tid.
 func (e *Engine[L]) RegTaint(tid int, r int) L {
-	if tid >= len(e.regs) || r < 0 || r >= isa.NumRegs {
+	if tid < 0 || tid >= len(e.regs) || r < 0 || r >= isa.NumRegs {
 		return e.zero
 	}
 	return e.regs[tid][r]
@@ -96,33 +97,15 @@ func (e *Engine[L]) RegTaint(tid int, r int) L {
 // MemTaint returns the label of memory word addr.
 func (e *Engine[L]) MemTaint(addr int64) L { return e.mem.Get(addr) }
 
-// SetMemTaint force-sets a memory label (used by tests and by tools
-// that seed taint at non-IN boundaries).
-func (e *Engine[L]) SetMemTaint(addr int64, l L) { e.mem.Set(addr, l) }
-
 // TaintedWords returns the number of memory words currently tainted.
 func (e *Engine[L]) TaintedWords() int { return e.mem.Tainted() }
-
-// ShadowSizeWords returns the allocated shadow memory size in cells,
-// for memory-overhead reporting.
-func (e *Engine[L]) ShadowSizeWords() int { return e.mem.SizeWords() }
-
-// Events returns how many instruction events the engine processed.
-func (e *Engine[L]) Events() uint64 { return e.events }
-
-// Reset clears all taint state.
-func (e *Engine[L]) Reset() {
-	e.regs = nil
-	e.mem.Clear()
-	e.events = 0
-}
 
 // Regs implements RegBank, growing the per-thread file on demand.
 func (e *Engine[L]) Regs(tid int) *[isa.NumRegs]L {
 	for tid >= len(e.regs) {
-		e.regs = append(e.regs, [isa.NumRegs]L{})
+		e.regs = append(e.regs, new([isa.NumRegs]L))
 	}
-	return &e.regs[tid]
+	return e.regs[tid]
 }
 
 // OnEvent implements vm.Tool: propagate taint for one instruction.
@@ -132,7 +115,6 @@ func (e *Engine[L]) OnEvent(m *vm.Machine, ev *vm.Event) {
 	if ev.Blocked {
 		return
 	}
-	e.events++
 	Step(e.dom, e.pol, e, e.mem, e.sinks, ev)
 }
 

@@ -208,6 +208,30 @@ func TestPCTaintZeroForClean(t *testing.T) {
 	}
 }
 
+// InputID is a test domain that carries the global index of the
+// single most recent input influencing a value (approximate single-
+// source lineage; the exact multi-source version is the roBDD domain
+// in internal/lineage). Zero means untainted, so stored indices are
+// offset by one.
+type InputID struct{}
+
+// InputIDLabel is 1+the input index, 0 = untainted.
+type InputIDLabel int64
+
+// Source labels the word with its global input index + 1.
+func (InputID) Source(ev *vm.Event) InputIDLabel { return InputIDLabel(ev.InputIdx + 1) }
+
+// Join prefers the first non-zero label.
+func (InputID) Join(a, b InputIDLabel) InputIDLabel {
+	if a != 0 {
+		return a
+	}
+	return b
+}
+
+// Transfer propagates unchanged.
+func (InputID) Transfer(_ *vm.Event, src InputIDLabel) InputIDLabel { return src }
+
 func TestInputIDDomain(t *testing.T) {
 	p := isa.MustAssemble("t", `
     in r1, 0
@@ -226,24 +250,6 @@ func TestInputIDDomain(t *testing.T) {
 	// Join prefers the first source: input index 0 → label 1.
 	if got := e.MemTaint(7); got != 1 {
 		t.Fatalf("lineage label = %d, want 1", got)
-	}
-}
-
-func TestEngineReset(t *testing.T) {
-	e, _, _ := runBool(t, `
-    in r1, 0
-    store r0, r1, 3
-    halt
-`, []int64{1}, DefaultPolicy())
-	if e.TaintedWords() != 1 {
-		t.Fatalf("tainted = %d", e.TaintedWords())
-	}
-	e.Reset()
-	if e.TaintedWords() != 0 || e.Events() != 0 {
-		t.Fatal("reset did not clear state")
-	}
-	if e.RegTaint(0, 1) {
-		t.Fatal("register taint survived reset")
 	}
 }
 
@@ -472,7 +478,21 @@ done:
 	if e.TaintedWords() != 2000 {
 		t.Fatalf("tainted = %d, want 2000", e.TaintedWords())
 	}
-	if e.ShadowSizeWords() < 2000 {
-		t.Fatalf("shadow size = %d", e.ShadowSizeWords())
+}
+
+// TestRegsStayValidAsThreadsGrow: a register file pointer from Regs
+// stays live while later threads grow the bank (Step and StepBatch
+// hold such pointers across a batch), and RegTaint of a negative
+// thread id is the zero label, as Pipeline's is.
+func TestRegsStayValidAsThreadsGrow(t *testing.T) {
+	e := NewEngine[bool](Bool{}, DefaultPolicy())
+	if e.RegTaint(-1, 0) {
+		t.Fatal("negative tid reported a taint")
+	}
+	r0 := e.Regs(0)
+	e.Regs(40)
+	r0[3] = true
+	if !e.RegTaint(0, 3) {
+		t.Fatal("a label written through Regs(0) after Regs(40) was lost")
 	}
 }

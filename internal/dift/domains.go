@@ -52,30 +52,6 @@ func (PC) Transfer(ev *vm.Event, src PCLabel) PCLabel {
 	return PCLabel(ev.Instr.Line)
 }
 
-// InputID is a diagnostic domain that carries the global index of the
-// single most recent input influencing a value (approximate single-
-// source lineage; the exact multi-source version is the roBDD domain
-// in internal/lineage). Zero means untainted, so stored indices are
-// offset by one.
-type InputID struct{}
-
-// InputIDLabel is 1+the input index, 0 = untainted.
-type InputIDLabel int64
-
-// Source labels the word with its global input index + 1.
-func (InputID) Source(ev *vm.Event) InputIDLabel { return InputIDLabel(ev.InputIdx + 1) }
-
-// Join prefers the first non-zero label.
-func (InputID) Join(a, b InputIDLabel) InputIDLabel {
-	if a != 0 {
-		return a
-	}
-	return b
-}
-
-// Transfer propagates unchanged.
-func (InputID) Transfer(_ *vm.Event, src InputIDLabel) InputIDLabel { return src }
-
 // NopSink is a Sink that ignores everything; embed it to implement
 // only the hooks you need.
 type NopSink[L comparable] struct{}

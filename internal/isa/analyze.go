@@ -148,32 +148,6 @@ func BlockStaticDeps(cfg *CFG) map[int][]StaticDep {
 	return out
 }
 
-// StaticallyResolvedReads returns, for each instruction index, a
-// bitmask over {Rs1, Rs2} of register reads whose defining write is
-// statically known (same basic block). Bit 0 = Rs1, bit 1 = Rs2.
-// ONTRAC uses this to skip dynamic logging for those operands.
-func StaticallyResolvedReads(cfg *CFG) []uint8 {
-	res := make([]uint8, len(cfg.Prog.Instrs))
-	p := cfg.Prog
-	for bi := range cfg.Blocks {
-		blk := &cfg.Blocks[bi]
-		lastDef := map[uint8]bool{}
-		for idx := blk.Start; idx < blk.End; idx++ {
-			ins := p.Instrs[idx]
-			if ins.Op.ReadsRs1() && lastDef[ins.Rs1] {
-				res[idx] |= 1
-			}
-			if ins.Op.ReadsRs2() && lastDef[ins.Rs2] {
-				res[idx] |= 2
-			}
-			if ins.Op.WritesRd() && ins.Rd != 0 {
-				lastDef[ins.Rd] = true
-			}
-		}
-	}
-	return res
-}
-
 // ImmediatePostdominators computes, per basic block, the immediate
 // postdominator block id (-1 for exit blocks / no postdominator).
 // Dynamic control-dependence detection (internal/cdep) uses this to

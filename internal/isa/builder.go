@@ -104,14 +104,8 @@ func (b *Builder) emitTo(ins Instr, label string) *Builder {
 	return b.emit(ins)
 }
 
-// Nop emits a no-op.
-func (b *Builder) Nop() *Builder { return b.emit(Instr{Op: NOP}) }
-
 // Halt stops the current thread.
 func (b *Builder) Halt() *Builder { return b.emit(Instr{Op: HALT}) }
-
-// Failure stops the machine marking the run failed.
-func (b *Builder) Failure() *Builder { return b.emit(Instr{Op: FAIL}) }
 
 // Movi sets rd = imm.
 func (b *Builder) Movi(rd uint8, imm int64) *Builder {
@@ -134,32 +128,11 @@ func (b *Builder) Op3(op Op, rd, rs1, rs2 uint8) *Builder {
 // Add emits rd = rs1 + rs2.
 func (b *Builder) Add(rd, rs1, rs2 uint8) *Builder { return b.Op3(ADD, rd, rs1, rs2) }
 
-// Sub emits rd = rs1 - rs2.
-func (b *Builder) Sub(rd, rs1, rs2 uint8) *Builder { return b.Op3(SUB, rd, rs1, rs2) }
-
-// Mul emits rd = rs1 * rs2.
-func (b *Builder) Mul(rd, rs1, rs2 uint8) *Builder { return b.Op3(MUL, rd, rs1, rs2) }
-
 // Div emits rd = rs1 / rs2.
 func (b *Builder) Div(rd, rs1, rs2 uint8) *Builder { return b.Op3(DIV, rd, rs1, rs2) }
 
 // Mod emits rd = rs1 % rs2.
 func (b *Builder) Mod(rd, rs1, rs2 uint8) *Builder { return b.Op3(MOD, rd, rs1, rs2) }
-
-// And emits rd = rs1 & rs2.
-func (b *Builder) And(rd, rs1, rs2 uint8) *Builder { return b.Op3(AND, rd, rs1, rs2) }
-
-// Or emits rd = rs1 | rs2.
-func (b *Builder) Or(rd, rs1, rs2 uint8) *Builder { return b.Op3(OR, rd, rs1, rs2) }
-
-// Xor emits rd = rs1 ^ rs2.
-func (b *Builder) Xor(rd, rs1, rs2 uint8) *Builder { return b.Op3(XOR, rd, rs1, rs2) }
-
-// Shl emits rd = rs1 << rs2.
-func (b *Builder) Shl(rd, rs1, rs2 uint8) *Builder { return b.Op3(SHL, rd, rs1, rs2) }
-
-// Shr emits rd = rs1 >> rs2.
-func (b *Builder) Shr(rd, rs1, rs2 uint8) *Builder { return b.Op3(SHR, rd, rs1, rs2) }
 
 // Addi emits rd = rs1 + imm.
 func (b *Builder) Addi(rd, rs1 uint8, imm int64) *Builder {
@@ -202,26 +175,12 @@ func (b *Builder) CondBr(op Op, rs1, rs2 uint8, label string) *Builder {
 	return b.emitTo(Instr{Op: op, Rs1: rs1, Rs2: rs2}, label)
 }
 
-// Beq emits if rs1 == rs2 goto label.
-func (b *Builder) Beq(rs1, rs2 uint8, label string) *Builder { return b.CondBr(BEQ, rs1, rs2, label) }
-
-// Bne emits if rs1 != rs2 goto label.
-func (b *Builder) Bne(rs1, rs2 uint8, label string) *Builder { return b.CondBr(BNE, rs1, rs2, label) }
-
 // Blt emits if rs1 < rs2 goto label.
 func (b *Builder) Blt(rs1, rs2 uint8, label string) *Builder { return b.CondBr(BLT, rs1, rs2, label) }
-
-// Bge emits if rs1 >= rs2 goto label.
-func (b *Builder) Bge(rs1, rs2 uint8, label string) *Builder { return b.CondBr(BGE, rs1, rs2, label) }
 
 // Beqz emits if rs1 == 0 goto label.
 func (b *Builder) Beqz(rs1 uint8, label string) *Builder {
 	return b.emitTo(Instr{Op: BEQZ, Rs1: rs1}, label)
-}
-
-// Bnez emits if rs1 != 0 goto label.
-func (b *Builder) Bnez(rs1 uint8, label string) *Builder {
-	return b.emitTo(Instr{Op: BNEZ, Rs1: rs1}, label)
 }
 
 // Call emits a call to label.
@@ -229,12 +188,6 @@ func (b *Builder) Call(label string) *Builder { return b.emitTo(Instr{Op: CALL},
 
 // Ret emits a return.
 func (b *Builder) Ret() *Builder { return b.emit(Instr{Op: RET}) }
-
-// Brr emits an indirect jump to the address in rs1.
-func (b *Builder) Brr(rs1 uint8) *Builder { return b.emit(Instr{Op: BRR, Rs1: rs1}) }
-
-// Callr emits an indirect call to the address in rs1.
-func (b *Builder) Callr(rs1 uint8) *Builder { return b.emit(Instr{Op: CALLR, Rs1: rs1}) }
 
 // In emits rd = next word from input channel ch.
 func (b *Builder) In(rd uint8, ch int64) *Builder {

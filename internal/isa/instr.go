@@ -77,33 +77,12 @@ type FuncRange struct {
 	Start, End int
 }
 
-// Contains reports whether instruction index pc lies in the range.
-func (fr FuncRange) Contains(pc int) bool { return pc >= fr.Start && pc < fr.End }
-
-// FuncAt returns the name of the function containing pc, if any.
-func (p *Program) FuncAt(pc int) (string, bool) {
-	for name, fr := range p.Funcs {
-		if fr.Contains(pc) {
-			return name, true
-		}
-	}
-	return "", false
-}
-
 // LineOf returns the statement id of instruction index pc, or -1.
 func (p *Program) LineOf(pc int) int {
 	if pc < 0 || pc >= len(p.Instrs) {
 		return -1
 	}
 	return p.Instrs[pc].Line
-}
-
-// SourceLine returns the source text for a statement id, if known.
-func (p *Program) SourceLine(line int) string {
-	if line >= 1 && line <= len(p.Source) {
-		return strings.TrimSpace(p.Source[line-1])
-	}
-	return ""
 }
 
 // Validate checks structural invariants: opcodes defined, register

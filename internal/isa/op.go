@@ -105,7 +105,6 @@ type opInfo struct {
 	readsR1  bool // reads Rs1
 	readsR2  bool // reads Rs2
 	writesRd bool // writes Rd
-	loads    bool // reads Mem[Rs1+Imm]
 	stores   bool // writes Mem[Rs1+Imm]
 	branch   bool // conditional or unconditional control transfer
 	hasImm   bool
@@ -137,7 +136,7 @@ var opTable = [opCount]opInfo{
 	CMPLE:   {name: "cmple", readsR1: true, readsR2: true, writesRd: true},
 	CMPGT:   {name: "cmpgt", readsR1: true, readsR2: true, writesRd: true},
 	CMPGE:   {name: "cmpge", readsR1: true, readsR2: true, writesRd: true},
-	LOAD:    {name: "load", readsR1: true, writesRd: true, loads: true, hasImm: true},
+	LOAD:    {name: "load", readsR1: true, writesRd: true, hasImm: true},
 	STORE:   {name: "store", readsR1: true, readsR2: true, stores: true, hasImm: true},
 	ALLOC:   {name: "alloc", readsR1: true, writesRd: true},
 	BR:      {name: "br", branch: true, hasTgt: true},
@@ -161,8 +160,8 @@ var opTable = [opCount]opInfo{
 	BARRIER: {name: "barrier", readsR1: true, readsR2: true, hasImm: true},
 	FLAGSET: {name: "flagset", readsR1: true, stores: true, hasImm: true},
 	FLAGCLR: {name: "flagclr", readsR1: true, stores: true, hasImm: true},
-	FLAGWT:  {name: "flagwt", readsR1: true, loads: true, hasImm: true},
-	CAS:     {name: "cas", readsR1: true, readsR2: true, writesRd: true, loads: true, stores: true, hasImm: true},
+	FLAGWT:  {name: "flagwt", readsR1: true, hasImm: true},
+	CAS:     {name: "cas", readsR1: true, readsR2: true, writesRd: true, stores: true, hasImm: true},
 	YIELD:   {name: "yield"},
 	ASSERT:  {name: "assert", readsR1: true},
 }
@@ -187,9 +186,6 @@ func (op Op) ReadsRs2() bool { return opTable[op].readsR2 }
 // WritesRd reports whether the opcode writes register operand Rd.
 func (op Op) WritesRd() bool { return opTable[op].writesRd }
 
-// Loads reports whether the opcode reads memory at Rs1+Imm.
-func (op Op) Loads() bool { return opTable[op].loads }
-
 // Stores reports whether the opcode writes memory at Rs1+Imm.
 func (op Op) Stores() bool { return opTable[op].stores }
 
@@ -199,23 +195,11 @@ func (op Op) IsBranch() bool { return opTable[op].branch }
 // HasTarget reports whether the opcode carries a Target label.
 func (op Op) HasTarget() bool { return opTable[op].hasTgt }
 
-// HasImm reports whether the opcode carries an immediate operand.
-func (op Op) HasImm() bool { return opTable[op].hasImm }
-
 // IsConditional reports whether the opcode is a conditional branch
 // (its outcome depends on register values).
 func (op Op) IsConditional() bool {
 	switch op {
 	case BEQ, BNE, BLT, BGE, BEQZ, BNEZ:
-		return true
-	}
-	return false
-}
-
-// IsSync reports whether the opcode is a synchronization operation.
-func (op Op) IsSync() bool {
-	switch op {
-	case LOCK, UNLOCK, BARRIER, FLAGSET, FLAGCLR, FLAGWT, CAS, JOIN, SPAWN:
 		return true
 	}
 	return false

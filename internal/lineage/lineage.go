@@ -39,27 +39,12 @@ import (
 // input", as the generic engine requires.
 type Domain struct {
 	m *bdd.Manager
-	// granularity clusters input indices: Source labels index i with
-	// the aligned interval [i - i%g, i - i%g + g - 1] instead of the
-	// singleton {i}. A coarser granularity over-approximates lineage
-	// but caps label node counts — the paper's clustered-interval
-	// trade-off. 1 means exact singletons.
-	granularity int64
 }
 
 // NewDomain creates an exact (singleton-source) lineage domain over
 // input indices {0 .. 2^bits - 1}.
 func NewDomain(bits int) *Domain {
-	return &Domain{m: bdd.NewManager(bits), granularity: 1}
-}
-
-// NewClusteredDomain creates a lineage domain whose Source labels
-// input index i with the aligned g-wide interval containing i.
-func NewClusteredDomain(bits, g int) *Domain {
-	if g < 1 {
-		panic(fmt.Sprintf("lineage: granularity %d < 1", g))
-	}
-	return &Domain{m: bdd.NewManager(bits), granularity: int64(g)}
+	return &Domain{m: bdd.NewManager(bits)}
 }
 
 // BitsFor returns the universe width needed for n input words.
@@ -75,16 +60,9 @@ func BitsFor(n int) int {
 // produces (for queries and memory reports).
 func (d *Domain) Manager() *bdd.Manager { return d.m }
 
-// Source labels a fresh input word with its own global input index —
-// a singleton set, or the containing interval under clustering.
-func (d *Domain) Source(ev *vm.Event) bdd.Ref {
-	idx := int64(ev.InputIdx)
-	if d.granularity == 1 {
-		return d.m.Singleton(idx)
-	}
-	lo := idx - idx%d.granularity
-	return d.m.Interval(lo, lo+d.granularity-1)
-}
+// Source labels a fresh input word with the singleton set of its own
+// global input index.
+func (d *Domain) Source(ev *vm.Event) bdd.Ref { return d.m.Singleton(int64(ev.InputIdx)) }
 
 // Join is set union, memoized in the manager's operation cache.
 func (d *Domain) Join(a, b bdd.Ref) bdd.Ref { return d.m.Union(a, b) }
@@ -130,18 +108,6 @@ func (r *Recorder) OnOutput(ev *vm.Event, l bdd.Ref) {
 
 var _ dift.Sink[bdd.Ref] = (*Recorder)(nil)
 
-// OnChannel returns the recorded outputs written to channel ch, in
-// emission order.
-func (r *Recorder) OnChannel(ch int) []OutputLineage {
-	var out []OutputLineage
-	for _, o := range r.Outputs {
-		if o.Ch == ch {
-			out = append(out, o)
-		}
-	}
-	return out
-}
-
 // Info summarizes one output's lineage.
 type Info struct {
 	Elements []int64 // input indices, ascending
@@ -157,19 +123,6 @@ func (r *Recorder) Lineage(i int) Info {
 		Count:    r.dom.m.Count(s),
 		Nodes:    r.dom.m.NodeSize(s),
 	}
-}
-
-// Diff compares the lineages of recorded outputs i and j: indices
-// only in i, only in j, and common to both. This is the validation
-// primitive "why do these two results disagree — which inputs feed
-// one but not the other?".
-func (r *Recorder) Diff(i, j int) (onlyI, onlyJ, both []int64) {
-	m := r.dom.m
-	a, b := r.Outputs[i].Set, r.Outputs[j].Set
-	onlyI = m.Elements(m.Diff(a, b), nil)
-	onlyJ = m.Elements(m.Diff(b, a), nil)
-	both = m.Elements(m.Intersect(a, b), nil)
-	return onlyI, onlyJ, both
 }
 
 // nodeBytes is the storage cost of one roBDD node: level (4) + lo (4)
@@ -211,6 +164,8 @@ func (rp Report) String() string {
 
 // Report computes the aggregate memory report over all recorded
 // outputs.
+//
+//scaldift:ignore deadexport ROADMAP item 12 reports the paper's §3.4 lineage memory figures from it
 func (r *Recorder) Report() Report {
 	m := r.dom.m
 	rp := Report{Outputs: len(r.Outputs), ManagerNodes: m.NumNodes()}

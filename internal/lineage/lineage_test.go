@@ -85,49 +85,6 @@ done:
 	}
 }
 
-func TestDiff(t *testing.T) {
-	d := NewDomain(8)
-	rec, _ := runLineage(t, `
-    in r1, 0
-    in r2, 0
-    in r3, 0
-    add r4, r1, r2
-    add r5, r2, r3
-    out r4, 1
-    out r5, 1
-    halt
-`, []int64{1, 2, 3}, d)
-	onlyI, onlyJ, both := rec.Diff(0, 1)
-	if !SortedEquals(onlyI, []int64{0}) || !SortedEquals(onlyJ, []int64{2}) || !SortedEquals(both, []int64{1}) {
-		t.Fatalf("diff = %v %v %v, want [0] [2] [1]", onlyI, onlyJ, both)
-	}
-}
-
-func TestClusteredDomainOverApproximates(t *testing.T) {
-	exact := NewDomain(8)
-	recE, _ := runLineage(t, `
-    in r1, 0
-    out r1, 1
-    halt
-`, []int64{42}, exact)
-	clustered := NewClusteredDomain(8, 4)
-	recC, _ := runLineage(t, `
-    in r1, 0
-    out r1, 1
-    halt
-`, []int64{42}, clustered)
-	// Exact: {0}. Clustered at width 4: the aligned block {0,1,2,3}.
-	if got := recE.Lineage(0).Elements; !SortedEquals(got, []int64{0}) {
-		t.Fatalf("exact lineage = %v", got)
-	}
-	if got := recC.Lineage(0).Elements; !SortedEquals(got, []int64{0, 1, 2, 3}) {
-		t.Fatalf("clustered lineage = %v, want the aligned 4-block", got)
-	}
-	if cm := clustered.Manager(); cm.Diff(recC.Outputs[0].Set, cm.Interval(0, 3)) != bdd.False {
-		t.Fatal("clustered set should be within its block")
-	}
-}
-
 // TestValidationWorkloadLineages asserts, for every workload that
 // carries reference lineage (the data-validation suite and the
 // hand-written families), that the recorded lineage of each output
@@ -149,7 +106,12 @@ func TestValidationWorkloadLineages(t *testing.T) {
 					t.Fatalf("instrumented run perturbed semantics: %v", err)
 				}
 			}
-			outs := rec.OnChannel(prog.ChOut)
+			var outs []OutputLineage
+			for _, o := range rec.Outputs {
+				if o.Ch == prog.ChOut {
+					outs = append(outs, o)
+				}
+			}
 			if len(outs) != len(w.WantLineage) {
 				t.Fatalf("recorded %d outputs, want %d", len(outs), len(w.WantLineage))
 			}

@@ -16,7 +16,7 @@ import (
 // Deprecated: the offloaded pipeline analyzes on one goroutine and
 // takes a plain Domain, so nothing in the repo but the frozen bench/
 // directory uses this; the next benchmark PR removes it (ROADMAP
-// item 5).
+// item 4).
 type LockedDomain struct {
 	*Domain
 	mu sync.Mutex

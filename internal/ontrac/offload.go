@@ -80,19 +80,5 @@ func Trace(m *vm.Machine, o *Offloaded) *vm.Result {
 // slicing.
 func (o *Offloaded) Reader() *Reader { return o.tr.Reader() }
 
-// ReaderOver returns the reconstructing view over any raw record
-// source carrying this stage's chunks — typically a store.Reader
-// reopened from the directory the stage spilled into — so O1/O2
-// reconstruction works over the on-disk trace too.
-func (o *Offloaded) ReaderOver(src ddg.Source) *Reader { return o.tr.ReaderOver(src) }
-
-// Buffer exposes the tracer's circular buffer (statistics, window).
-func (o *Offloaded) Buffer() *ddg.Compact { return o.tr.buf }
-
-// LastID returns the most recent traced instance id of a thread,
-// usable as a slicing criterion; the zero ID means the thread never
-// traced an instruction.
-func (o *Offloaded) LastID(tid int) ddg.ID { return o.tr.LastID(tid) }
-
 // Stats returns the tracer's counters.
 func (o *Offloaded) Stats() Stats { return o.tr.Stats() }

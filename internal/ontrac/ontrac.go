@@ -56,6 +56,8 @@ type Options struct {
 // AllOptimizations returns the full optimization stack with a 16MB
 // buffer, the paper's headline configuration (minus T1, which needs a
 // function list from the user).
+//
+//scaldift:ignore deadexport ROADMAP item 3 serves the paper's headline traces in this configuration
 func AllOptimizations() Options {
 	return Options{
 		BufferBytes:          16 << 20,
@@ -86,14 +88,6 @@ type Stats struct {
 	ElidedT2     uint64 // outside the input's forward slice
 	BytesWritten uint64
 	DictSize     int
-}
-
-// BytesPerInstr is the headline trace-rate metric.
-func (s Stats) BytesPerInstr() float64 {
-	if s.Instrs == 0 {
-		return 0
-	}
-	return float64(s.BytesWritten) / float64(s.Instrs)
 }
 
 // pattern is one O2 dictionary entry of a use site: the dependence
@@ -218,9 +212,6 @@ func New(prog *isa.Program, opts Options) *Tracer {
 // Tool returns the vm.Tool to attach for an inline run (the
 // underlying extractor).
 func (t *Tracer) Tool() vm.Tool { return t.ex }
-
-// Buffer exposes the circular buffer (statistics, window).
-func (t *Tracer) Buffer() *ddg.Compact { return t.buf }
 
 // LastID returns the most recent instance id of a thread, usable as
 // a slicing criterion.

@@ -21,12 +21,7 @@ type Reader struct {
 }
 
 // Reader returns the reconstructing view of the tracer's buffer.
-func (t *Tracer) Reader() *Reader { return t.ReaderOver(t.buf) }
-
-// ReaderOver returns the reconstructing view over any raw record
-// source carrying this tracer's records (e.g. a store.Reader over
-// the directory the inline buffer spilled into).
-func (t *Tracer) ReaderOver(src ddg.Source) *Reader { return &Reader{t: &t.tables, src: src} }
+func (t *Tracer) Reader() *Reader { return &Reader{t: &t.tables, src: t.buf} }
 
 // Threads implements ddg.Source.
 func (r *Reader) Threads() []int { return r.src.Threads() }

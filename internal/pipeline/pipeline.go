@@ -35,7 +35,7 @@ type Options struct {
 	// goroutine.
 	//
 	// Deprecated: kept only because the frozen bench/ directory sets
-	// it; the next benchmark PR removes it (ROADMAP item 5).
+	// it; the next benchmark PR removes it (ROADMAP item 4).
 	Workers int
 	// BatchEvents is the recorder's per-batch capacity (default
 	// vm.DefaultBatchEvents).
@@ -163,15 +163,12 @@ func (p *Pipeline[L]) MemTaint(addr int64) L { return p.mem.Get(addr) }
 // TaintedWords returns the number of memory words currently tainted.
 func (p *Pipeline[L]) TaintedWords() int { return p.mem.Tainted() }
 
-// ShadowSizeWords returns the allocated shadow size in cells.
-func (p *Pipeline[L]) ShadowSizeWords() int { return p.mem.SizeWords() }
-
 // LearnerStats counts the batches whose first and last event belong
 // to different threads, in Windows and OrderedMerges alike; the other
 // fields stay zero.
 //
 // Deprecated: kept only because the frozen bench/ directory reads
-// it; the next benchmark PR removes it (ROADMAP item 5).
+// it; the next benchmark PR removes it (ROADMAP item 4).
 type LearnerStats struct {
 	Windows, OrderedMerges                                    uint64
 	FastParallel, GroupedParallel, PreciseScans, VerifyMisses uint64

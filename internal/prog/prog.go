@@ -45,21 +45,6 @@ func (w *Workload) NewMachine() *vm.Machine {
 	return m
 }
 
-// Run executes the workload on a fresh machine and validates it.
-func (w *Workload) Run() (*vm.Machine, *vm.Result, error) {
-	m := w.NewMachine()
-	res := m.Run()
-	if res.Failed {
-		return m, res, fmt.Errorf("%s: run failed at pc %d: %s", w.Name, res.FailPC, res.FailMsg)
-	}
-	if w.Check != nil {
-		if err := w.Check(m); err != nil {
-			return m, res, fmt.Errorf("%s: %w", w.Name, err)
-		}
-	}
-	return m, res, nil
-}
-
 // All returns every registered workload at a small test scale: the
 // SPEC-like kernels, the SPLASH-like parallel kernels, the
 // data-validation workloads, and the hand-written families. Tier-1 tests run each one uninstrumented

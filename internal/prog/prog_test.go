@@ -1,6 +1,26 @@
 package prog
 
-import "testing"
+import (
+	"fmt"
+	"testing"
+
+	"scaldift/internal/vm"
+)
+
+// runChecked executes the workload on a fresh machine and validates it.
+func runChecked(w *Workload) (*vm.Machine, *vm.Result, error) {
+	m := w.NewMachine()
+	res := m.Run()
+	if res.Failed {
+		return m, res, fmt.Errorf("%s: run failed at pc %d: %s", w.Name, res.FailPC, res.FailMsg)
+	}
+	if w.Check != nil {
+		if err := w.Check(m); err != nil {
+			return m, res, fmt.Errorf("%s: %w", w.Name, err)
+		}
+	}
+	return m, res, nil
+}
 
 // TestAllWorkloadsSelfCheck runs every registered workload
 // uninstrumented and asserts its self-check passes, so the workload
@@ -9,7 +29,7 @@ func TestAllWorkloadsSelfCheck(t *testing.T) {
 	for _, w := range All() {
 		w := w
 		t.Run(w.Name, func(t *testing.T) {
-			if _, _, err := w.Run(); err != nil {
+			if _, _, err := runChecked(w); err != nil {
 				t.Fatal(err)
 			}
 		})
@@ -27,7 +47,7 @@ func TestValidationLineageGroundTruth(t *testing.T) {
 			if w.WantLineage == nil {
 				t.Fatal("validation workload missing WantLineage")
 			}
-			m, _, err := w.Run()
+			m, _, err := runChecked(w)
 			if err != nil {
 				t.Fatal(err)
 			}

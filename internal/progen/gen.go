@@ -65,6 +65,8 @@ type GenConfig struct {
 
 // DefaultGenConfig is the corpus configuration: small concurrent
 // programs exercising every feature.
+//
+//scaldift:ignore deadexport test-support: the corpus configuration every progen test and new scenario starts from
 func DefaultGenConfig() GenConfig {
 	return GenConfig{
 		MaxWorkers:   2,

@@ -39,6 +39,8 @@ const cacheBytes = 16 << 10
 // A new scenario is one line per seed:
 //
 //	progen.Scenario(t, 12345, progen.DefaultGenConfig())
+//
+//scaldift:ignore deadexport test-support: the one-line regression entry point for a failing seed
 func Scenario(tb testing.TB, seed uint64, cfg GenConfig) *OracleRun {
 	tb.Helper()
 	g := Generate(seed, cfg)

@@ -23,6 +23,8 @@ type ShrinkOptions struct {
 // candidate passes isa.Validate before keep is consulted, so keep
 // never sees a malformed program. If keep(p) is false to begin with,
 // a clone of p is returned unchanged.
+//
+//scaldift:ignore deadexport test-support: shrinks a failing corpus seed to a minimal program
 func Shrink(p *isa.Program, keep Property, opts ShrinkOptions) *isa.Program {
 	cur := p.Clone()
 	if !keep(cur) {

@@ -247,6 +247,11 @@ type TraceInfo struct {
 	Chunks  int            `json:"chunks"`
 	// Recovered reports the store served a crash-recovered prefix.
 	Recovered bool `json:"recovered,omitempty"`
+	// IOError is the first unexpected I/O error a chunk load hit (a
+	// permission or read failure, a directory where a segment should
+	// be). The affected chunks are served as damage, so Recovered is
+	// set too; IOError tells that apart from a crash.
+	IOError string `json:"io_error,omitempty"`
 	// Live reports the trace's writer has not closed yet: Threads is
 	// the advancing frontier, not the final range.
 	Live bool `json:"live,omitempty"`

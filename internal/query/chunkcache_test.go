@@ -13,6 +13,13 @@ import (
 	"scaldift/internal/store"
 )
 
+// depsOf materializes s.DepsOf.
+func depsOf(s ddg.Source, id ddg.ID) []ddg.Dep {
+	var out []ddg.Dep
+	s.DepsOf(id, func(d ddg.Dep) { out = append(out, d) })
+	return out
+}
+
 // TestServerChunkCacheStats: /v1/stats reports the decoded-chunk cache
 // the registry's readers share. A repeated query the result cache does
 // not answer is served from resident chunks (hits rise), the resident
@@ -104,7 +111,7 @@ func TestChunkCacheBudget(t *testing.T) {
 	lo, hi := ta.reader.Window(0)
 	for n := lo; n <= hi; n++ {
 		for _, r := range []*store.Reader{ta.reader, tb.reader} {
-			ddg.CountDeps(r, ddg.MakeID(0, n))
+			depsOf(r, ddg.MakeID(0, n))
 			bytes()
 		}
 	}
@@ -194,7 +201,7 @@ func warm(r *store.Reader) {
 	for _, tid := range r.Threads() {
 		lo, hi := r.Window(tid)
 		for n := lo; n <= hi; n++ {
-			ddg.CountDeps(r, ddg.MakeID(tid, n))
+			depsOf(r, ddg.MakeID(tid, n))
 		}
 	}
 }
@@ -215,7 +222,7 @@ func sameAsCold(t *testing.T, r *store.Reader, dir string) {
 		}
 		for n := lo; n <= hi; n++ {
 			id := ddg.MakeID(tid, n)
-			got, want := fmt.Sprint(ddg.CountDeps(r, id)), fmt.Sprint(ddg.CountDeps(cold, id))
+			got, want := fmt.Sprint(depsOf(r, id)), fmt.Sprint(depsOf(cold, id))
 			if got != want {
 				t.Fatalf("deps of %v: %s, cold reader %s", id, got, want)
 			}

@@ -7,7 +7,6 @@ import (
 	"fmt"
 	"io"
 	"net/http"
-	"net/url"
 	"strings"
 )
 
@@ -66,15 +65,6 @@ func (c *Client) do(ctx context.Context, method, path string, in, out any) error
 	return json.NewDecoder(resp.Body).Decode(out)
 }
 
-// Traces lists the registered fleet.
-func (c *Client) Traces(ctx context.Context) ([]TraceInfo, error) {
-	var resp TracesResponse
-	if err := c.do(ctx, http.MethodGet, "/v1/traces", nil, &resp); err != nil {
-		return nil, err
-	}
-	return resp.Traces, nil
-}
-
 // Slice runs one slice query.
 func (c *Client) Slice(ctx context.Context, req *SliceRequest) (*SliceResponse, error) {
 	if err := req.Validate(); err != nil {
@@ -94,29 +84,6 @@ func (c *Client) Provenance(ctx context.Context, req *ProvenanceRequest) (*Prove
 	}
 	var resp ProvenanceResponse
 	if err := c.do(ctx, http.MethodPost, "/v1/provenance", req, &resp); err != nil {
-		return nil, err
-	}
-	return &resp, nil
-}
-
-// Delete unregisters a trace; purge also removes its directory from
-// disk.
-func (c *Client) Delete(ctx context.Context, id string, purge bool) (*DeleteResponse, error) {
-	path := "/v1/traces/" + url.PathEscape(id)
-	if purge {
-		path += "?purge=1"
-	}
-	var resp DeleteResponse
-	if err := c.do(ctx, http.MethodDelete, path, nil, &resp); err != nil {
-		return nil, err
-	}
-	return &resp, nil
-}
-
-// Refresh asks the service to rescan its roots.
-func (c *Client) Refresh(ctx context.Context) (*RefreshResponse, error) {
-	var resp RefreshResponse
-	if err := c.do(ctx, http.MethodPost, "/v1/refresh", nil, &resp); err != nil {
 		return nil, err
 	}
 	return &resp, nil

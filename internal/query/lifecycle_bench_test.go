@@ -58,7 +58,7 @@ func lifecycleChunks() ([]ddg.RawChunk, uint64) {
 
 // spillRetained replays the stream through a writer holding a byte
 // budget, so sealing continuously plans and applies trims. Returns
-// how many segments retention removed.
+// how many threads retention trimmed.
 func spillRetained(b testing.TB, dir string, chunks []ddg.RawChunk) uint64 {
 	w, err := store.Create(store.Options{
 		Dir:          dir,
@@ -74,7 +74,12 @@ func spillRetained(b testing.TB, dir string, chunks []ddg.RawChunk) uint64 {
 	if err := w.Close(); err != nil {
 		b.Fatal(err)
 	}
-	return w.SegmentsTrimmed()
+	r, err := store.Open(dir, store.ReaderOptions{})
+	if err != nil {
+		b.Fatal(err)
+	}
+	defer r.Close()
+	return uint64(len(r.Trimmed()))
 }
 
 func BenchmarkLifecycleRetentionSpill(b *testing.B) {

@@ -88,17 +88,17 @@ func TestServerDeleteEndpoint(t *testing.T) {
 	cl := NewClient(srv.URL, srv.Client())
 	ctx := context.Background()
 
-	if _, err := cl.Delete(ctx, "nope", false); err == nil || !strings.Contains(err.Error(), "http 404") {
+	if _, err := deleteTrace(ctx, cl, "nope"); err == nil || !strings.Contains(err.Error(), "http 404") {
 		t.Fatalf("delete of unknown trace: %v, want 404", err)
 	}
-	resp, err := cl.Delete(ctx, "run", false)
+	resp, err := deleteTrace(ctx, cl, "run")
 	if err != nil {
 		t.Fatal(err)
 	}
 	if resp.Deleted != "run" || resp.Purged {
 		t.Fatalf("delete response %+v", resp)
 	}
-	traces, err := cl.Traces(ctx)
+	traces, err := listTraces(ctx, cl)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -183,7 +183,7 @@ func TestServerResultCache(t *testing.T) {
 		t.Fatalf("post-trim closure %d nodes, want fewer than %d", resp3.Nodes, resp1.Nodes)
 	}
 	// The fleet listing now reports the trimmed floor.
-	traces, err := cl.Traces(ctx)
+	traces, err := listTraces(ctx, cl)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -198,7 +198,7 @@ func TestServeLiveTrace(t *testing.T) {
 	cl := NewClient(srv.URL, srv.Client())
 	ctx := context.Background()
 
-	traces, err := cl.Traces(ctx)
+	traces, err := listTraces(ctx, cl)
 	if err != nil {
 		t.Fatal(err)
 	}

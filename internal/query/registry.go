@@ -485,6 +485,9 @@ func (t *Trace) Info() TraceInfo {
 		Generation: r.Generation(),
 		Recovered:  r.Recovered(),
 	}
+	if err := r.Err(); err != nil {
+		info.IOError = err.Error()
+	}
 	for tid, lo := range r.Trimmed() {
 		info.Trimmed = append(info.Trimmed, TrimmedWindow{TID: tid, Lo: lo})
 	}
@@ -523,8 +526,3 @@ func (t *Trace) source(b *store.Budget, raw bool) ddg.Source {
 	}
 	return src
 }
-
-// Window returns the thread's range (lo = hi = 0 for unknown threads).
-// For a live trace this is the frontier, so "the newest instance"
-// criteria resolve against what has landed.
-func (t *Trace) Window(tid int) (lo, hi uint64) { return t.reader.Window(tid) }

@@ -67,7 +67,7 @@ func TestReverseIndexRebuiltOnAttach(t *testing.T) {
 	cl, id, reg, _ := newServiceCache(t, w, false, noResultCache, roomyCache)
 	fresh, freshID, _, _ := newServiceCache(t, w, true, noResultCache, roomyCache)
 	tr, _ := reg.Get(id)
-	lo, _ := tr.Window(0)
+	lo, _ := tr.reader.Window(0)
 
 	before := forward(t, cl, id, 0, lo, 0)
 	if b, h, _ := revCounters(t, cl); b != 1 || h != 0 {
@@ -188,7 +188,7 @@ func TestReverseIndexBudget(t *testing.T) {
 	w := prog.Compress(1500, 1)
 	cl, id, reg, _ := newServiceCache(t, w, true, noResultCache, roomyCache)
 	tr, _ := reg.Get(id)
-	lo, _ := tr.Window(0)
+	lo, _ := tr.reader.Window(0)
 
 	starved := forward(t, cl, id, 0, lo, 2)
 	if !starved.BudgetExhausted {

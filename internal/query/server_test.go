@@ -3,9 +3,11 @@ package query
 import (
 	"context"
 	"encoding/json"
+	"fmt"
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"os"
 	"path/filepath"
 	"reflect"
 	"strings"
@@ -18,6 +20,22 @@ import (
 	"scaldift/internal/prog"
 	"scaldift/internal/store"
 )
+
+// listTraces lists the registered fleet.
+func listTraces(ctx context.Context, cl *Client) ([]TraceInfo, error) {
+	var resp TracesResponse
+	err := cl.do(ctx, http.MethodGet, "/v1/traces", nil, &resp)
+	return resp.Traces, err
+}
+
+// deleteTrace unregisters a trace, leaving its directory on disk.
+func deleteTrace(ctx context.Context, cl *Client, id string) (*DeleteResponse, error) {
+	var resp DeleteResponse
+	if err := cl.do(ctx, http.MethodDelete, "/v1/traces/"+id, nil, &resp); err != nil {
+		return nil, err
+	}
+	return &resp, nil
+}
 
 // newService records one workload and serves it; returns the client,
 // the trace id, the registry, and the server.
@@ -56,7 +74,7 @@ func TestRegistryRefreshPicksUpClosedTraces(t *testing.T) {
 	cl, _, _, _ := newService(t, w, false, ServerOptions{})
 	ctx := context.Background()
 
-	traces, err := cl.Traces(ctx)
+	traces, err := listTraces(ctx, cl)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -114,8 +132,8 @@ func TestServerRefreshEndpoint(t *testing.T) {
 
 	w2 := prog.MatMul(4, 3)
 	dir2 := recordTrace(t, reg.roots[0], w2, ontrac.StaticOptions(), 2)
-	resp, err := cl.Refresh(ctx)
-	if err != nil {
+	var resp RefreshResponse
+	if err := cl.do(ctx, http.MethodPost, "/v1/refresh", nil, &resp); err != nil {
 		t.Fatal(err)
 	}
 	id2 := filepath.Base(dir2)
@@ -258,7 +276,7 @@ func TestServerConveniencesAndRaw(t *testing.T) {
 	ctx := context.Background()
 
 	tr, _ := reg.Get(id)
-	_, hi := tr.Window(0)
+	_, hi := tr.reader.Window(0)
 	pc, ok := tr.reader.NodePC(ddg.MakeID(0, hi))
 	if !ok {
 		t.Fatal("window top stored no record")
@@ -293,7 +311,7 @@ func TestServerConveniencesAndRaw(t *testing.T) {
 		t.Log("note: O1 elided nothing on this chain (raw == reconstructed)")
 	}
 
-	info, err := cl.Traces(ctx)
+	info, err := listTraces(ctx, cl)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -440,5 +458,47 @@ func TestServerCapsRequestBody(t *testing.T) {
 	padded := string(buf) + strings.Repeat(" ", maxRequestBytes-len(buf))
 	if rr := post("/v1/slice", strings.NewReader(padded)); rr.Code != http.StatusOK {
 		t.Fatalf("valid request of exactly %d bytes answered %d: %s", maxRequestBytes, rr.Code, rr.Body.String())
+	}
+}
+
+// TestTraceInfoReportsIOError: a chunk load that fails with an I/O
+// error, not crash damage, reaches /v1/traces as io_error beside the
+// recovered flag the damaged chunks raise.
+func TestTraceInfoReportsIOError(t *testing.T) {
+	w := prog.Compress(400, 1)
+	cl, id, reg, _ := newService(t, w, false, ServerOptions{})
+	ctx := context.Background()
+	tr, _ := reg.Get(id)
+
+	// Replace thread 0's newest segment, which holds the criterion,
+	// with a directory: opening it succeeds, reading it fails.
+	segs, err := filepath.Glob(filepath.Join(tr.Dir, "t0-*.seg"))
+	if err != nil || len(segs) == 0 {
+		t.Fatalf("segments: %v, %v", segs, err)
+	}
+	newest, last := "", -1
+	for _, s := range segs {
+		var k int
+		if _, err := fmt.Sscanf(filepath.Base(s), "t0-%d.seg", &k); err == nil && k > last {
+			newest, last = s, k
+		}
+	}
+	if err := os.Remove(newest); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.Mkdir(newest, 0o755); err != nil {
+		t.Fatal(err)
+	}
+
+	if _, err := cl.Slice(ctx, &SliceRequest{Trace: id, Direction: DirBackward,
+		Criteria: []Criterion{{TID: 0}}}); err != nil {
+		t.Fatal(err)
+	}
+	traces, err := listTraces(ctx, cl)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(traces) != 1 || traces[0].IOError == "" || !traces[0].Recovered {
+		t.Fatalf("trace info %+v: want io_error set and recovered", traces)
 	}
 }

@@ -37,7 +37,7 @@ func FuzzShadowMem(f *testing.F) {
 				}
 			case 3: // occasionally clear everything
 				if data[i+2] > 250 {
-					mem.Clear()
+					mem = NewMem[int16]()
 					ref = map[int64]int16{}
 				}
 			}
@@ -52,15 +52,18 @@ func FuzzShadowMem(f *testing.F) {
 			}
 		}
 		seen := 0
-		mem.Range(func(a int64, v int16) bool {
-			if ref[a] != v {
-				t.Fatalf("Mem.Range leaked addr %d = %d (want %d)", a, v, ref[a])
+		for pidx, p := range mem.pages {
+			for i, v := range p {
+				if a := pidx<<PageBits + int64(i); v != 0 {
+					if ref[a] != v {
+						t.Fatalf("Mem leaked addr %d = %d (want %d)", a, v, ref[a])
+					}
+					seen++
+				}
 			}
-			seen++
-			return true
-		})
+		}
 		if seen != len(ref) {
-			t.Fatalf("Mem.Range visited %d cells, want %d", seen, len(ref))
+			t.Fatalf("Mem holds %d non-zero cells, want %d", seen, len(ref))
 		}
 	})
 }

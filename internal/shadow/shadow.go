@@ -61,34 +61,6 @@ func (m *Mem[T]) Set(addr int64, v T) {
 	p[addr&pageMask] = v
 }
 
-// Clear resets all shadow state.
-func (m *Mem[T]) Clear() {
-	m.pages = make(map[int64]*[pageSize]T)
-	m.touched = 0
-}
-
-// Pages returns the number of allocated shadow pages.
-func (m *Mem[T]) Pages() int { return len(m.pages) }
-
 // Tainted returns the number of words currently holding a non-zero
 // cell.
 func (m *Mem[T]) Tainted() int { return m.touched }
-
-// Range calls f for every non-zero cell. Iteration order is
-// unspecified. If f returns false, iteration stops.
-func (m *Mem[T]) Range(f func(addr int64, v T) bool) {
-	for pidx, p := range m.pages {
-		base := pidx << PageBits
-		for i := 0; i < pageSize; i++ {
-			if p[i] != m.zero {
-				if !f(base+int64(i), p[i]) {
-					return
-				}
-			}
-		}
-	}
-}
-
-// SizeWords estimates the shadow footprint in T-cells (allocated
-// pages × page size), the figure used for memory-overhead reporting.
-func (m *Mem[T]) SizeWords() int { return len(m.pages) * pageSize }

@@ -14,17 +14,12 @@ func TestGetSetClear(t *testing.T) {
 	if !m.Get(100) {
 		t.Fatal("set lost")
 	}
-	if m.Tainted() != 1 || m.Pages() != 1 {
-		t.Fatalf("tainted=%d pages=%d", m.Tainted(), m.Pages())
+	if m.Tainted() != 1 || len(m.pages) != 1 {
+		t.Fatalf("tainted=%d pages=%d", m.Tainted(), len(m.pages))
 	}
 	m.Set(100, false)
 	if m.Get(100) || m.Tainted() != 0 {
 		t.Fatal("unset failed")
-	}
-	m.Set(5, true)
-	m.Clear()
-	if m.Get(5) || m.Pages() != 0 {
-		t.Fatal("clear failed")
 	}
 }
 
@@ -33,8 +28,8 @@ func TestZeroWriteAllocatesNothing(t *testing.T) {
 	for a := int64(0); a < 1<<20; a += 1 << PageBits {
 		m.Set(a, 0)
 	}
-	if m.Pages() != 0 {
-		t.Fatalf("zero writes allocated %d pages", m.Pages())
+	if len(m.pages) != 0 {
+		t.Fatalf("zero writes allocated %d pages", len(m.pages))
 	}
 }
 
@@ -42,38 +37,11 @@ func TestSparsePages(t *testing.T) {
 	m := NewMem[int32]()
 	m.Set(0, 1)
 	m.Set(1<<30, 2)
-	if m.Pages() != 2 {
-		t.Fatalf("pages = %d, want 2", m.Pages())
+	if len(m.pages) != 2 {
+		t.Fatalf("pages = %d, want 2", len(m.pages))
 	}
 	if m.Get(0) != 1 || m.Get(1<<30) != 2 {
 		t.Fatal("values lost")
-	}
-}
-
-func TestRange(t *testing.T) {
-	m := NewMem[int32]()
-	want := map[int64]int32{3: 30, 5000: 50, 123456: 70}
-	for a, v := range want {
-		m.Set(a, v)
-	}
-	got := map[int64]int32{}
-	m.Range(func(a int64, v int32) bool {
-		got[a] = v
-		return true
-	})
-	if len(got) != len(want) {
-		t.Fatalf("got %v", got)
-	}
-	for a, v := range want {
-		if got[a] != v {
-			t.Fatalf("got[%d] = %d, want %d", a, got[a], v)
-		}
-	}
-	// Early stop.
-	n := 0
-	m.Range(func(int64, int32) bool { n++; return false })
-	if n != 1 {
-		t.Fatalf("early stop visited %d", n)
 	}
 }
 

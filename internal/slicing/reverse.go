@@ -20,7 +20,6 @@ import (
 // reconstruction mode, and shares it across forward queries.
 type Reverse struct {
 	byTID []*revThread // indexed by def thread; nil: no def there
-	edges int
 }
 
 // revThread holds the uses of one thread's defs: those of instance
@@ -98,7 +97,6 @@ func BuildReverse(src ddg.Source, done <-chan struct{}) *Reverse {
 			rt.use[rt.off[k]] = p[i].u
 		}
 		r.byTID[tid] = rt
-		r.edges += len(p)
 		pending[tid] = nil
 	}
 	return r
@@ -117,9 +115,6 @@ func (r *Reverse) uses(id ddg.ID) []revUse {
 	}
 	return rt.use[rt.off[i]:rt.off[i+1]]
 }
-
-// Edges returns how many dependences the index holds.
-func (r *Reverse) Edges() int { return r.edges }
 
 // Bytes returns the index's resident size: its offset and use arrays.
 func (r *Reverse) Bytes() int64 {

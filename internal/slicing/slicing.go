@@ -139,12 +139,6 @@ type Slice struct {
 	ShardBusy map[int]time.Duration
 }
 
-// Contains reports whether the slice includes the statement id.
-func (s *Slice) Contains(line int) bool {
-	i := sort.SearchInts(s.Lines, line)
-	return i < len(s.Lines) && s.Lines[i] == line
-}
-
 // Backward computes the backward dynamic slice of the criteria with
 // the solo walk: ParallelBackward at workers = 1.
 func Backward(src ddg.Source, prog *isa.Program, crits []Criterion, opts Options) *Slice {

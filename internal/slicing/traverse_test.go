@@ -12,6 +12,30 @@ import (
 	"scaldift/internal/prog"
 )
 
+// contains reports whether the slice includes the statement id.
+func contains(s *Slice, line int) bool {
+	i := sort.SearchInts(s.Lines, line)
+	return i < len(s.Lines) && s.Lines[i] == line
+}
+
+// revEdges returns how many dependences the index holds.
+func revEdges(r *Reverse) int {
+	n := 0
+	for _, rt := range r.byTID {
+		if rt != nil {
+			n += len(rt.use)
+		}
+	}
+	return n
+}
+
+// depsOf materializes s.DepsOf.
+func depsOf(s ddg.Source, id ddg.ID) []ddg.Dep {
+	var out []ddg.Dep
+	s.DepsOf(id, func(d ddg.Dep) { out = append(out, d) })
+	return out
+}
+
 // buildWorkloadGraph runs a workload under the full extractor with a
 // randomized schedule and returns its graph.
 func buildWorkloadGraph(t *testing.T, w *prog.Workload, seed uint64) *ddg.Full {
@@ -36,7 +60,7 @@ func newestWithDeps(g *ddg.Full, tid int) ddg.ID {
 	lo, hi := g.Window(tid)
 	for n := hi; n >= lo && lo != 0; n-- {
 		id := ddg.MakeID(tid, n)
-		if len(ddg.CountDeps(g, id)) > 0 {
+		if len(depsOf(g, id)) > 0 {
 			return id
 		}
 	}
@@ -50,7 +74,7 @@ func oldestWithDeps(g *ddg.Full, tid int) ddg.ID {
 	lo, hi := g.Window(tid)
 	for n := lo; n <= hi && lo != 0; n++ {
 		id := ddg.MakeID(tid, n)
-		if len(ddg.CountDeps(g, id)) > 0 {
+		if len(depsOf(g, id)) > 0 {
 			return id
 		}
 	}
@@ -379,7 +403,7 @@ func TestParallelForwardStopsAfterCancelledScan(t *testing.T) {
 	done := make(chan struct{})
 	cg := &cancellingSource{Source: g, done: done, after: after}
 	if rev := BuildReverse(cg, done); rev != nil {
-		t.Fatalf("mid-build cancellation still returned an index of %d edges", rev.Edges())
+		t.Fatalf("mid-build cancellation still returned an index of %d edges", revEdges(rev))
 	}
 	if calls := cg.calls.Load(); calls > after+donePollMask+1 {
 		t.Fatalf("build ran %d DepsOf calls past cancellation at %d", calls-after, after)
@@ -408,13 +432,13 @@ func TestReverseShared(t *testing.T) {
 		for _, tid := range g.Threads() {
 			lo, hi := g.Window(tid)
 			for n := lo; n <= hi && lo != 0; n++ {
-				stored += len(ddg.CountDeps(g, ddg.MakeID(tid, n)))
+				stored += len(depsOf(g, ddg.MakeID(tid, n)))
 			}
 		}
-		if rev.Edges() != stored {
-			t.Fatalf("%s: index holds %d edges, source stores %d", w.Name, rev.Edges(), stored)
+		if revEdges(rev) != stored {
+			t.Fatalf("%s: index holds %d edges, source stores %d", w.Name, revEdges(rev), stored)
 		}
-		if per := float64(rev.Bytes()) / float64(rev.Edges()); per > 24 {
+		if per := float64(rev.Bytes()) / float64(revEdges(rev)); per > 24 {
 			t.Errorf("%s: %.1f B per stored edge, want <= 24", w.Name, per)
 		}
 		var starts []ddg.ID

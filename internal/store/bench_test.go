@@ -10,6 +10,7 @@ import (
 	"scaldift/internal/ddg"
 	"scaldift/internal/isa"
 	"scaldift/internal/ontrac"
+	"scaldift/internal/pipeline"
 	"scaldift/internal/prog"
 	"scaldift/internal/slicing"
 )
@@ -43,17 +44,14 @@ var benchOnce struct {
 func benchChunks(b testing.TB) ([]ddg.RawChunk, uint64) {
 	benchOnce.Do(func() {
 		w := benchWorkload()
-		m := w.NewMachine()
-		tr := ontrac.New(w.Prog, ontrac.Unoptimized())
+		off := ontrac.NewOffloaded(w.Prog, ontrac.Unoptimized(), pipeline.Options{})
 		var sink chunkSink
-		tr.Buffer().SetSpill(&sink)
-		m.AttachTool(tr.Tool())
-		if res := m.Run(); res.Failed {
+		off.SpillTo(&sink)
+		if res := ontrac.Trace(w.NewMachine(), off); res.Failed {
 			b.Fatal(res.FailMsg)
 		}
-		tr.Buffer().Flush()
 		benchOnce.chunks = sink.chunks
-		benchOnce.bytes = tr.Buffer().BytesWritten()
+		benchOnce.bytes = off.Stats().BytesWritten
 	})
 	return benchOnce.chunks, benchOnce.bytes
 }

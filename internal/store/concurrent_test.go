@@ -22,7 +22,7 @@ import (
 // evictions. Run under -race by the CI test job.
 func TestConcurrentReaderStress(t *testing.T) {
 	w := prog.PSum(4, 2000, 7)
-	_, r := runSpilled(t, w, ontrac.Unoptimized(), 1)
+	_, _, r := runSpilled(t, w, ontrac.Unoptimized(), 1)
 	sopts := slicing.Options{FollowControl: true}
 
 	// Sequential ground truth per thread, computed before the storm.
@@ -144,7 +144,7 @@ func TestConcurrentReaderStress(t *testing.T) {
 // an unlimited budget (and a nil one) reproduces the full slice.
 func TestBudgetExhaustion(t *testing.T) {
 	w := prog.Compress(1500, 1)
-	_, r := runSpilled(t, w, ontrac.Unoptimized(), 0)
+	_, _, r := runSpilled(t, w, ontrac.Unoptimized(), 0)
 	tid := r.Threads()[0]
 	_, hi := r.Window(tid)
 	pc, _ := r.NodePC(ddg.MakeID(tid, hi))

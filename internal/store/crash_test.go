@@ -48,7 +48,7 @@ func recordedIDs(src ddg.Source) map[ddg.ID]string {
 		lo, hi := src.Window(tid)
 		for n := lo; n <= hi && lo != 0; n++ {
 			id := ddg.MakeID(tid, n)
-			if deps := ddg.CountDeps(src, id); len(deps) > 0 {
+			if deps := depsOf(src, id); len(deps) > 0 {
 				out[id] = fmt.Sprintf("%+v", deps)
 			}
 		}

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"sort"
 	"testing"
 
 	"scaldift/internal/ddg"
@@ -23,7 +24,70 @@ import (
 
 const diffSchedules = 4
 
-func runSpilled(t *testing.T, w *prog.Workload, opts ontrac.Options, seed uint64) (*ontrac.Offloaded, *Reader) {
+// memChunks spills each chunk into the store and keeps it decoded in
+// memory, serving it as a ddg.Source: the raw trace as the tracer
+// sealed it, beside which the reopened store must answer the same.
+type memChunks struct {
+	wr    *Writer
+	byTID map[int][]memChunk
+}
+
+type memChunk struct {
+	baseN, lastN uint64
+	d            *ddg.Decoded
+}
+
+func (s *memChunks) SpillChunk(rc ddg.RawChunk) {
+	s.wr.SpillChunk(rc)
+	d, err := rc.Decode()
+	if err != nil {
+		panic(err)
+	}
+	s.byTID[rc.TID] = append(s.byTID[rc.TID], memChunk{rc.BaseN, rc.LastN, d})
+}
+
+func (s *memChunks) Threads() []int {
+	var out []int
+	for tid := range s.byTID {
+		out = append(out, tid)
+	}
+	sort.Ints(out)
+	return out
+}
+
+func (s *memChunks) Window(tid int) (uint64, uint64) {
+	cs := s.byTID[tid]
+	if len(cs) == 0 {
+		return 0, 0
+	}
+	return cs[0].baseN, cs[len(cs)-1].lastN
+}
+
+func (s *memChunks) find(id ddg.ID) *ddg.Decoded {
+	for _, c := range s.byTID[id.TID()] {
+		if c.baseN <= id.N() && id.N() <= c.lastN {
+			return c.d
+		}
+	}
+	return nil
+}
+
+func (s *memChunks) DepsOf(id ddg.ID, yield func(ddg.Dep)) {
+	if d := s.find(id); d != nil {
+		d.Each(id.N(), yield)
+	}
+}
+
+func (s *memChunks) NodePC(id ddg.ID) (int32, bool) {
+	if d := s.find(id); d != nil {
+		return d.UsePC(id.N())
+	}
+	return 0, false
+}
+
+// runSpilled traces w into a fresh store and returns the stage, the
+// spilled records held in memory, and the store reopened from disk.
+func runSpilled(t *testing.T, w *prog.Workload, opts ontrac.Options, seed uint64) (*ontrac.Offloaded, ddg.Source, *Reader) {
 	t.Helper()
 	w.Cfg.Seed = seed
 	w.Cfg.RandomPreempt = true
@@ -43,33 +107,31 @@ func runSpilled(t *testing.T, w *prog.Workload, opts ontrac.Options, seed uint64
 		popt.QueueDepth = 1
 	}
 	off := ontrac.NewOffloaded(w.Prog, opts, popt)
-	off.SpillTo(wr)
+	mem := &memChunks{wr: wr, byTID: map[int][]memChunk{}}
+	off.SpillTo(mem)
 	if res := ontrac.Trace(m, off); res.Failed {
 		t.Fatalf("seed %d: run failed: %s", seed, res.FailMsg)
 	}
 	if err := wr.Close(); err != nil {
 		t.Fatalf("seed %d: writer close: %v", seed, err)
 	}
-	if off.Buffer().SpilledChunks() != wr.ChunksSpilled() {
-		t.Fatalf("seed %d: %d chunks sealed, %d written", seed,
-			off.Buffer().SpilledChunks(), wr.ChunksSpilled())
-	}
 	r, err := Open(dir, ReaderOptions{Cache: NewChunkCache(16 << 10)})
 	if err != nil {
 		t.Fatalf("seed %d: reopen: %v", seed, err)
 	}
 	t.Cleanup(func() { r.Close() })
-	return off, r
+	return off, mem, r
 }
 
-// diffSlices compares backward and forward slices between an
-// in-memory source and its on-disk reopen, both raw and through the
-// reconstructing readers, and holds ParallelBackward over the store
-// to the sequential result.
-func diffSlices(t *testing.T, seed uint64, w *prog.Workload, opts ontrac.Options, off *ontrac.Offloaded, r *Reader) {
+// diffSlices compares backward and forward slices between the spilled
+// records in memory and their on-disk reopen, raw and, for traces a
+// static reconstructor can rebuild (no trace dictionary), through the
+// reconstructing readers; and it holds ParallelBackward over the
+// store to the sequential result.
+func diffSlices(t *testing.T, seed uint64, w *prog.Workload, opts ontrac.Options, off *ontrac.Offloaded, mem ddg.Source, r *Reader) {
 	t.Helper()
-	mem := off.Buffer()
-	memR, diskR := off.Reader(), off.ReaderOver(r)
+	memR := off.Reader()
+	diskR := ontrac.NewStaticReconstructor(w.Prog, opts).ReaderOver(r)
 	if fmt.Sprint(mem.Threads()) != fmt.Sprint(r.Threads()) {
 		t.Fatalf("seed %d: threads diverged: mem %v, disk %v", seed, mem.Threads(), r.Threads())
 	}
@@ -101,15 +163,17 @@ func diffSlices(t *testing.T, seed uint64, w *prog.Workload, opts ontrac.Options
 				seed, tid, bm.Lines, bm.Nodes, bm.Edges, bd.Lines, bd.Nodes, bd.Edges)
 		}
 
-		// Reconstructing backward slices (O1/O2 edges re-synthesized
+		// Reconstructing backward slices (O1 edges re-synthesized
 		// over the on-disk records).
-		rm := slicing.Backward(memR, w.Prog, []slicing.Criterion{{ID: crit, PC: pcM}}, sopts)
-		rd := slicing.Backward(diskR, w.Prog, []slicing.Criterion{{ID: crit, PC: pcD}}, sopts)
-		if fmt.Sprint(rm.Lines) != fmt.Sprint(rd.Lines) || rm.Nodes != rd.Nodes || rm.Edges != rd.Edges {
-			t.Fatalf("seed %d tid %d: reconstructed backward diverged:\nmem  %v\ndisk %v",
-				seed, tid, rm.Lines, rd.Lines)
+		if !opts.TraceDictionary {
+			rm := slicing.Backward(memR, w.Prog, []slicing.Criterion{{ID: crit, PC: pcM}}, sopts)
+			rd := slicing.Backward(diskR, w.Prog, []slicing.Criterion{{ID: crit, PC: pcD}}, sopts)
+			if fmt.Sprint(rm.Lines) != fmt.Sprint(rd.Lines) || rm.Nodes != rd.Nodes || rm.Edges != rd.Edges {
+				t.Fatalf("seed %d tid %d: reconstructed backward diverged:\nmem  %v\ndisk %v",
+					seed, tid, rm.Lines, rd.Lines)
+			}
 		}
-		sliceLines += len(rd.Lines)
+		sliceLines += len(bd.Lines)
 
 		// The parallel traversal over the on-disk store must agree
 		// with the sequential one. Raw source only: O2 reconstruction
@@ -144,8 +208,8 @@ func TestStoreDifferentialAllWorkloads(t *testing.T) {
 		w := w
 		t.Run(w.Name, func(t *testing.T) {
 			for seed := uint64(0); seed < diffSchedules; seed++ {
-				off, r := runSpilled(t, w, opts, seed)
-				diffSlices(t, seed, w, opts, off, r)
+				off, mem, r := runSpilled(t, w, opts, seed)
+				diffSlices(t, seed, w, opts, off, mem, r)
 			}
 		})
 	}
@@ -159,8 +223,8 @@ func TestStoreDifferentialUnoptimized(t *testing.T) {
 		w := w
 		t.Run(w.Name, func(t *testing.T) {
 			for seed := uint64(0); seed < diffSchedules; seed++ {
-				off, r := runSpilled(t, w, ontrac.Unoptimized(), seed)
-				diffSlices(t, seed, w, ontrac.Unoptimized(), off, r)
+				off, mem, r := runSpilled(t, w, ontrac.Unoptimized(), seed)
+				diffSlices(t, seed, w, ontrac.Unoptimized(), off, mem, r)
 			}
 		})
 	}
@@ -184,7 +248,8 @@ func TestStoreBeyondMemoryCap(t *testing.T) {
 		t.Fatal(res.FailMsg)
 	}
 
-	// Capped inline tracer, spilling to a store.
+	// Capped tracer, spilling to a store. With nothing elided, the
+	// tracers' readers serve their buffers' records as stored.
 	capped := mk()
 	cOpts := opts
 	cOpts.BufferBytes = 8 << 10 // far below the trace size
@@ -193,20 +258,15 @@ func TestStoreBeyondMemoryCap(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	mCap := capped.NewMachine()
-	trCap := ontrac.New(capped.Prog, cOpts)
-	trCap.Buffer().SetSpill(wr)
-	mCap.AttachTool(trCap.Tool())
-	if res := mCap.Run(); res.Failed {
+	offCap := ontrac.NewOffloaded(capped.Prog, cOpts, pipeline.Options{})
+	offCap.SpillTo(wr)
+	if res := ontrac.Trace(capped.NewMachine(), offCap); res.Failed {
 		t.Fatal(res.FailMsg)
 	}
-	trCap.Buffer().Flush()
 	if err := wr.Close(); err != nil {
 		t.Fatal(err)
 	}
-	if trCap.Buffer().EvictedChunks() == 0 {
-		t.Fatal("cap never evicted — raise the workload size")
-	}
+	memRef, memCap := trRef.Reader(), offCap.Reader()
 
 	r, err := Open(dir, ReaderOptions{})
 	if err != nil {
@@ -216,18 +276,18 @@ func TestStoreBeyondMemoryCap(t *testing.T) {
 
 	// Same deterministic schedule → same trace: windows must agree
 	// between the unbounded memory run and the capped run's store.
-	lo, hi := trRef.Buffer().Window(0)
+	lo, hi := memRef.Window(0)
 	slo, shi := r.Window(0)
 	if lo != slo || hi != shi {
 		t.Fatalf("windows: unbounded mem [%d,%d], reopened store [%d,%d]", lo, hi, slo, shi)
 	}
-	mlo, _ := trCap.Buffer().Window(0)
+	mlo, _ := memCap.Window(0)
 	if mlo <= lo {
 		t.Fatal("capped memory window should have lost the oldest records")
 	}
 
 	crit := ddg.MakeID(0, hi)
-	pc, ok := trRef.Buffer().NodePC(crit)
+	pc, ok := memRef.NodePC(crit)
 	if !ok {
 		t.Fatal("no record at window top")
 	}
@@ -237,8 +297,8 @@ func TestStoreBeyondMemoryCap(t *testing.T) {
 	// Note: even an unbounded Compact reports TruncatedAtWindow when
 	// an edge points below the first RECORDED instance (defs that
 	// stored no record), so the flag is compared, not asserted off.
-	want := slicing.Backward(trRef.Buffer(), ref.Prog, crits, sopts)
-	gotMem := slicing.Backward(trCap.Buffer(), capped.Prog, crits, sopts)
+	want := slicing.Backward(memRef, ref.Prog, crits, sopts)
+	gotMem := slicing.Backward(memCap, capped.Prog, crits, sopts)
 	gotDisk := slicing.Backward(r, capped.Prog, crits, sopts)
 	if fmt.Sprint(want.Lines) != fmt.Sprint(gotDisk.Lines) ||
 		want.Nodes != gotDisk.Nodes || want.Edges != gotDisk.Edges ||
@@ -260,7 +320,7 @@ func TestStoreBeyondMemoryCap(t *testing.T) {
 // over a map there made this fail or pass by luck.
 func TestStoreRecordingIsReproducible(t *testing.T) {
 	segs := func() map[string][]byte {
-		_, r := runSpilled(t, prog.PSum(4, 400, 1), ontrac.StaticOptions(), 3)
+		_, _, r := runSpilled(t, prog.PSum(4, 400, 1), ontrac.StaticOptions(), 3)
 		files, err := filepath.Glob(filepath.Join(r.dir, "*.seg"))
 		if err != nil || len(files) < 4 {
 			t.Fatalf("segment files: %v, %v", files, err)

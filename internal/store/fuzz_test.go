@@ -125,7 +125,7 @@ func FuzzCompactRoundTrip(f *testing.F) {
 			mlo, mhi := model.Window(tid)
 			var wantLo, wantHi uint64 // recorded range in the model
 			for n := mlo; n <= mhi; n++ {
-				if len(ddg.CountDeps(model, ddg.MakeID(tid, n))) > 0 {
+				if len(depsOf(model, ddg.MakeID(tid, n))) > 0 {
 					if wantLo == 0 {
 						wantLo = n
 					}
@@ -139,8 +139,8 @@ func FuzzCompactRoundTrip(f *testing.F) {
 			}
 			for n := mlo; n <= mhi; n++ {
 				id := ddg.MakeID(tid, n)
-				want := ddg.CountDeps(model, id)
-				got := ddg.CountDeps(r, id)
+				want := depsOf(model, id)
+				got := depsOf(r, id)
 				if len(want) == 0 {
 					if len(got) != 0 {
 						t.Fatalf("store invented deps for %v: %+v", id, got)

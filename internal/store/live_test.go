@@ -260,7 +260,7 @@ func TestReaderTransientChunkReadRetried(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	if deps := ddg.CountDeps(r, victim); len(deps) != 0 {
+	if deps := depsOf(r, victim); len(deps) != 0 {
 		t.Fatalf("torn chunk served %d deps", len(deps))
 	}
 	if !r.Recovered() {
@@ -275,7 +275,7 @@ func TestReaderTransientChunkReadRetried(t *testing.T) {
 	if err := os.WriteFile(path, intact, 0o644); err != nil {
 		t.Fatal(err)
 	}
-	if deps := ddg.CountDeps(r, victim); len(deps) == 0 {
+	if deps := depsOf(r, victim); len(deps) == 0 {
 		t.Fatal("healed chunk still served as a hole: transient failure was negative-cached")
 	}
 }

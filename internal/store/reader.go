@@ -289,18 +289,6 @@ func (r *Reader) Hold(size int64, drop func()) func() {
 	return let
 }
 
-// TrimmedLo returns tid's retention floor: every instance below it
-// may have been deleted by retention, so a slice that walks past the
-// floor reports truncation exactly like the old in-memory ring did at
-// its window edge. ok is false when the thread has never been
-// trimmed.
-func (r *Reader) TrimmedLo(tid int) (lo uint64, ok bool) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	lo, ok = r.trimLo[tid]
-	return lo, ok
-}
-
 // Trimmed returns a copy of every thread's retention floor (empty
 // when the store has never been trimmed).
 func (r *Reader) Trimmed() map[int]uint64 {

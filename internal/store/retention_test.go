@@ -16,6 +16,12 @@ import (
 // like the old ring reported its window edge, and a live follower
 // rides a trim of the segment it is scanning.
 
+// trimmedLo returns tid's retention floor, if the thread was trimmed.
+func trimmedLo(r *Reader, tid int) (uint64, bool) {
+	lo, ok := r.Trimmed()[tid]
+	return lo, ok
+}
+
 // checkTrimmedWindows asserts r serves exactly the model's deps over
 // each surviving window, that surviving windows are a suffix [lo, hi]
 // of the recorded range, and that lo sits at the manifest's trim
@@ -32,7 +38,7 @@ func checkTrimmedWindows(t *testing.T, model *ddg.Full, r *Reader) int {
 		if !survivors[tid] {
 			// Fully trimmed: the floor must cover the whole recorded
 			// range, else the reader lost data retention never deleted.
-			if lo, ok := r.TrimmedLo(tid); !ok || lo <= mhi {
+			if lo, ok := trimmedLo(r, tid); !ok || lo <= mhi {
 				t.Fatalf("tid %d served nothing but trim floor is (%d,%v), recorded [%d,%d]", tid, lo, ok, mlo, mhi)
 			}
 			continue
@@ -41,7 +47,7 @@ func checkTrimmedWindows(t *testing.T, model *ddg.Full, r *Reader) int {
 		if hi != mhi {
 			t.Fatalf("tid %d window hi %d, want %d (trim must only eat the oldest prefix)", tid, hi, mhi)
 		}
-		if tlo, ok := r.TrimmedLo(tid); ok {
+		if tlo, ok := trimmedLo(r, tid); ok {
 			if lo != tlo {
 				t.Fatalf("tid %d window lo %d, manifest trim floor %d", tid, lo, tlo)
 			}
@@ -50,8 +56,8 @@ func checkTrimmedWindows(t *testing.T, model *ddg.Full, r *Reader) int {
 		}
 		for n := lo; n <= hi; n++ {
 			id := ddg.MakeID(tid, n)
-			want := ddg.CountDeps(model, id)
-			got := ddg.CountDeps(r, id)
+			want := depsOf(model, id)
+			got := depsOf(r, id)
 			if len(want) != len(got) {
 				t.Fatalf("deps of %v: model %d, got %d", id, len(want), len(got))
 			}
@@ -91,13 +97,12 @@ func TestStoreRetentionByteBudget(t *testing.T) {
 	if err := w.Close(); err != nil {
 		t.Fatal(err)
 	}
-	if w.SegmentsTrimmed() == 0 {
-		t.Fatal("store stayed under an 8KB budget — scenario needs more data")
-	}
-
 	man, err := readManifest(dir)
 	if err != nil {
 		t.Fatal(err)
+	}
+	if len(man.Trimmed) == 0 {
+		t.Fatal("store stayed under an 8KB budget — scenario needs more data")
 	}
 	var total int64
 	for _, ms := range man.Segments {
@@ -168,8 +173,18 @@ func TestStoreRetentionAge(t *testing.T) {
 	if err := w.Close(); err != nil {
 		t.Fatal(err)
 	}
-	if got := w.SegmentsTrimmed(); got != uint64(agedSeals) {
-		t.Fatalf("trimmed %d segments, want the %d sealed before the clock jump", got, agedSeals)
+	onDisk := segFiles(t, dir)
+	for _, ms := range man0.Segments {
+		if onDisk[ms.File] {
+			t.Fatalf("%s, sealed before the clock jump, survived", ms.File)
+		}
+	}
+	man, err := readManifest(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(man.Segments) != len(onDisk) {
+		t.Fatalf("manifest lists %d segments, %d on disk: retention trimmed a fresh one", len(man.Segments), len(onDisk))
 	}
 
 	r, err := Open(dir, ReaderOptions{})
@@ -179,7 +194,7 @@ func TestStoreRetentionAge(t *testing.T) {
 	defer r.Close()
 	trimmedSomething := false
 	for tid := 0; tid < 2; tid++ {
-		if lo, ok := r.TrimmedLo(tid); ok && lo > 1 {
+		if lo, ok := trimmedLo(r, tid); ok && lo > 1 {
 			trimmedSomething = true
 		}
 	}
@@ -262,7 +277,7 @@ func TestStoreTrimPrunesClosedReader(t *testing.T) {
 	if removed, err := Trim(dir, Retention{MaxBytes: 4 << 10}); err != nil || removed == 0 {
 		t.Fatalf("trim = (%d, %v), want segments removed", removed, err)
 	}
-	ddg.CountDeps(r, ddg.MakeID(0, lo0))
+	depsOf(r, ddg.MakeID(0, lo0))
 	if r.Recovered() {
 		t.Fatal("a lookup racing the trim read as crash recovery")
 	}
@@ -285,7 +300,7 @@ func TestStoreTrimPrunesClosedReader(t *testing.T) {
 	}
 	for _, tid := range r.Threads() {
 		lo, hi := r.Window(tid)
-		if floor, ok := r.TrimmedLo(tid); ok && lo != floor {
+		if floor, ok := trimmedLo(r, tid); ok && lo != floor {
 			t.Fatalf("tid %d window starts at %d, trim floor %d", tid, lo, floor)
 		}
 		if clo, chi := cold.Window(tid); lo != clo || hi != chi {
@@ -293,7 +308,7 @@ func TestStoreTrimPrunesClosedReader(t *testing.T) {
 		}
 		for n := lo; n <= hi; n++ {
 			id := ddg.MakeID(tid, n)
-			if got, want := fmt.Sprint(ddg.CountDeps(r, id)), fmt.Sprint(ddg.CountDeps(cold, id)); got != want {
+			if got, want := fmt.Sprint(depsOf(r, id)), fmt.Sprint(depsOf(cold, id)); got != want {
 				t.Fatalf("deps of %v: %s, cold reader %s", id, got, want)
 			}
 		}
@@ -468,7 +483,7 @@ func TestStoreLiveFollowAcrossTrim(t *testing.T) {
 			gen = g
 		}
 	}
-	if w.SegmentsTrimmed() == 0 {
+	if len(r.Trimmed()) == 0 {
 		t.Fatal("live run never trimmed — scenario needs more data")
 	}
 	// The follower must have picked the trims up mid-run: its windows
@@ -568,7 +583,7 @@ func TestStoreFollowerSurvivesTrimOfScannedTail(t *testing.T) {
 			if _, err := r.Poll(); err != nil {
 				t.Fatal(err)
 			}
-			floor, ok := r.TrimmedLo(0)
+			floor, ok := trimmedLo(r, 0)
 			if !ok {
 				t.Fatal("follower never saw the trim floor")
 			}
@@ -584,7 +599,7 @@ func TestStoreFollowerSurvivesTrimOfScannedTail(t *testing.T) {
 			}
 			for n := lo; n <= hi; n++ {
 				id := ddg.MakeID(0, n)
-				if want, got := fmt.Sprint(ddg.CountDeps(model, id)), fmt.Sprint(ddg.CountDeps(r, id)); want != got {
+				if want, got := fmt.Sprint(depsOf(model, id)), fmt.Sprint(depsOf(r, id)); want != got {
 					t.Fatalf("deps of %v:\nmodel %s\ngot   %s", id, want, got)
 				}
 			}
@@ -627,7 +642,7 @@ func TestStoreFollowerChunkLoadRacingTrim(t *testing.T) {
 		t.Fatalf("setup: trims %+v leave instance %d on disk", man.Trimmed, lo)
 	}
 
-	ddg.CountDeps(r, ddg.MakeID(0, lo))
+	depsOf(r, ddg.MakeID(0, lo))
 	if r.Recovered() {
 		t.Fatal("a chunk load racing retention marked the reader recovered")
 	}
@@ -643,7 +658,7 @@ func TestStoreFollowerChunkLoadRacingTrim(t *testing.T) {
 	}
 	for n := wlo; n <= hi; n++ {
 		id := ddg.MakeID(0, n)
-		if want, got := fmt.Sprint(ddg.CountDeps(model, id)), fmt.Sprint(ddg.CountDeps(r, id)); want != got {
+		if want, got := fmt.Sprint(depsOf(model, id)), fmt.Sprint(depsOf(r, id)); want != got {
 			t.Fatalf("deps of %v:\nmodel %s\ngot   %s", id, want, got)
 		}
 	}
@@ -751,7 +766,7 @@ func TestStoreDamageBurstKeepsHealthyCache(t *testing.T) {
 	ts := r.thread(0)
 
 	hot := ddg.MakeID(0, chunks[0].lastN)
-	if deps := ddg.CountDeps(r, hot); len(deps) == 0 {
+	if deps := depsOf(r, hot); len(deps) == 0 {
 		t.Fatal("test id has no deps")
 	}
 
@@ -777,7 +792,7 @@ func TestStoreDamageBurstKeepsHealthyCache(t *testing.T) {
 		flip(tc)
 	}
 	for _, tc := range burst {
-		if deps := ddg.CountDeps(r, ddg.MakeID(0, tc.lastN)); len(deps) != 0 {
+		if deps := depsOf(r, ddg.MakeID(0, tc.lastN)); len(deps) != 0 {
 			t.Fatalf("damaged chunk at %d served %d deps", tc.off, len(deps))
 		}
 	}
@@ -788,7 +803,7 @@ func TestStoreDamageBurstKeepsHealthyCache(t *testing.T) {
 	// The regression: before negatives were bounded separately, the
 	// burst above FIFO-evicted the healthy chunk, and this re-read the
 	// now-corrupt bytes and served a hole.
-	if deps := ddg.CountDeps(r, hot); len(deps) == 0 {
+	if deps := depsOf(r, hot); len(deps) == 0 {
 		t.Fatal("healthy hot chunk evicted by damage negatives")
 	}
 	if st := cache.Stats(); st.Evictions != 0 || st.Bytes != int64(hotChunk.Bytes()) {

@@ -9,6 +9,13 @@ import (
 	"scaldift/internal/ddg"
 )
 
+// depsOf materializes s.DepsOf.
+func depsOf(s ddg.Source, id ddg.ID) []ddg.Dep {
+	var out []ddg.Dep
+	s.DepsOf(id, func(d ddg.Dep) { out = append(out, d) })
+	return out
+}
+
 // appendSynthetic writes a deterministic multi-thread dependence
 // stream into dst and returns a Full graph model of it.
 func appendSynthetic(dst interface {
@@ -62,8 +69,8 @@ func diffSource(t *testing.T, model *ddg.Full, got ddg.Source) {
 		mlo, mhi := model.Window(tid)
 		for n := mlo; n <= mhi; n++ {
 			id := ddg.MakeID(tid, n)
-			want := ddg.CountDeps(model, id)
-			have := ddg.CountDeps(got, id)
+			want := depsOf(model, id)
+			have := depsOf(got, id)
 			if fmt.Sprintf("%+v", want) != fmt.Sprintf("%+v", have) {
 				t.Fatalf("deps of %v:\nmodel %+v\ngot   %+v", id, want, have)
 			}
@@ -94,9 +101,6 @@ func spillAll(t *testing.T, dir string, opts Options, threads, perThread, chunkS
 	}
 	if w.ChunksSpilled() == 0 || w.BytesSpilled() == 0 {
 		t.Fatal("nothing spilled")
-	}
-	if got := c.SpilledChunks(); got != w.ChunksSpilled() {
-		t.Fatalf("spill accounting: buffer %d, writer %d", got, w.ChunksSpilled())
 	}
 	return model
 }
@@ -203,12 +207,9 @@ func TestStoreEvictionLosesNothing(t *testing.T) {
 	if err := w.Close(); err != nil {
 		t.Fatal(err)
 	}
-	if c.EvictedChunks() == 0 {
-		t.Fatal("ring never evicted — test is vacuous")
-	}
 	lo, _ := c.Window(0)
 	if lo <= 1 {
-		t.Fatal("memory window should have lost the oldest records")
+		t.Fatal("ring never evicted — test is vacuous")
 	}
 	r, err := Open(dir, ReaderOptions{})
 	if err != nil {
@@ -301,7 +302,7 @@ func TestStoreMalformedChunkIsDamage(t *testing.T) {
 	view := r.Budgeted(budget)
 	for _, n := range []uint64{1, 2, 3} {
 		for probe := 0; probe < 2; probe++ {
-			if deps := ddg.CountDeps(view, ddg.MakeID(0, n)); deps != nil {
+			if deps := depsOf(view, ddg.MakeID(0, n)); deps != nil {
 				t.Fatalf("malformed chunk served %+v for instance %d", deps, n)
 			}
 		}
@@ -315,7 +316,7 @@ func TestStoreMalformedChunkIsDamage(t *testing.T) {
 	if loads := budget.ChunkLoads(); loads != 2 {
 		t.Fatalf("%d chunk loads for two damaged chunks probed six times, want 2 (negative cache)", loads)
 	}
-	if deps := ddg.CountDeps(r, use); len(deps) != 1 || deps[0].Def != ddg.MakeID(0, 8) {
+	if deps := depsOf(r, use); len(deps) != 1 || deps[0].Def != ddg.MakeID(0, 8) {
 		t.Fatalf("healthy chunk after the damaged ones: %+v", deps)
 	}
 }

@@ -53,7 +53,6 @@ type Writer struct {
 	chunks   uint64
 	bytes    uint64 // chunk payload bytes spilled
 	sealed   uint64 // segments sealed
-	trimmed  uint64 // segments deleted by retention
 	now      func() time.Time
 	err      error
 	closed   bool
@@ -274,7 +273,6 @@ func (w *Writer) unlinkLocked(victims []manifestSeg) {
 		return
 	}
 	unlinkTrimmed(w.opts.Dir, victims)
-	w.trimmed += uint64(len(victims))
 }
 
 // syncDir fsyncs a directory, making renames and entry creations in
@@ -320,13 +318,6 @@ func (w *Writer) Close() error {
 	return w.err
 }
 
-// Err returns the sticky I/O error, if any.
-func (w *Writer) Err() error {
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	return w.err
-}
-
 // ChunksSpilled returns the number of chunk records written.
 func (w *Writer) ChunksSpilled() uint64 {
 	w.mu.Lock()
@@ -347,14 +338,6 @@ func (w *Writer) SegmentsSealed() uint64 {
 	w.mu.Lock()
 	defer w.mu.Unlock()
 	return w.sealed
-}
-
-// SegmentsTrimmed returns the number of segment files retention has
-// deleted.
-func (w *Writer) SegmentsTrimmed() uint64 {
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	return w.trimmed
 }
 
 var _ ddg.ChunkSink = (*Writer)(nil)

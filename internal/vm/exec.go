@@ -3,7 +3,7 @@ package vm
 import "scaldift/internal/isa"
 
 // Run executes until all threads halt, the run fails, deadlock, or
-// MaxSteps. It may be called again after AppendInput to continue a
+// MaxSteps. It may be called again after SetInput to continue a
 // deadlocked (input-starved) machine.
 func (m *Machine) Run() *Result {
 	m.stopped = false

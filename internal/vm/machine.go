@@ -232,19 +232,10 @@ func (m *Machine) newThread(pc int, arg *int64) *Thread {
 // AttachTool registers a tool; tools run in attachment order.
 func (m *Machine) AttachTool(t Tool) { m.tools = append(m.tools, t) }
 
-// DetachTools removes all tools.
-func (m *Machine) DetachTools() { m.tools = nil }
-
 // SetInput replaces the contents of input channel ch.
 func (m *Machine) SetInput(ch int, words []int64) {
 	m.inputs[ch] = append([]int64(nil), words...)
 	m.inputPos[ch] = 0
-}
-
-// AppendInput adds words to input channel ch (e.g. requests arriving
-// at a server between phases of a test).
-func (m *Machine) AppendInput(ch int, words ...int64) {
-	m.inputs[ch] = append(m.inputs[ch], words...)
 }
 
 // Output returns the words written to output channel ch so far.
@@ -253,10 +244,9 @@ func (m *Machine) Output(ch int) []int64 { return m.outputs[ch] }
 // Steps returns the global dynamic instruction count.
 func (m *Machine) Steps() uint64 { return m.steps }
 
-// Failed reports whether the run has failed (FAIL, ASSERT, or fault).
-func (m *Machine) Failed() bool { return m.failed }
-
 // Schedule returns the recorded scheduling slices (RecordSchedule).
+//
+//scaldift:ignore deadexport ROADMAP item 9 replays a run from this schedule
 func (m *Machine) Schedule() []SchedSlice { return m.schedRec }
 
 // InputsConsumed returns the global count of input words consumed.

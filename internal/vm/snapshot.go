@@ -30,9 +30,13 @@ type Snapshot struct {
 
 // SizeWords reports the snapshot's memory footprint in 64-bit words
 // (the dominant term; thread state is negligible).
+//
+//scaldift:ignore deadexport ROADMAP item 9 measures checkpoint size before replay lands
 func (s *Snapshot) SizeWords() int { return len(s.Mem) }
 
 // Snapshot captures the current machine state.
+//
+//scaldift:ignore deadexport ROADMAP item 9 starts replay from a checkpoint
 func (m *Machine) Snapshot() *Snapshot {
 	s := &Snapshot{
 		Mem:      append([]int64(nil), m.Mem...),
@@ -68,6 +72,8 @@ func (m *Machine) Snapshot() *Snapshot {
 // Restore resets the machine to a previously captured snapshot.
 // Inputs appended after the snapshot remain appended (the cursor
 // rewinds, the data does not), which is exactly what replay wants.
+//
+//scaldift:ignore deadexport ROADMAP item 9 starts replay from a checkpoint
 func (m *Machine) Restore(s *Snapshot) {
 	copy(m.Mem, s.Mem)
 	m.heapNext = s.heapNext

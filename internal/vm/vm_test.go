@@ -227,7 +227,7 @@ func TestInputBlockingAndAppend(t *testing.T) {
 	if res.Reason != StopDeadlock {
 		t.Fatalf("expected input-starved deadlock, got %v", res.Reason)
 	}
-	m.AppendInput(0, 77)
+	m.SetInput(0, []int64{77})
 	res = m.Run()
 	if res.Reason != StopAllHalted {
 		t.Fatalf("after append: %v", res.Reason)
