@@ -55,7 +55,6 @@ type Diagnostic struct {
 // Analyzer is one named invariant check.
 type Analyzer struct {
 	Name string
-	Doc  string
 	Run  func(*Pass)
 
 	// runProgram, set instead of Run, checks every package at once.

@@ -26,7 +26,6 @@ import (
 // loop still counts.
 var CancelPoll = &Analyzer{
 	Name: "cancelpoll",
-	Doc:  "requires shard/chain traversal loops in internal/slicing to poll Options.Done cancellation",
 	Run:  runCancelPoll,
 }
 

@@ -2,6 +2,7 @@ package analysis
 
 import (
 	"go/ast"
+	"go/token"
 	"go/types"
 	"path"
 )
@@ -29,9 +30,13 @@ import (
 //     through that interface, which the call sites name instead;
 //   - an embedded field, which exists to promote its methods;
 //   - a field carrying a struct tag, which reflection reads.
+//
+// Writing a field is not reading it: a field whose every non-test
+// reference is the target of a plain `=` or a key of a keyed struct
+// literal is flagged. `x.F += 1`, `x.F++`, `&x.F`, `x.F.G = v` and an
+// unkeyed struct literal count as reads.
 var DeadExport = &Analyzer{
 	Name:       "deadexport",
-	Doc:        "flags exported names that no non-test code references",
 	runProgram: runDeadExport,
 }
 
@@ -195,17 +200,41 @@ func (de *deadExport) walk(info *types.Info, n ast.Node, self map[exportKey]bool
 			de.used[k] = true
 		}
 	}
+	// writes holds the field names written without being read: the
+	// target of a plain `=` and a keyed struct literal's keys. Inspect
+	// meets the statement or literal before the names inside it.
+	writes := map[*ast.Ident]bool{}
 	ast.Inspect(n, func(n ast.Node) bool {
 		switch n := n.(type) {
 		case *ast.Ident:
-			mark(info.Uses[n])
+			if v, ok := info.Uses[n].(*types.Var); !ok || !v.IsField() || !writes[n] {
+				mark(info.Uses[n])
+			}
+		case *ast.AssignStmt:
+			if n.Tok == token.ASSIGN {
+				for _, lhs := range n.Lhs {
+					if sel, ok := ast.Unparen(lhs).(*ast.SelectorExpr); ok {
+						writes[sel.Sel] = true
+					}
+				}
+			}
 		case *ast.CompositeLit:
-			// An unkeyed struct literal sets every field by position.
-			if st, ok := under(info.TypeOf(n)).(*types.Struct); ok && len(n.Elts) > 0 {
-				if _, keyed := n.Elts[0].(*ast.KeyValueExpr); !keyed {
+			st, ok := under(info.TypeOf(n)).(*types.Struct)
+			if !ok {
+				break
+			}
+			for _, elt := range n.Elts {
+				if kv, keyed := elt.(*ast.KeyValueExpr); keyed {
+					if id, ok := kv.Key.(*ast.Ident); ok {
+						writes[id] = true
+					}
+				} else {
+					// An unkeyed struct literal sets every field by
+					// position.
 					for i := 0; i < st.NumFields(); i++ {
 						mark(st.Field(i))
 					}
+					break
 				}
 			}
 		}

@@ -27,7 +27,6 @@ import (
 // call sites are checked instead.
 var LockIO = &Analyzer{
 	Name: "lockio",
-	Doc:  "flags file I/O, chunk decode, and //scaldift:io calls made while a sync mutex is held",
 	Run:  runLockIO,
 }
 

@@ -33,7 +33,6 @@ import (
 // (ev := *pev, rec.ev = *pev) is the sanctioned way to retain one.
 var PoolEscape = &Analyzer{
 	Name: "poolescape",
-	Doc:  "flags pool-recycled values (sync.Pool, vm.Batch/vm.Event, //scaldift:pooled) retained past their recycle",
 	Run:  runPoolEscape,
 }
 

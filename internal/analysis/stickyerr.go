@@ -29,7 +29,6 @@ import (
 //     classification; use putNegative.
 var StickyErr = &Analyzer{
 	Name: "stickyerr",
-	Doc:  "restricts the store's negative chunk cache to errDamage-classified errors",
 	Run:  runStickyErr,
 }
 

@@ -46,12 +46,16 @@ func (NopSink) OnEvent() {}
 
 func (NopSink) OnFlush() {}
 
-// Tool promotes NopSink's methods to satisfy Sink.
+// Tool promotes NopSink's methods to satisfy Sink. b writes Name and
+// Level without reading them; Name carries a tag, so reflection may.
 type Tool struct {
 	NopSink
 	Name  string `json:"name"`
 	Count int    // want "a.Tool.Count has no non-test reference"
-	Level int
+	Level int    // want "a.Tool.Level has no non-test reference"
+	Width int    // written and read
+	Hits  int    // changed only by ++
+	Total int    // changed only by +=
 }
 
 // WasHeld is called from b, so its ignore suppresses nothing.

@@ -84,8 +84,8 @@ type Manager struct {
 	ops    []opEntry
 	counts map[Ref]uint64 // memoized set cardinalities
 
-	// Traversal scratch reused across NodeSize/NodeSizeAll calls: a
-	// node is visited in the current traversal iff seen[ref] == stamp.
+	// Traversal scratch reused across NodeSizeAll calls: a node is
+	// visited in the current traversal iff seen[ref] == stamp.
 	// Avoids allocating a map per query on hot reporting paths.
 	seen  []uint32
 	stamp uint32
@@ -308,13 +308,6 @@ func (m *Manager) Elements(s Ref, dst []int64) []int64 {
 	walk(s, 0, 0)
 	slices.Sort(dst[start:])
 	return dst
-}
-
-// NodeSize returns the number of distinct nodes reachable from s
-// (excluding terminals) — the per-set memory figure.
-func (m *Manager) NodeSize(s Ref) int {
-	m.beginVisit()
-	return m.countReachable(s)
 }
 
 // NodeSizeAll returns the number of distinct nodes reachable from any

@@ -109,7 +109,7 @@ func TestIntervalCompactness(t *testing.T) {
 	// scattered set must not be. This is the clustering property the
 	// lineage application exploits.
 	run := m.Interval(100000, 110000)
-	runSize := m.NodeSize(run)
+	runSize := m.NodeSizeAll([]Ref{run})
 	if runSize > 4*20 {
 		t.Fatalf("interval BDD has %d nodes, want O(bits)", runSize)
 	}
@@ -117,9 +117,9 @@ func TestIntervalCompactness(t *testing.T) {
 	for i := int64(0); i < 2000; i++ {
 		scattered = m.Union(scattered, m.Singleton(i*397%1000000))
 	}
-	if m.NodeSize(scattered) <= runSize {
+	if m.NodeSizeAll([]Ref{scattered}) <= runSize {
 		t.Fatalf("scattered set (%d nodes) should dwarf interval (%d nodes)",
-			m.NodeSize(scattered), runSize)
+			m.NodeSizeAll([]Ref{scattered}), runSize)
 	}
 }
 

@@ -116,7 +116,7 @@ func FuzzSetOps(f *testing.F) {
 					t.Fatalf("slot %d: elements not ascending", i)
 				}
 			}
-			sizeSum += m.NodeSize(sets[i])
+			sizeSum += m.NodeSizeAll(sets[i : i+1])
 		}
 		// Shared-size invariants: the deduplicated count over all
 		// roots never exceeds the per-set sum nor the manager's node

@@ -40,8 +40,6 @@ type threadState struct {
 // vm.Tool itself: the dependence trackers drive it, passing each
 // executed instruction with its per-thread dynamic number.
 type Tracker struct {
-	prog *isa.Program
-	cfg  *isa.CFG
 	// ipdomStart[pc] is the instruction index at which the region
 	// opened by a conditional branch at pc closes (-1: never, open
 	// until function return).
@@ -62,8 +60,7 @@ func New(prog *isa.Program) *Tracker {
 			ipdomStart[pc] = -1
 		}
 	}
-	return &Tracker{prog: prog, cfg: cfg, ipdomStart: ipdomStart,
-		threads: make(map[int]*threadState)}
+	return &Tracker{ipdomStart: ipdomStart, threads: make(map[int]*threadState)}
 }
 
 // ThreadTracker is one thread's view of a Tracker: its region stack
@@ -90,7 +87,7 @@ func (t *Tracker) Thread(tid int) *ThreadTracker {
 //
 // Observe must be called for every instruction the thread executes,
 // in execution order.
-func (tt *ThreadTracker) Observe(pc int, n uint64, op isa.Op, taken bool) Parent {
+func (tt *ThreadTracker) Observe(pc int, n uint64, op isa.Op) Parent {
 	t, s := tt.t, tt.s
 	// Close regions whose end has been reached at the same frame, or
 	// whose frame has been popped entirely.

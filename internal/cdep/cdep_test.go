@@ -20,7 +20,7 @@ func observeRun(t *testing.T, prog *isa.Program, inputs []int64) (pcs []int, par
 			return
 		}
 		tseq++
-		p := tr.Thread(ev.TID).Observe(ev.PC, tseq, ev.Instr.Op, ev.Taken)
+		p := tr.Thread(ev.TID).Observe(ev.PC, tseq, ev.Instr.Op)
 		pcs = append(pcs, ev.PC)
 		parents = append(parents, p)
 	}))
@@ -120,7 +120,7 @@ done:
 	maxDepth := 0
 	m.AttachTool(vm.ToolFunc(func(_ *vm.Machine, ev *vm.Event) {
 		tseq++
-		tr.Thread(ev.TID).Observe(ev.PC, tseq, ev.Instr.Op, ev.Taken)
+		tr.Thread(ev.TID).Observe(ev.PC, tseq, ev.Instr.Op)
 		if d := len(tr.threads[ev.TID].stack); d > maxDepth {
 			maxDepth = d
 		}
@@ -241,7 +241,7 @@ cskip:
 			return
 		}
 		counts[ev.TID]++
-		p := tr.Thread(ev.TID).Observe(ev.PC, counts[ev.TID], ev.Instr.Op, ev.Taken)
+		p := tr.Thread(ev.TID).Observe(ev.PC, counts[ev.TID], ev.Instr.Op)
 		// movi r2,1 at pc 4 belongs to thread 0 under branch pc 3;
 		// if thread state leaked the parent could be the child's
 		// branch at pc 8.

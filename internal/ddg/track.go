@@ -124,7 +124,7 @@ func (e *Extractor) OnEvent(_ *vm.Machine, ev *vm.Event) {
 
 	var parent cdep.Parent
 	if x.ctrl != nil {
-		parent = x.ctrl.Observe(ev.PC, n, ev.Instr.Op, ev.Taken)
+		parent = x.ctrl.Observe(ev.PC, n, ev.Instr.Op)
 	}
 	dep := func(tg tag, k Kind) Dep { return Dep{Use: id, UsePC: pc, Def: tg.id, DefPC: tg.pc, Kind: k} }
 	deps := e.depBuf[:0]

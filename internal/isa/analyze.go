@@ -9,7 +9,6 @@ package isa
 
 // BasicBlock is a maximal straight-line sequence of instructions.
 type BasicBlock struct {
-	ID    int
 	Start int // first instruction index
 	End   int // one past the last instruction index
 	Succs []int
@@ -53,7 +52,7 @@ func BuildCFG(p *Program) *CFG {
 	for idx := 1; idx <= n; idx++ {
 		if idx == n || leader[idx] {
 			id := len(cfg.Blocks)
-			cfg.Blocks = append(cfg.Blocks, BasicBlock{ID: id, Start: start, End: idx})
+			cfg.Blocks = append(cfg.Blocks, BasicBlock{Start: start, End: idx})
 			for j := start; j < idx; j++ {
 				cfg.BlockOf[j] = id
 			}
@@ -108,7 +107,6 @@ func BuildCFG(p *Program) *CFG {
 type StaticDep struct {
 	Use int // instruction index of the reader
 	Def int // instruction index of the in-block definer
-	Reg uint8
 }
 
 // BlockStaticDeps computes, per basic block, the register dependences
@@ -116,7 +114,7 @@ type StaticDep struct {
 // static (addresses are dynamic), and registers defined before block
 // entry are unresolved statically.
 //
-// The returned map is keyed by block ID.
+// The returned map is keyed by block index.
 func BlockStaticDeps(cfg *CFG) map[int][]StaticDep {
 	out := make(map[int][]StaticDep, len(cfg.Blocks))
 	p := cfg.Prog
@@ -128,7 +126,7 @@ func BlockStaticDeps(cfg *CFG) map[int][]StaticDep {
 			ins := p.Instrs[idx]
 			record := func(r uint8) {
 				if def, ok := lastDef[r]; ok {
-					deps = append(deps, StaticDep{Use: idx, Def: def, Reg: r})
+					deps = append(deps, StaticDep{Use: idx, Def: def})
 				}
 			}
 			if ins.Op.ReadsRs1() {

@@ -263,11 +263,11 @@ func TestBlockStaticDeps(t *testing.T) {
 	if len(got) != 4 {
 		t.Fatalf("deps = %+v", got)
 	}
-	found := map[[3]int]bool{}
+	found := map[[2]int]bool{}
 	for _, d := range got {
-		found[[3]int{d.Use, d.Def, int(d.Reg)}] = true
+		found[[2]int{d.Use, d.Def}] = true
 	}
-	for _, want := range [][3]int{{2, 0, 1}, {2, 1, 2}, {3, 2, 3}, {3, 0, 1}} {
+	for _, want := range [][2]int{{2, 0}, {2, 1}, {3, 2}, {3, 0}} {
 		if !found[want] {
 			t.Errorf("missing static dep %v in %+v", want, got)
 		}

@@ -111,18 +111,12 @@ var _ dift.Sink[bdd.Ref] = (*Recorder)(nil)
 // Info summarizes one output's lineage.
 type Info struct {
 	Elements []int64 // input indices, ascending
-	Count    uint64  // |set| (cheap even when Elements would be huge)
-	Nodes    int     // roBDD nodes reachable from the set
 }
 
 // Lineage answers the per-output query for recorded output i.
 func (r *Recorder) Lineage(i int) Info {
 	s := r.Outputs[i].Set
-	return Info{
-		Elements: r.dom.m.Elements(s, nil),
-		Count:    r.dom.m.Count(s),
-		Nodes:    r.dom.m.NodeSize(s),
-	}
+	return Info{Elements: r.dom.m.Elements(s, nil)}
 }
 
 // nodeBytes is the storage cost of one roBDD node: level (4) + lo (4)

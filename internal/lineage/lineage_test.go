@@ -47,7 +47,7 @@ func TestSingletonSourcesAndUnion(t *testing.T) {
 	if got := rec.Lineage(1); !SortedEquals(got.Elements, []int64{2}) {
 		t.Fatalf("output 1 lineage = %v, want [2]", got.Elements)
 	}
-	if got := rec.Lineage(2); len(got.Elements) != 0 || got.Count != 0 {
+	if got := rec.Lineage(2); len(got.Elements) != 0 {
 		t.Fatalf("constant output lineage = %v, want empty", got.Elements)
 	}
 }

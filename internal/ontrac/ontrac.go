@@ -78,6 +78,7 @@ func Unoptimized() Options {
 // Stats reports what the tracer stored and what each optimization
 // elided.
 type Stats struct {
+	//scaldift:ignore deadexport test support: ontrac's tests hold the trace rate, BytesWritten per Instrs, to its range
 	Instrs       uint64 // instructions executed
 	DepsSeen     uint64 // dependences produced by the extractor
 	DepsStored   uint64
@@ -86,7 +87,7 @@ type Stats struct {
 	ElidedO3     uint64 // redundant loads (markers written instead)
 	ElidedT1     uint64 // outside traced functions
 	ElidedT2     uint64 // outside the input's forward slice
-	BytesWritten uint64
+	BytesWritten uint64 //scaldift:ignore deadexport test support: see Instrs
 	DictSize     int
 }
 

@@ -36,6 +36,7 @@ type Options struct {
 	//
 	// Deprecated: kept only because the frozen bench/ directory sets
 	// it; the next benchmark PR removes it (ROADMAP item 4).
+	//scaldift:ignore deadexport bench/ sets it and cannot change until the next benchmark PR (ROADMAP item 4)
 	Workers int
 	// BatchEvents is the recorder's per-batch capacity (default
 	// vm.DefaultBatchEvents).

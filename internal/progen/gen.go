@@ -265,7 +265,6 @@ func Generate(seed uint64, cfg GenConfig) *Generated {
 		Prog:       prog,
 		Inputs:     map[int][]int64{ChIn: inputs},
 		Par:        par,
-		Workers:    g.workers,
 		WorstSteps: g.worst,
 	}
 }

@@ -60,11 +60,13 @@ func TestGeneratorCoversFeatures(t *testing.T) {
 	multi := 0
 	for seed := uint64(0); seed < 100; seed++ {
 		g := Generate(seed, cfg)
-		if g.Workers > 0 {
-			multi++
-		}
+		spawns := false
 		for _, ins := range g.Prog.Instrs {
 			seen[ins.Op] = true
+			spawns = spawns || ins.Op == isa.SPAWN
+		}
+		if spawns {
+			multi++
 		}
 	}
 	for _, op := range []isa.Op{isa.IN, isa.OUT, isa.SPAWN, isa.JOIN, isa.LOCK,

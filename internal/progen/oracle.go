@@ -67,15 +67,12 @@ type OracleBranch struct {
 	PC      int
 	Bool    bool
 	PCLabel int32
-	Lineage []int64
 }
 
 // OracleRun is the ground truth for one execution: machine-visible
 // results, final taint state in all three domains, per-output lineage,
 // and the full dynamic data-dependence graph with slice queries.
 type OracleRun struct {
-	Prog *isa.Program
-
 	Reason         StopCode
 	Failed         bool
 	FailPC         int
@@ -868,8 +865,7 @@ func (o *oracle) taint(t *othread, ins *isa.Instr, pc int, b *obs) {
 	case oIndirect:
 		r := b.srcs[0]
 		o.branches = append(o.branches, OracleBranch{
-			Seq: o.steps, PC: pc,
-			Bool: t.boolRegs[r], PCLabel: t.pcRegs[r], Lineage: t.linRegs[r].sorted(),
+			Seq: o.steps, PC: pc, Bool: t.boolRegs[r], PCLabel: t.pcRegs[r],
 		})
 	case oSpawn:
 		argB := t.boolRegs[b.srcs[0]]
@@ -968,7 +964,6 @@ func (o *oracle) ddg(t *othread, pc int, b *obs) {
 
 func (o *oracle) finish() *OracleRun {
 	r := &OracleRun{
-		Prog:           o.prog,
 		Reason:         o.reason,
 		Failed:         o.failed,
 		FailPC:         o.failPC,

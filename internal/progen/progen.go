@@ -61,11 +61,10 @@ type Generated struct {
 	Prog   *isa.Program
 	Inputs map[int][]int64
 	Par    Params
-	// Workers is the number of spawned worker threads (main excluded).
-	Workers int
 	// WorstSteps is the static worst-case dynamic instruction count
 	// (every loop at full trip count, both branch arms summed); the
 	// actual run is guaranteed to stay at or below it.
+	//scaldift:ignore deadexport test support: TestGeneratorWellFormed holds every oracle run to this bound
 	WorstSteps int64
 }
 

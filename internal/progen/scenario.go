@@ -171,6 +171,11 @@ func (s *scenario) checkBool(leg string, v taintView[bool], sink *capSink[bool])
 	if len(sink.brs) != len(w.Branches) {
 		s.failf(leg, "branch sink count diverged: engine %d, oracle %d", len(sink.brs), len(w.Branches))
 	}
+	for i, got := range sink.brs {
+		if o := w.Branches[i]; got.Seq != o.Seq || got.PC != o.PC || got.L != o.Bool {
+			s.failf(leg, "branch %d diverged: engine %+v, oracle %+v", i, got, o)
+		}
+	}
 	for tid := 0; tid < w.NumThreads; tid++ {
 		for r := 0; r < len(w.RegsBool[tid]); r++ {
 			if got := v.RegTaint(tid, r); got != w.RegsBool[tid][r] {
@@ -200,6 +205,14 @@ func (s *scenario) checkPC(leg string, v taintView[dift.PCLabel], sink *capSink[
 		o := w.Outs[i]
 		if got.Ch != o.Ch || got.Seq != o.Seq || got.PC != o.PC || got.Val != o.Val || int32(got.L) != o.PCLabel {
 			s.failf(leg, "output %d diverged: engine %+v, oracle %+v", i, got, o)
+		}
+	}
+	if len(sink.brs) != len(w.Branches) {
+		s.failf(leg, "branch sink count diverged: engine %d, oracle %d", len(sink.brs), len(w.Branches))
+	}
+	for i, got := range sink.brs {
+		if o := w.Branches[i]; got.Seq != o.Seq || got.PC != o.PC || int32(got.L) != o.PCLabel {
+			s.failf(leg, "branch %d diverged: engine %+v, oracle %+v", i, got, o)
 		}
 	}
 	for tid := 0; tid < w.NumThreads; tid++ {

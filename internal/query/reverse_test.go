@@ -387,10 +387,11 @@ func weakIndex(t *Trace) weak.Pointer[slicing.Reverse] {
 	return weak.Make(t.revs.slots[0].rev)
 }
 
-// forwardBenchService serves a closed 4-thread, 20 000-instance chain
+// chainBenchService serves a closed 4-thread, 20 000-instance chain
 // trace with the result cache off and returns the client, the trace
-// and the forward request the benchmarks repeat.
-func forwardBenchService(b *testing.B) (*Client, *Trace, *SliceRequest) {
+// and a request from instance 2:4000 in the given direction: 1001
+// nodes forward, 4000 backward.
+func chainBenchService(b *testing.B, dir string) (*Client, *Trace, *SliceRequest) {
 	root := b.TempDir()
 	wr, err := store.Create(store.Options{Dir: filepath.Join(root, "chains")})
 	if err != nil {
@@ -413,7 +414,7 @@ func forwardBenchService(b *testing.B) (*Client, *Trace, *SliceRequest) {
 	srv := httptest.NewServer(NewServer(reg, noResultCache).Handler())
 	b.Cleanup(srv.Close)
 	tr, _ := reg.Get("chains")
-	return NewClient(srv.URL, srv.Client()), tr, &SliceRequest{Trace: "chains", Direction: DirForward,
+	return NewClient(srv.URL, srv.Client()), tr, &SliceRequest{Trace: "chains", Direction: dir,
 		Criteria: []Criterion{{TID: 2, N: 4000}}, FollowControl: true}
 }
 
@@ -421,7 +422,7 @@ func forwardBenchService(b *testing.B) (*Client, *Trace, *SliceRequest) {
 // trace's cached reverse index before each one, so every query pays
 // the whole-trace build a forward query paid before the cache.
 func benchmarkServedForward(b *testing.B, cold bool) {
-	cl, tr, req := forwardBenchService(b)
+	cl, tr, req := chainBenchService(b, DirForward)
 	ctx := context.Background()
 	if _, err := cl.Slice(ctx, req); err != nil {
 		b.Fatal(err)
@@ -453,3 +454,29 @@ func benchmarkServedForward(b *testing.B, cold bool) {
 
 func BenchmarkServedForwardCold(b *testing.B) { benchmarkServedForward(b, true) }
 func BenchmarkServedForwardWarm(b *testing.B) { benchmarkServedForward(b, false) }
+
+// BenchmarkServedBackward times served 4000-node backward slices over
+// the chain trace once its chunks are resident, and reports the cost
+// per visited node: traversal, chunk lookups and the HTTP round trip.
+func BenchmarkServedBackward(b *testing.B) {
+	cl, _, req := chainBenchService(b, DirBackward)
+	ctx := context.Background()
+	if _, err := cl.Slice(ctx, req); err != nil {
+		b.Fatal(err)
+	}
+	b.ResetTimer()
+	nodes := 0
+	for i := 0; i < b.N; i++ {
+		resp, err := cl.Slice(ctx, req)
+		if err != nil {
+			b.Fatal(err)
+		}
+		if resp.Nodes != 4000 {
+			b.Fatalf("backward closure %d nodes, want 4000", resp.Nodes)
+		}
+		nodes += resp.Nodes
+	}
+	if nodes > 0 {
+		b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(nodes), "ns/node")
+	}
+}

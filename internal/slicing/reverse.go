@@ -136,10 +136,10 @@ func (r *Reverse) Bytes() int64 {
 // PCs — a discovered use carries its PC on the edge. A nil rev (a
 // BuildReverse that done cut short) yields an empty Interrupted slice.
 func ForwardOver(rev *Reverse, src ddg.Source, prog *isa.Program, start []ddg.ID, opts Options, workers int) *Slice {
-	t := newTraversal(src, opts, workers)
+	t := newTraversal(src, prog, opts, workers)
 	if rev == nil {
 		t.interrupted.Store(true)
-		return t.walk(prog)
+		return t.walk()
 	}
 	// A def can have trace-proportional fan-out, so expansion polls too.
 	t.expander = func(_ *shard, edge func(ddg.ID, int32)) func(item) {
@@ -159,7 +159,7 @@ func ForwardOver(rev *Reverse, src ddg.Source, prog *isa.Program, start []ddg.ID
 		if !ok {
 			pc = -1
 		}
-		t.enqueue(t.shardOf(id.TID()), item{id: id, pc: pc})
+		t.seed(item{id: id, pc: pc})
 	}
-	return t.walk(prog)
+	return t.walk()
 }

@@ -149,29 +149,38 @@ func Backward(src ddg.Source, prog *isa.Program, crits []Criterion, opts Options
 // criteria; workers selects the solo or the sharded walk (see the
 // package comment).
 func ParallelBackward(src ddg.Source, prog *isa.Program, crits []Criterion, opts Options, workers int) *Slice {
-	t := newTraversal(src, opts, workers)
+	t := newTraversal(src, prog, opts, workers)
 	hinted, _ := src.(HintedSource)
 
 	// Windows are constant during a traversal: snapshot them so the
 	// per-edge window check never touches the source (whose Window
 	// may lock the very thread state another worker is decoding).
 	// Absent tids have no records — lo = 0, like Source.Window.
-	winLo := make(map[int]uint64)
+	var winLo []uint64 // by tid
 	for _, tid := range src.Threads() {
+		if !idTID(tid) {
+			continue
+		}
+		for tid >= len(winLo) {
+			winLo = append(winLo, 0)
+		}
 		winLo[tid], _ = src.Window(tid)
 	}
 	t.gate = func(s *shard, it item) bool {
 		if it.id == 0 {
 			return false
 		}
-		lo := winLo[it.id.TID()]
+		var lo uint64
+		if tid := it.id.TID(); tid < len(winLo) {
+			lo = winLo[tid]
+		}
 		evicted := lo > 0 && it.id.N() < lo
 		if evicted || (lo == 0 && hinted == nil) {
 			// The statement reaches the slice via the incoming edge,
 			// but traversal cannot continue past the buffer window.
 			s.truncated = s.truncated || evicted
 			if it.pc >= 0 {
-				s.edgePCs[it.pc] = true
+				s.edgePCs.add(it.pc)
 			}
 			return false
 		}
@@ -189,9 +198,9 @@ func ParallelBackward(src ddg.Source, prog *isa.Program, crits []Criterion, opts
 		return func(it item) { src.DepsOf(it.id, yield) }
 	}
 	for _, c := range crits {
-		t.enqueue(t.shardOf(c.ID.TID()), item{id: c.ID, pc: c.PC})
+		t.seed(item{id: c.ID, pc: c.PC})
 	}
-	return t.walk(prog)
+	return t.walk()
 }
 
 // Forward computes the forward dynamic slice of the start instances

@@ -17,24 +17,26 @@ type item struct {
 }
 
 // shard is one slice of the closure frontier: the instances of the
-// threads it owns, their visited set, and its result tallies. queue,
-// visited, edgePCs and truncated are guarded by mu (other shards'
-// workers push edges here); nodes, edges, pcs and busy belong to the
-// draining goroutine alone.
+// threads it owns, their visited set, and its result tallies. mu
+// guards queue alone: the edges other shards' workers hand over, not
+// yet deduplicated. Everything else belongs to the goroutine draining
+// the shard (before the walk starts, to the one seeding it), so only
+// that goroutine admits the shard's instances.
 type shard struct {
 	tid int // ShardBusy key; -1 for the orphan shard
-	idx int // position in traversal.all
 
-	mu        sync.Mutex
-	cond      *sync.Cond
-	queue     []item
-	visited   map[ddg.ID]bool
-	edgePCs   map[int32]bool // statements of gated instances, reached by edge only
+	mu    sync.Mutex
+	cond  *sync.Cond
+	queue []item
+
+	visited   visitedSet
+	local     []item // admitted, not yet processed: the depth-first stack
+	edgePCs   pcSet  // statements of gated instances, reached by edge only
 	truncated bool
 
 	nodes int
 	edges int
-	pcs   map[int32]bool
+	pcs   pcSet
 	busy  time.Duration
 }
 
@@ -47,36 +49,31 @@ type shard struct {
 // the calling goroutine: the classic sequential worklist.
 type traversal struct {
 	opts   Options
+	prog   *isa.Program
 	solo   bool
 	all    []*shard
 	byTID  []*shard // nil and out-of-range entries belong to orphan
 	orphan *shard
 
-	// gate, when set, is asked once per newly discovered instance,
-	// under the owning shard's lock: false keeps the instance out of
-	// the frontier.
+	// gate, when set, is asked once per newly discovered instance, by
+	// the owning shard's goroutine: false keeps the instance out of the
+	// frontier.
 	gate func(*shard, item) bool
 	// expander builds one shard's expansion step: the returned func
 	// reports each followed dependence of an item through edge, as the
 	// instance it leads to and that instance's static PC.
 	expander func(s *shard, edge func(ddg.ID, int32)) func(item)
 
-	pending     atomic.Int64 // admitted-but-unfinished items
+	pending     atomic.Int64 // queued or admitted items not yet finished
 	nodes       atomic.Int64 // processed nodes (MaxNodes)
 	done        atomic.Bool
 	interrupted atomic.Bool
 }
 
-func newTraversal(src ddg.Source, opts Options, workers int) *traversal {
-	t := &traversal{opts: opts, solo: workers <= 1}
+func newTraversal(src ddg.Source, prog *isa.Program, opts Options, workers int) *traversal {
+	t := &traversal{opts: opts, prog: prog, solo: workers <= 1}
 	newShard := func(tid int) *shard {
-		s := &shard{
-			tid:     tid,
-			idx:     len(t.all),
-			visited: make(map[ddg.ID]bool),
-			edgePCs: make(map[int32]bool),
-			pcs:     make(map[int32]bool),
-		}
+		s := &shard{tid: tid, edgePCs: newPCSet(prog), pcs: newPCSet(prog)}
 		s.cond = sync.NewCond(&s.mu)
 		t.all = append(t.all, s)
 		return s
@@ -86,8 +83,8 @@ func newTraversal(src ddg.Source, opts Options, workers int) *traversal {
 		return t
 	}
 	for _, tid := range src.Threads() {
-		if tid < 0 || tid >= 1<<16 {
-			continue // no ddg.ID can name it (16-bit thread field)
+		if !idTID(tid) {
+			continue
 		}
 		for tid >= len(t.byTID) {
 			t.byTID = append(t.byTID, nil)
@@ -98,6 +95,10 @@ func newTraversal(src ddg.Source, opts Options, workers int) *traversal {
 	}
 	return t
 }
+
+// idTID reports whether some ddg.ID can name thread tid (16-bit
+// thread field).
+func idTID(tid int) bool { return tid >= 0 && tid < 1<<16 }
 
 func (t *traversal) shardOf(tid int) *shard {
 	if tid < len(t.byTID) && t.byTID[tid] != nil {
@@ -148,58 +149,49 @@ func (t *traversal) doneFired() bool {
 	return t.done.Load()
 }
 
-// admit dedups a discovered instance under its owning shard's lock and
-// puts it through the gate; true means the caller must get it
-// processed.
+// admit dedups a discovered instance and puts it through the gate;
+// true means it must be processed. Only the shard's owner calls it.
 func (t *traversal) admit(s *shard, it item) bool {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if s.visited[it.id] {
-		return false
-	}
-	s.visited[it.id] = true
-	if t.gate != nil && !t.gate(s, it) {
-		return false
-	}
-	t.pending.Add(1)
-	return true
+	return s.visited.add(it.id) && (t.gate == nil || t.gate(s, it))
 }
 
-// enqueue routes an instance to the shared queue of the shard that
-// owns it (criteria and cross-shard edges).
-func (t *traversal) enqueue(s *shard, it item) {
-	if !t.admit(s, it) {
-		return
+// seed admits a start instance into its owning shard before the walk
+// begins, while the calling goroutine still owns every shard.
+func (t *traversal) seed(it item) {
+	if s := t.shardOf(it.id.TID()); t.admit(s, it) {
+		t.pending.Add(1)
+		s.local = append(s.local, it)
 	}
-	s.mu.Lock()
-	s.queue = append(s.queue, it)
-	s.cond.Signal()
-	s.mu.Unlock()
 }
 
-// drain is the one worker loop: wait on the shard's cond for queued
-// items (or the finish broadcast), swap the batch out under the lock,
-// and process each item, draining the local same-shard continuation
-// stack depth-first between items — a thread's own dependence chain
-// walks with no queue round-trip and no wakeups; only cross-shard
-// edges go through the owner's locked queue. Both are taken newest
-// first, which makes the solo walk the LIFO worklist.
+// drain is the one worker loop. It processes the shard's local stack
+// depth-first, so a thread's own dependence chain walks with no lock
+// and no wakeup; an edge into another shard is counted in pending and
+// pushed onto that shard's queue. Between stacks it waits on the cond
+// for queued items (or the finish broadcast), swaps the batch out
+// under the lock and admits each item: a duplicate or gated one is
+// only uncounted. Both are taken newest first, which makes the solo
+// walk (one shard, nothing ever queued) the LIFO worklist.
 func (t *traversal) drain(s *shard) {
-	var local []item
 	expand := t.expander(s, func(next ddg.ID, pc int32) {
 		s.edges++
-		s.pcs[pc] = true
+		s.pcs.add(pc)
 		it := item{id: next, pc: pc}
 		if to := t.shardOf(next.TID()); to != s {
-			t.enqueue(to, it)
+			t.pending.Add(1)
+			to.mu.Lock()
+			to.queue = append(to.queue, it)
+			to.cond.Signal()
+			to.mu.Unlock()
 		} else if t.admit(s, it) {
-			local = append(local, it)
+			t.pending.Add(1)
+			s.local = append(s.local, it)
 		}
 	})
 	process := func(it item) bool {
 		s.nodes++
 		if it.pc >= 0 {
-			s.pcs[it.pc] = true
+			s.pcs.add(it.pc)
 		}
 		if t.opts.MaxNodes > 0 && t.nodes.Add(1) >= int64(t.opts.MaxNodes) {
 			t.finish()
@@ -209,14 +201,30 @@ func (t *traversal) drain(s *shard) {
 			return false
 		}
 		expand(it)
-		if t.pending.Add(-1) == 0 {
-			t.finish()
-		}
+		t.release()
 		return !t.done.Load()
 	}
+	// stack processes the local stack until it is empty or the walk
+	// ends.
+	stack := func() bool {
+		for len(s.local) > 0 {
+			it := s.local[len(s.local)-1]
+			s.local = s.local[:len(s.local)-1]
+			if !process(it) {
+				return false
+			}
+		}
+		return true
+	}
 
+	ok := true
+	if len(s.local) > 0 { // seeded
+		start := time.Now()
+		ok = stack()
+		s.busy += time.Since(start)
+	}
 	var batch []item
-	for {
+	for ok {
 		s.mu.Lock()
 		for len(s.queue) == 0 && !t.done.Load() {
 			s.cond.Wait()
@@ -229,25 +237,27 @@ func (t *traversal) drain(s *shard) {
 		s.mu.Unlock()
 
 		start := time.Now()
-		ok := true
 		for i := len(batch) - 1; ok && i >= 0; i-- {
-			ok = process(batch[i])
-			for ok && len(local) > 0 {
-				next := local[len(local)-1]
-				local = local[:len(local)-1]
-				ok = process(next)
+			if t.admit(s, batch[i]) {
+				ok = process(batch[i]) && stack()
+			} else {
+				t.release()
 			}
 		}
 		s.busy += time.Since(start)
-		if !ok {
-			return
-		}
 	}
 }
 
-// walk runs the closure from the enqueued start items and folds the
+// release finishes one counted item; the last one ends the walk.
+func (t *traversal) release() {
+	if t.pending.Add(-1) == 0 {
+		t.finish()
+	}
+}
+
+// walk runs the closure from the seeded start items and folds the
 // shards into a Slice.
-func (t *traversal) walk(prog *isa.Program) *Slice {
+func (t *traversal) walk() *Slice {
 	if t.pending.Load() > 0 {
 		t.each(len(t.all), func(i int) { t.drain(t.all[i]) })
 	}
@@ -260,16 +270,12 @@ func (t *traversal) walk(prog *isa.Program) *Slice {
 		res.Nodes += s.nodes
 		res.Edges += s.edges
 		res.TruncatedAtWindow = res.TruncatedAtWindow || s.truncated
-		for pc := range s.pcs {
-			res.PCs[pc] = true
-		}
-		for pc := range s.edgePCs {
-			res.PCs[pc] = true
-		}
+		s.pcs.addTo(res.PCs)
+		s.edgePCs.addTo(res.PCs)
 		if s.busy > 0 {
 			res.ShardBusy[s.tid] = s.busy
 		}
 	}
-	res.Lines = pcsToLines(prog, res.PCs)
+	res.Lines = pcsToLines(t.prog, res.PCs)
 	return res
 }

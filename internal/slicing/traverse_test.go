@@ -2,6 +2,7 @@ package slicing
 
 import (
 	"fmt"
+	"runtime"
 	"sort"
 	"sync/atomic"
 	"testing"
@@ -456,6 +457,83 @@ func TestReverseShared(t *testing.T) {
 					t.Fatalf("%s: shared index %d nodes %d edges, fresh build %d nodes %d edges",
 						label, got.Nodes, got.Edges, want.Nodes, want.Edges)
 				}
+			}
+		}
+	}
+}
+
+// TestShardedFanIn: every instance of fifteen threads also depends on
+// one of four hub instances in thread 0, so the sharded walk pushes
+// some 30 000 cross-shard edges onto one queue, nearly all of them
+// duplicates the owner drops. The walk must end, count every node
+// once and match the solo walk.
+func TestShardedFanIn(t *testing.T) {
+	const threads, chain, hubs = 16, 2000, 4
+	dep := func(use ddg.ID, def ddg.ID) ddg.Dep {
+		return ddg.Dep{Use: use, UsePC: int32(use.TID()), Def: def, DefPC: int32(def.TID()), Kind: ddg.Data}
+	}
+	src := fakeSource{windows: map[int][2]uint64{0: {1, hubs}}, deps: map[ddg.ID][]ddg.Dep{}}
+	for n := uint64(2); n <= hubs; n++ {
+		src.deps[ddg.MakeID(0, n)] = []ddg.Dep{dep(ddg.MakeID(0, n), ddg.MakeID(0, n-1))}
+	}
+	var crits []Criterion
+	for tid := 1; tid < threads; tid++ {
+		src.windows[tid] = [2]uint64{1, chain}
+		for n := uint64(1); n <= chain; n++ {
+			id := ddg.MakeID(tid, n)
+			deps := []ddg.Dep{dep(id, ddg.MakeID(0, 1+(n+uint64(tid))%hubs))}
+			if n > 1 {
+				deps = append(deps, dep(id, ddg.MakeID(tid, n-1)))
+			}
+			src.deps[id] = deps
+		}
+		crits = append(crits, Criterion{ID: ddg.MakeID(tid, chain), PC: int32(tid)})
+	}
+	wantNodes := (threads-1)*chain + hubs
+	wantEdges := (threads-1)*(2*chain-1) + hubs - 1
+	for rep := 0; rep < 5; rep++ {
+		s := sameAcrossWorkers(t, "fan-in", []int{2, 8}, func(workers int) *Slice {
+			return ParallelBackward(&src, nil, crits, Options{}, workers)
+		})
+		if s.Nodes != wantNodes || s.Edges != wantEdges || len(s.PCs) != threads {
+			t.Fatalf("%d nodes, %d edges, %d PCs; want %d, %d, %d",
+				s.Nodes, s.Edges, len(s.PCs), wantNodes, wantEdges, threads)
+		}
+	}
+}
+
+// TestForeignPCs: DefPC comes from the trace unchecked. A PC far past
+// the program, a negative one and one on an edge the gate stops must
+// all reach Slice.PCs, as they always did, without the walk
+// allocating anything sized by their values.
+func TestForeignPCs(t *testing.T) {
+	const huge = 1 << 30
+	dep := func(use ddg.ID, usePC int32, def ddg.ID, defPC int32) ddg.Dep {
+		return ddg.Dep{Use: use, UsePC: usePC, Def: def, DefPC: defPC, Kind: ddg.Data}
+	}
+	id := ddg.MakeID
+	src := fakeSource{
+		windows: map[int][2]uint64{0: {1, 3}},
+		deps: map[ddg.ID][]ddg.Dep{
+			// 9:1 is in a thread the source never recorded: gated.
+			id(0, 3): {dep(id(0, 3), 2, id(0, 2), huge), dep(id(0, 3), 2, id(9, 1), huge+1)},
+			id(0, 2): {dep(id(0, 2), huge, id(0, 1), -1)},
+		},
+	}
+	p := isa.MustAssemble("p", "movi r1, 1\nmov r2, r1\nhalt\n")
+	want := fmt.Sprint([]int{-1, 2, huge, huge + 1})
+	for _, prog := range []*isa.Program{p, nil} {
+		for _, workers := range []int{1, 8} {
+			var before, after runtime.MemStats
+			runtime.ReadMemStats(&before)
+			s := ParallelBackward(&src, prog, []Criterion{{ID: id(0, 3), PC: 2}}, Options{}, workers)
+			runtime.ReadMemStats(&after)
+			if got := fmt.Sprint(pcList(s)); got != want || s.Nodes != 3 || s.Edges != 3 {
+				t.Errorf("program %v, workers %d: PCs %s, %d nodes, %d edges; want %s, 3, 3",
+					prog != nil, workers, got, s.Nodes, s.Edges, want)
+			}
+			if grew := after.TotalAlloc - before.TotalAlloc; grew > 1<<20 {
+				t.Errorf("program %v, workers %d: the walk allocated %d bytes", prog != nil, workers, grew)
 			}
 		}
 	}

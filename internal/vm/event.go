@@ -86,20 +86,13 @@ type Event struct {
 
 	// Values.
 	DstVal int64 // value written to DstReg/DstMem
-	Addr   int64 // effective address for load/store/sync, or NoAddr
-
-	// Control.
-	Taken  bool // branch outcome
-	Target int  // branch target when taken
 
 	// I/O.
 	Ch       int   // channel for input/output events
 	IOVal    int64 // word read or written
 	InputIdx int   // global 0-based index of the input word (IN only)
 
-	// Sync.
-	SyncAddr int64 // lock/barrier/flag object address
-	Blocked  bool  // instruction blocked instead of completing
+	Blocked bool // instruction blocked instead of completing
 }
 
 // reset clears the per-instruction fields; the machine calls it before
@@ -110,11 +103,7 @@ func (ev *Event) reset() {
 	ev.NSrc = 0
 	ev.SrcMem = NoAddr
 	ev.AddrReg = NoReg
-	ev.Addr = NoAddr
-	ev.SyncAddr = NoAddr
-	ev.Taken = false
 	ev.Blocked = false
-	ev.Target = 0
 	ev.Ch = 0
 	ev.IOVal = 0
 	ev.InputIdx = 0

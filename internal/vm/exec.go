@@ -257,7 +257,6 @@ func (m *Machine) exec(t *Thread) {
 		ev.Kind = EvLoad
 		ev.DstReg = int(ins.Rd)
 		ev.SrcMem = addr
-		ev.Addr = addr
 		ev.AddrReg = int(ins.Rs1)
 		ev.DstVal = v
 		m.setReg(t, ins.Rd, v)
@@ -271,7 +270,6 @@ func (m *Machine) exec(t *Thread) {
 		v := t.Regs[ins.Rs2]
 		ev.Kind = EvStore
 		ev.DstMem = addr
-		ev.Addr = addr
 		ev.AddrReg = int(ins.Rs1)
 		ev.addSrc(ins.Rs2)
 		ev.DstVal = v
@@ -291,8 +289,6 @@ func (m *Machine) exec(t *Thread) {
 		m.setReg(t, ins.Rd, addr)
 	case isa.BR:
 		ev.Kind = EvBranch
-		ev.Taken = true
-		ev.Target = ins.Target
 		next = ins.Target
 	case isa.BEQ, isa.BNE, isa.BLT, isa.BGE:
 		a, b := t.Regs[ins.Rs1], t.Regs[ins.Rs2]
@@ -310,8 +306,6 @@ func (m *Machine) exec(t *Thread) {
 		ev.Kind = EvBranch
 		ev.addSrc(ins.Rs1)
 		ev.addSrc(ins.Rs2)
-		ev.Taken = taken
-		ev.Target = ins.Target
 		if taken {
 			next = ins.Target
 		}
@@ -320,15 +314,11 @@ func (m *Machine) exec(t *Thread) {
 		taken := (ins.Op == isa.BEQZ && a == 0) || (ins.Op == isa.BNEZ && a != 0)
 		ev.Kind = EvBranch
 		ev.addSrc(ins.Rs1)
-		ev.Taken = taken
-		ev.Target = ins.Target
 		if taken {
 			next = ins.Target
 		}
 	case isa.CALL:
 		ev.Kind = EvCall
-		ev.Taken = true
-		ev.Target = ins.Target
 		t.Calls = append(t.Calls, pc+1)
 		next = ins.Target
 	case isa.BRR, isa.CALLR:
@@ -338,20 +328,17 @@ func (m *Machine) exec(t *Thread) {
 			ev.Kind = EvCall
 		}
 		ev.addSrc(ins.Rs1)
-		ev.Taken = true
 		if target < 0 || target >= int64(len(m.Prog.Instrs)) {
 			m.notify(ev, t, pc)
 			m.fault(t, pc, "indirect jump to invalid target %d", target)
 			return
 		}
-		ev.Target = int(target)
 		if ins.Op == isa.CALLR {
 			t.Calls = append(t.Calls, pc+1)
 		}
 		next = int(target)
 	case isa.RET:
 		ev.Kind = EvRet
-		ev.Taken = true
 		if len(t.Calls) == 0 {
 			m.notify(ev, t, pc)
 			m.fault(t, pc, "return with empty call stack")
@@ -359,7 +346,6 @@ func (m *Machine) exec(t *Thread) {
 		}
 		next = t.Calls[len(t.Calls)-1]
 		t.Calls = t.Calls[:len(t.Calls)-1]
-		ev.Target = next
 	case isa.IN:
 		ch := int(ins.Imm)
 		pos := m.inputPos[ch]
@@ -409,7 +395,6 @@ func (m *Machine) exec(t *Thread) {
 		ev.DstReg = int(ins.Rd)
 		ev.addSrc(ins.Rs1)
 		ev.DstVal = int64(nt.ID)
-		ev.Target = ins.Target
 		m.setReg(t, ins.Rd, int64(nt.ID))
 	case isa.JOIN:
 		target := int(t.Regs[ins.Rs1])
@@ -429,8 +414,6 @@ func (m *Machine) exec(t *Thread) {
 			return
 		}
 		ev.Kind = EvLock
-		ev.SyncAddr = addr
-		ev.Addr = addr
 		if m.Mem[addr] == 0 {
 			m.Mem[addr] = int64(t.ID) + 1
 		} else {
@@ -447,8 +430,6 @@ func (m *Machine) exec(t *Thread) {
 			return
 		}
 		ev.Kind = EvUnlock
-		ev.SyncAddr = addr
-		ev.Addr = addr
 		if m.Mem[addr] != int64(t.ID)+1 {
 			m.notify(ev, t, pc)
 			m.fault(t, pc, "unlock of lock %d not held by thread %d", addr, t.ID)
@@ -466,8 +447,6 @@ func (m *Machine) exec(t *Thread) {
 			return
 		}
 		ev.Kind = EvBarrier
-		ev.SyncAddr = addr
-		ev.Addr = addr
 		m.Mem[addr]++
 		if m.Mem[addr] >= count {
 			m.Mem[addr] = 0
@@ -491,8 +470,6 @@ func (m *Machine) exec(t *Thread) {
 			v = 1
 		}
 		ev.Kind = EvFlag
-		ev.SyncAddr = addr
-		ev.Addr = addr
 		ev.DstMem = addr
 		ev.DstVal = v
 		m.Mem[addr] = v
@@ -504,8 +481,6 @@ func (m *Machine) exec(t *Thread) {
 			return
 		}
 		ev.Kind = EvFlag
-		ev.SyncAddr = addr
-		ev.Addr = addr
 		if m.Mem[addr] == 0 {
 			t.waitAddr = addr
 			m.block(t, blockFlag)
@@ -521,8 +496,6 @@ func (m *Machine) exec(t *Thread) {
 		}
 		old := m.Mem[addr]
 		ev.Kind = EvCas
-		ev.SyncAddr = addr
-		ev.Addr = addr
 		ev.DstReg = int(ins.Rd)
 		ev.addSrc(ins.Rs2)
 		ev.SrcMem = addr

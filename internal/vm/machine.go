@@ -128,13 +128,11 @@ func (r StopReason) String() string {
 
 // Result summarizes a completed run.
 type Result struct {
-	Reason   StopReason
-	Steps    uint64
-	Failed   bool
-	FailPC   int
-	FailTID  int
-	FailLine int
-	FailMsg  string
+	Reason  StopReason
+	Steps   uint64
+	Failed  bool
+	FailPC  int //scaldift:ignore deadexport test support: the vm tests assert where a fault stopped the run
+	FailMsg string
 }
 
 // Machine is a virtual machine instance: one program, shared memory,
@@ -163,7 +161,6 @@ type Machine struct {
 	rng      rng
 	failed   bool
 	failPC   int
-	failTID  int
 	failMsg  string
 	stopped  bool
 	reason   StopReason
@@ -264,7 +261,6 @@ func (m *Machine) Thread(tid int) *Thread {
 func (m *Machine) fault(t *Thread, pc int, format string, args ...any) {
 	m.failed = true
 	m.failPC = pc
-	m.failTID = t.ID
 	m.failMsg = fmt.Sprintf(format, args...)
 	t.State = Halted
 	m.stopped = true
@@ -273,12 +269,8 @@ func (m *Machine) fault(t *Thread, pc int, format string, args ...any) {
 
 // result builds the Result for the current stop state.
 func (m *Machine) result() *Result {
-	r := &Result{Reason: m.reason, Steps: m.steps, Failed: m.failed,
-		FailPC: m.failPC, FailTID: m.failTID, FailMsg: m.failMsg}
-	if m.failed {
-		r.FailLine = m.Prog.LineOf(m.failPC)
-	}
-	return r
+	return &Result{Reason: m.reason, Steps: m.steps, Failed: m.failed,
+		FailPC: m.failPC, FailMsg: m.failMsg}
 }
 
 // rng is a splitmix64 PRNG whose state is plain data, so snapshots can
