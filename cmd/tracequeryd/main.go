@@ -6,11 +6,11 @@
 //	tracequeryd -addr :8733 -root /var/traces -refresh 10s
 //
 // Newly closed trace directories under the roots are picked up by the
-// periodic refresh (or POST /v1/refresh) without a restart. With
-// -live (the default), directories still being recorded register too:
-// the daemon tails them on the faster -live-refresh ticker, slices
-// answer against the advancing frontier with live: true, and the
-// trace flips to served-complete the moment its writer closes. With
+// periodic refresh (or POST /v1/refresh) without a restart.
+// Directories still being recorded register too: the daemon tails them
+// on the faster -live-refresh ticker, slices answer against the
+// advancing frontier with live: true, and the trace flips to
+// served-complete the moment its writer closes. With
 // -attach-workloads, traces whose directory name matches a built-in
 // workload ("<name>" or "<name>-...") get that workload's program
 // attached, enabling statement-level lines, O1 reconstruction, and
@@ -59,8 +59,7 @@ func main() {
 	addr := flag.String("addr", ":8733", "listen address")
 	flag.Var(&roots, "root", "trace root directory (repeatable); each root and its immediate subdirectories are scanned for stores")
 	refresh := flag.Duration("refresh", 10*time.Second, "registry refresh interval (0 disables the timer; POST /v1/refresh still works)")
-	live := flag.Bool("live", true, "register stores still being recorded and tail them while they run")
-	liveRefresh := flag.Duration("live-refresh", time.Second, "poll interval for live traces' frontiers (needs -live; 0 disables the poller)")
+	liveRefresh := flag.Duration("live-refresh", time.Second, "poll interval for live traces' frontiers (0 disables the poller)")
 	maxQueries := flag.Int("max-queries", 4, "concurrent slice/provenance query limit")
 	deadline := flag.Duration("deadline", 30*time.Second, "default per-query deadline")
 	maxDeadline := flag.Duration("max-deadline", 2*time.Minute, "clamp on requested per-query deadlines")
@@ -78,10 +77,7 @@ func main() {
 		os.Exit(2)
 	}
 
-	reg := query.NewRegistry(roots, query.RegistryOptions{
-		CacheBytes: *cacheBytes,
-		Live:       *live,
-	})
+	reg := query.NewRegistry(roots, query.RegistryOptions{CacheBytes: *cacheBytes})
 	// onAdded runs for every discovery path — the startup scan, the
 	// ticker, and POST /v1/refresh (via ServerOptions.OnRefresh) — so
 	// a trace gets its program no matter which refresher finds it.
@@ -137,7 +133,7 @@ func main() {
 			}
 		}()
 	}
-	if *live && *liveRefresh > 0 {
+	if *liveRefresh > 0 {
 		tickers.Add(1)
 		go func() {
 			defer tickers.Done()

@@ -1,6 +1,8 @@
 // Package ddg defines dynamic dependence graphs: the nodes are
-// executed instruction instances, the edges dynamic data, control,
-// and (for race detection) WAR/WAW dependences.
+// executed instruction instances, the edges dynamic data and control
+// dependences, plus the SameAs marker of an elided redundant load.
+// Those three kinds are what the record format encodes; the paper's
+// race-detection extension (WAR/WAW edges, §3.1) is not reproduced.
 //
 // Two representations are provided, mirroring the paper's storage
 // study (§2.1): Full is the naive in-memory graph (the "16 bytes per
@@ -46,10 +48,6 @@ const (
 	// Control links an instance to the predicate instance governing
 	// its execution.
 	Control
-	// WAR is a write-after-read anti-dependence (race detection).
-	WAR
-	// WAW is a write-after-write output dependence (race detection).
-	WAW
 	// SameAs marks a redundant-load elision (ONTRAC O3): this load's
 	// memory dependence equals that of the referenced earlier
 	// instance of the same static load. Traversals follow it like a
@@ -64,10 +62,6 @@ func (k Kind) String() string {
 		return "data"
 	case Control:
 		return "control"
-	case WAR:
-		return "war"
-	case WAW:
-		return "waw"
 	case SameAs:
 		return "same-as"
 	}

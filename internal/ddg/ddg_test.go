@@ -122,34 +122,6 @@ skip:
 	}
 }
 
-func TestExtractorWARWAW(t *testing.T) {
-	g, _, _ := extract(t, `
-    movi r1, 1
-    store r0, r1, 10   ; n2: write
-    load r2, r0, 10    ; n3: read
-    movi r3, 2
-    store r0, r3, 10   ; n5: write again -> WAW to n2, WAR to n3
-    halt
-`, nil, ExtractorOpts{WARWAW: true})
-	deps := depsOf(g, MakeID(0, 5))
-	var war, waw bool
-	for _, d := range deps {
-		switch d.Kind {
-		case WAR:
-			if d.Def.N() == 3 {
-				war = true
-			}
-		case WAW:
-			if d.Def.N() == 2 {
-				waw = true
-			}
-		}
-	}
-	if !war || !waw {
-		t.Fatalf("war=%v waw=%v deps=%+v", war, waw, deps)
-	}
-}
-
 func TestExtractorSpawnArgDep(t *testing.T) {
 	g, _, _ := extract(t, `
     in r10, 0

@@ -15,7 +15,7 @@ type Sink interface {
 	Deps(id ID, pc int32, deps []Dep)
 }
 
-// tag records the last definition (or read) of a location.
+// tag records the last definition of a location.
 type tag struct {
 	id ID
 	pc int32
@@ -42,11 +42,10 @@ type Extractor struct {
 	ctrl *cdep.Tracker // nil when control deps are off
 	sink Sink
 
-	threads  []*threadState
-	memTags  *shadow.Mem[tag]
-	readTags *shadow.Mem[tag] // last reader per word; nil without WAR/WAW
-	depBuf   []Dep
-	instrs   uint64
+	threads []*threadState
+	memTags *shadow.Mem[tag]
+	depBuf  []Dep
+	instrs  uint64
 }
 
 // threadState is one thread's private extraction state.
@@ -60,18 +59,11 @@ type threadState struct {
 type ExtractorOpts struct {
 	// ControlDeps enables dynamic control dependence edges.
 	ControlDeps bool
-	// WARWAW additionally emits write-after-read and write-after-
-	// write edges on memory, the extension that makes slicing usable
-	// for data race detection (§3.1).
-	WARWAW bool
 }
 
 // NewExtractor builds an extractor for prog reporting to sink.
 func NewExtractor(prog *isa.Program, sink Sink, opts ExtractorOpts) *Extractor {
 	e := &Extractor{sink: sink, memTags: shadow.NewMem[tag]()}
-	if opts.WARWAW {
-		e.readTags = shadow.NewMem[tag]()
-	}
 	if opts.ControlDeps {
 		e.ctrl = cdep.New(prog)
 	}
@@ -109,8 +101,8 @@ func (e *Extractor) thread(tid int) *threadState {
 
 // OnEvent implements vm.Tool. The instance number is ev.ThreadSeq;
 // the dependence list goes to the sink in a fixed order — register
-// sources, the memory source, the control parent, then WAW/WAR when
-// tracked — in a buffer reused per event.
+// sources, the memory source, then the control parent — in a buffer
+// reused per event.
 func (e *Extractor) OnEvent(_ *vm.Machine, ev *vm.Event) {
 	if ev.Blocked {
 		return
@@ -146,22 +138,11 @@ func (e *Extractor) OnEvent(_ *vm.Machine, ev *vm.Event) {
 		if tg := e.memTags.Get(ev.SrcMem); tg.id != 0 {
 			deps = append(deps, dep(tg, Data))
 		}
-		if e.readTags != nil {
-			e.readTags.Set(ev.SrcMem, tag{id: id, pc: pc})
-		}
 	}
 	if parent.N != 0 {
 		deps = append(deps, dep(tag{id: MakeID(ev.TID, parent.N), pc: parent.PC}, Control))
 	}
 	if ev.DstMem != vm.NoAddr {
-		if e.readTags != nil {
-			if tg := e.memTags.Get(ev.DstMem); tg.id != 0 {
-				deps = append(deps, dep(tg, WAW))
-			}
-			if tg := e.readTags.Get(ev.DstMem); tg.id != 0 && tg.id != id {
-				deps = append(deps, dep(tg, WAR))
-			}
-		}
 		e.memTags.Set(ev.DstMem, tag{id: id, pc: pc})
 	}
 	if ev.Kind == vm.EvSpawn {

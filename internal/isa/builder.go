@@ -13,7 +13,7 @@ type Builder struct {
 	name    string
 	instrs  []Instr
 	labels  map[string]int
-	pending map[string][]int // label -> instr indices awaiting resolution
+	pending map[string][]int // label -> instr indices awaiting resolution (targets, or IndirectTo immediates)
 	data    []int64
 	funcs   map[string]FuncRange
 	curFn   string
@@ -189,6 +189,18 @@ func (b *Builder) Call(label string) *Builder { return b.emitTo(Instr{Op: CALL},
 // Ret emits a return.
 func (b *Builder) Ret() *Builder { return b.emit(Instr{Op: RET}) }
 
+// IndirectTo emits `addi rs, rs, <label>`, the label's instruction
+// index resolved by Build, then op (BRR or CALLR) through rs: the
+// transfer lands on label plus what rs held, e.g. 0 or a jump-table
+// offset, and the analyses see no static edge to it.
+func (b *Builder) IndirectTo(op Op, rs uint8, label string) *Builder {
+	if op != BRR && op != CALLR {
+		b.fail("IndirectTo with direct opcode %s", op)
+	}
+	b.pending[label] = append(b.pending[label], len(b.instrs))
+	return b.emit(Instr{Op: ADDI, Rd: rs, Rs1: rs}).emit(Instr{Op: op, Rs1: rs})
+}
+
 // In emits rd = next word from input channel ch.
 func (b *Builder) In(rd uint8, ch int64) *Builder {
 	return b.emit(Instr{Op: IN, Rd: rd, Imm: ch})
@@ -267,7 +279,11 @@ func (b *Builder) Build() (*Program, error) {
 			return nil, fmt.Errorf("isa builder %q: undefined label %q", b.name, label)
 		}
 		for _, site := range sites {
-			b.instrs[site].Target = idx
+			if b.instrs[site].Op == ADDI { // IndirectTo's label-valued immediate
+				b.instrs[site].Imm = int64(idx)
+			} else {
+				b.instrs[site].Target = idx
+			}
 		}
 	}
 	p := &Program{

@@ -78,6 +78,36 @@ func TestBuilderForwardLabel(t *testing.T) {
 	}
 }
 
+// IndirectTo resolves its label into the ADDI immediate, forward and
+// backward alike, and adds no static target to the transfer.
+func TestBuilderIndirectTo(t *testing.T) {
+	b := NewBuilder("t")
+	b.Label("back").
+		Movi(1, 0).
+		IndirectTo(CALLR, 1, "fwd"). // 1: addi, 2: callr
+		Movi(2, 0).
+		IndirectTo(BRR, 2, "back"). // 4: addi, 5: brr
+		Label("fwd").
+		Ret()
+	p, err := b.Build()
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, c := range []struct {
+		at  int
+		op  Op
+		imm int64
+	}{{1, CALLR, 6}, {4, BRR, 0}} {
+		add, jmp := p.Instrs[c.at], p.Instrs[c.at+1]
+		if add.Op != ADDI || add.Rd != add.Rs1 || add.Imm != c.imm || jmp.Op != c.op || jmp.Rs1 != add.Rd {
+			t.Fatalf("instrs %d-%d = %v; %v, want addi r%d, r%d, %d; %v r%d", c.at, c.at+1, add, jmp, add.Rd, add.Rd, c.imm, c.op, add.Rd)
+		}
+	}
+	if _, err := NewBuilder("t").IndirectTo(BR, 1, "x").Label("x").Halt().Build(); err == nil {
+		t.Fatal("IndirectTo accepted a direct opcode")
+	}
+}
+
 func TestBuilderUndefinedLabel(t *testing.T) {
 	b := NewBuilder("t")
 	b.Br("nowhere").Halt()

@@ -41,9 +41,8 @@ type Options struct {
 	// ElideStaticBlockDeps enables O1.
 	ElideStaticBlockDeps bool
 	// TraceDictionary enables O2. A dependence pattern enters the
-	// dictionary after DictThreshold occurrences (default 2).
+	// dictionary after two occurrences (dictThreshold).
 	TraceDictionary bool
-	DictThreshold   int
 	// ElideRedundantLoads enables O3.
 	ElideRedundantLoads bool
 	// TraceFuncs, when non-empty, enables T1: only dependences whose
@@ -99,9 +98,13 @@ type pattern struct {
 	kind  ddg.Kind
 }
 
+// dictThreshold is how many sightings of a dependence pattern enter
+// it into O2's dictionary.
+const dictThreshold = 2
+
 // defSite is O2's learning state for one (def PC, kind) a use site has
 // depended on in its own thread: how often each instance distance has
-// occurred. A distance seen DictThreshold times is in the dictionary.
+// occurred. A distance seen dictThreshold times is in the dictionary.
 // Distances do not stay few — a load fed by ever-older stores mints a
 // new one every few instructions — so they are hashed, not listed.
 type defSite struct {
@@ -180,9 +183,6 @@ type Tracer struct {
 
 // New builds a tracer for prog.
 func New(prog *isa.Program, opts Options) *Tracer {
-	if opts.DictThreshold <= 0 {
-		opts.DictThreshold = 2
-	}
 	t := &Tracer{
 		prog:   prog,
 		opts:   opts,
@@ -342,11 +342,11 @@ func (t *Tracer) learned(p pattern, usePC int32) bool {
 		t.dictSites[usePC] = sites
 	}
 	seen := sites[i].seen[p.delta]
-	if seen >= t.opts.DictThreshold {
+	if seen >= dictThreshold {
 		return true
 	}
 	sites[i].seen[p.delta] = seen + 1
-	if seen+1 == t.opts.DictThreshold {
+	if seen+1 == dictThreshold {
 		t.dictByUse[usePC] = append(t.dictByUse[usePC], p)
 	}
 	return false

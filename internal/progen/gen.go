@@ -60,7 +60,7 @@ type GenConfig struct {
 	Locks bool // lock/unlock critical sections
 	Flags bool // flag writes and the phase-0 flag handshake
 	CAS   bool // compare-and-swap on a shared cell
-	Calls bool // straight-line helper functions via CALL/RET
+	Calls bool // straight-line helper functions via CALL or CALLR, and RET
 }
 
 // DefaultGenConfig is the corpus configuration: small concurrent
@@ -104,6 +104,7 @@ const (
 	sIf
 	sLoop
 	sCall
+	sSwitch
 	sYield
 	sAssert
 	sAlloc
@@ -393,6 +394,7 @@ func (g *gen) candidates(c sctx) []stmtKind {
 	pool = add(pool, sStoreD, 1)
 	pool = add(pool, sYield, 1)
 	pool = add(pool, sAssert, 1)
+	pool = add(pool, sSwitch, 1)
 	if g.cfg.CAS {
 		pool = add(pool, sCas, 1)
 	}
@@ -489,9 +491,19 @@ func (g *gen) stmt(c sctx) {
 		g.loopStmt(c)
 	case sCall:
 		h := g.helpers[g.r.intn(len(g.helpers))]
-		b.Call(h.name)
 		g.usedHelper = true
-		g.step(1+h.len, c.mul)
+		if g.r.coin(1, 3) {
+			b.Call(h.name)
+			g.step(1+h.len, c.mul)
+			break
+		}
+		// Indirect: a value register masked to 0 plus the entry, so the
+		// target carries that register's label to the sink.
+		b.Andi(rScr, g.valReg(), 0)
+		b.IndirectTo(isa.CALLR, rScr, h.name)
+		g.step(3+h.len, c.mul)
+	case sSwitch:
+		g.switchStmt(c)
 	case sYield:
 		b.Yield()
 		g.step(1, c.mul)
@@ -548,23 +560,52 @@ func (g *gen) critStmt(c sctx) {
 	b.Lock(0, lockAddr)
 	g.step(1, c.mul)
 	inner := 1 + g.r.intn(3)
-	cc := c
-	cc.inCrit = true
 	for i := 0; i < inner; i++ {
-		switch g.r.intn(3) {
-		case 0:
-			b.Op3(g.aluOp(), g.valReg(), g.valReg(), g.valReg())
-			g.step(1, cc.mul)
-		case 1:
-			b.Load(g.valReg(), rShared, int64(g.r.intn(g.cfg.SharedWords)))
-			g.step(1, cc.mul)
-		default:
-			b.Store(rShared, int64(g.r.intn(g.cfg.SharedWords)), g.valReg())
-			g.step(1, cc.mul)
-		}
+		g.oneInstr()
+		g.step(1, c.mul)
 	}
 	b.Unlock(0, lockAddr)
 	g.step(1, c.mul)
+}
+
+// oneInstr emits a statement of exactly one instruction: an ALU op, or
+// a static-offset load or store on the shared region.
+func (g *gen) oneInstr() {
+	b := g.b
+	switch g.r.intn(3) {
+	case 0:
+		b.Op3(g.aluOp(), g.valReg(), g.valReg(), g.valReg())
+	case 1:
+		b.Load(g.valReg(), rShared, int64(g.r.intn(g.cfg.SharedWords)))
+	default:
+		b.Store(rShared, int64(g.r.intn(g.cfg.SharedWords)), g.valReg())
+	}
+}
+
+// switchStmt emits a jump table: a BRR, indexed by a value register or
+// a fresh input, to one of 2 or 4 cases of one instruction and a branch
+// to the end.
+func (g *gen) switchStmt(c sctx) {
+	b := g.b
+	k := 2 << g.r.intn(2)
+	idx := g.valReg()
+	if g.r.coin(1, 2) { // an input-tainted target, the attack-detection case
+		idx = rScr
+		b.In(rScr, ChIn)
+		g.step(1, c.mul)
+		g.ins += c.mul
+	}
+	b.Andi(rScr, idx, int64(k-1))
+	b.Muli(rScr, rScr, 2) // case length
+	cases, end := g.label(), g.label()
+	b.IndirectTo(isa.BRR, rScr, cases)
+	b.Label(cases)
+	for i := 0; i < k; i++ {
+		g.oneInstr()
+		b.Br(end)
+	}
+	b.Label(end)
+	g.step(6, c.mul) // andi, muli, addi, brr, one case and its br
 }
 
 // ifStmt emits a forward if (optionally if/else) over a register

@@ -58,15 +58,23 @@ func TestGeneratorCoversFeatures(t *testing.T) {
 	cfg := DefaultGenConfig()
 	seen := map[isa.Op]bool{}
 	multi := 0
+	indirect := map[isa.Op]int{} // programs using each indirect branch
 	for seed := uint64(0); seed < 100; seed++ {
 		g := Generate(seed, cfg)
 		spawns := false
+		used := map[isa.Op]bool{}
 		for _, ins := range g.Prog.Instrs {
 			seen[ins.Op] = true
+			used[ins.Op] = true
 			spawns = spawns || ins.Op == isa.SPAWN
 		}
 		if spawns {
 			multi++
+		}
+		for _, op := range []isa.Op{isa.BRR, isa.CALLR} {
+			if used[op] {
+				indirect[op]++
+			}
 		}
 	}
 	for _, op := range []isa.Op{isa.IN, isa.OUT, isa.SPAWN, isa.JOIN, isa.LOCK,
@@ -78,5 +86,12 @@ func TestGeneratorCoversFeatures(t *testing.T) {
 	}
 	if multi < 30 {
 		t.Errorf("only %d/100 seeds were multithreaded", multi)
+	}
+	// The indirect-branch sink is compared record by record against
+	// the oracle, so a share of the corpus must reach it.
+	for _, op := range []isa.Op{isa.BRR, isa.CALLR} {
+		if indirect[op] < 20 {
+			t.Errorf("only %d/100 seeds used %v", indirect[op], op)
+		}
 	}
 }

@@ -1056,7 +1056,7 @@ type nodeKey struct {
 // BackwardPCs computes the backward data slice from instance (tid, n)
 // as the set of instruction indices on any data-dependence path into
 // it, including its own. This is the ground truth for
-// slicing.Backward with FollowControl and FollowAnti off.
+// slicing.Backward with FollowControl off.
 func (r *OracleRun) BackwardPCs(tid int, n uint64) map[int32]bool {
 	pcs := make(map[int32]bool)
 	pc, ok := r.NodePC(tid, n)

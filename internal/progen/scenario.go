@@ -804,7 +804,7 @@ func (s *scenario) liveAttached() {
 	}
 
 	// ...and served slices from a live registry over real HTTP.
-	reg := query.NewRegistry([]string{root}, query.RegistryOptions{CacheBytes: cacheBytes, Live: true})
+	reg := query.NewRegistry([]string{root}, query.RegistryOptions{CacheBytes: cacheBytes})
 	added, err := reg.Refresh()
 	if err != nil {
 		s.tb.Fatal(err)

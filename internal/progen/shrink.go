@@ -63,7 +63,8 @@ func Shrink(p *isa.Program, keep Property, opts ShrinkOptions) *isa.Program {
 // across the gap. Targets that pointed into the removed range are
 // redirected to the first surviving instruction after it; if that
 // lands past the end the candidate fails Validate and is discarded by
-// the caller.
+// the caller. Indirect targets (BRR, CALLR) are register data and are
+// not remapped.
 func removeRange(p *isa.Program, i, j int) *isa.Program {
 	q := p.Clone()
 	n := j - i

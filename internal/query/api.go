@@ -76,8 +76,6 @@ type SliceRequest struct {
 	Criteria []Criterion `json:"criteria"`
 	// FollowControl includes dynamic control dependences.
 	FollowControl bool `json:"follow_control,omitempty"`
-	// FollowAnti includes WAR/WAW edges.
-	FollowAnti bool `json:"follow_anti,omitempty"`
 	// MaxNodes bounds the traversal (0 = unbounded; the sharded
 	// traversal enforces it cooperatively).
 	MaxNodes int `json:"max_nodes,omitempty"`
@@ -88,9 +86,6 @@ type SliceRequest struct {
 	// store (0 = server default; the server may itself default to
 	// unlimited).
 	BudgetChunkLoads int64 `json:"budget_chunk_loads,omitempty"`
-	// Raw skips O1 reconstruction even when the trace has a program
-	// attached, slicing only the stored records.
-	Raw bool `json:"raw,omitempty"`
 }
 
 // Validate checks the request against the wire-model bounds.
@@ -191,7 +186,6 @@ type ProvenanceRequest struct {
 	MaxNodes         int         `json:"max_nodes,omitempty"`
 	DeadlineMillis   int64       `json:"deadline_ms,omitempty"`
 	BudgetChunkLoads int64       `json:"budget_chunk_loads,omitempty"`
-	Raw              bool        `json:"raw,omitempty"`
 }
 
 // slice converts the provenance request to the backward data-only
@@ -204,7 +198,6 @@ func (r *ProvenanceRequest) slice() *SliceRequest {
 		MaxNodes:         r.MaxNodes,
 		DeadlineMillis:   r.DeadlineMillis,
 		BudgetChunkLoads: r.BudgetChunkLoads,
-		Raw:              r.Raw,
 	}
 }
 
@@ -306,8 +299,8 @@ type StatsResponse struct {
 	ResultCacheHits   int64 `json:"result_cache_hits,omitempty"`
 	ResultCacheMisses int64 `json:"result_cache_misses,omitempty"`
 	// ReverseIndexBuilds counts the def → uses indexes forward queries
-	// built (one per closed trace, program attachment and raw flag, or
-	// one per query on a live trace); ReverseIndexHits counts forward
+	// built (one per closed trace and program attachment, or one per
+	// query on a live trace); ReverseIndexHits counts forward
 	// queries that walked a cached one instead; ReverseIndexBytes is
 	// what the cached indexes hold in memory right now, a part of
 	// ChunkCacheBytes.

@@ -21,26 +21,28 @@ import (
 //     accept/reject verdict must agree with the model's Validate.
 func FuzzQueryCodec(f *testing.F) {
 	f.Add([]byte(`{"trace":"t","direction":"backward","criteria":[{"tid":0}]}`),
-		"t", "backward", 0, uint64(0), false, int32(0), true, false, 10, 4, int64(100), int64(5), false, 1.5)
+		"t", "backward", 0, uint64(0), false, int32(0), true, 10, 4, int64(100), int64(5), false, 1.5)
 	f.Add([]byte(`{"trace":"x","direction":"forward","criteria":[{"tid":3,"n":17,"pc":42}],"follow_control":true}`),
-		"x", "forward", 3, uint64(17), true, int32(42), false, true, 0, 0, int64(0), int64(0), true, 0.0)
+		"x", "forward", 3, uint64(17), true, int32(42), false, 0, 0, int64(0), int64(0), true, 0.0)
 	f.Add([]byte(`{"trace":"t","direction":"backward","criteria":[{"tid":0}],"bogus":1}`),
-		"", "sideways", -1, uint64(1)<<60, true, int32(-7), false, false, -1, 999, int64(-2), int64(-3), false, math.Inf(1))
+		"", "sideways", -1, uint64(1)<<60, true, int32(-7), false, -1, 999, int64(-2), int64(-3), false, math.Inf(1))
 
-	// The retired "workers" knob is rejected like any unknown field.
-	if _, err := DecodeSliceRequest(strings.NewReader(
-		`{"trace":"t","direction":"backward","criteria":[{"tid":0}],"workers":4}`)); err == nil {
-		f.Fatal(`slice decoder accepted the retired "workers" field`)
-	}
-	if _, err := DecodeProvenanceRequest(strings.NewReader(
-		`{"trace":"t","criteria":[{"tid":0}],"workers":4}`)); err == nil {
-		f.Fatal(`provenance decoder accepted the retired "workers" field`)
+	// Retired fields are rejected like any unknown field.
+	for _, field := range []string{`"workers":4`, `"follow_anti":true`, `"raw":true`} {
+		if _, err := DecodeSliceRequest(strings.NewReader(
+			`{"trace":"t","direction":"backward","criteria":[{"tid":0}],` + field + `}`)); err == nil {
+			f.Fatalf("slice decoder accepted the retired field %s", field)
+		}
+		if _, err := DecodeProvenanceRequest(strings.NewReader(
+			`{"trace":"t","criteria":[{"tid":0}],` + field + `}`)); err == nil {
+			f.Fatalf("provenance decoder accepted the retired field %s", field)
+		}
 	}
 
 	f.Fuzz(func(t *testing.T, raw []byte,
 		trace, direction string, tid int, n uint64, hasPC bool, pc int32,
-		followControl, followAnti bool, maxNodes, edges int,
-		deadlineMillis, budget int64, rawFlag bool, wall float64) {
+		followControl bool, maxNodes, edges int,
+		deadlineMillis, budget int64, interrupted bool, wall float64) {
 
 		// Part 1: arbitrary bytes through the strict decoders.
 		if req, err := DecodeSliceRequest(bytes.NewReader(raw)); err == nil {
@@ -72,11 +74,9 @@ func FuzzQueryCodec(f *testing.F) {
 			Direction:        direction,
 			Criteria:         []Criterion{{TID: tid, N: n}},
 			FollowControl:    followControl,
-			FollowAnti:       followAnti,
 			MaxNodes:         maxNodes,
 			DeadlineMillis:   deadlineMillis,
 			BudgetChunkLoads: budget,
-			Raw:              rawFlag,
 		}
 		if hasPC {
 			model.Criteria[0].PC = &pc
@@ -118,8 +118,8 @@ func FuzzQueryCodec(f *testing.F) {
 				Edges:           edges,
 				ChunkLoads:      budget,
 				WallMillis:      wall,
-				BudgetExhausted: followAnti,
-				Interrupted:     rawFlag,
+				BudgetExhausted: followControl,
+				Interrupted:     interrupted,
 				ShardBusyMillis: map[string]float64{"0": wall},
 			}
 			data, err := json.Marshal(resp)

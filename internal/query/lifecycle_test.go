@@ -216,7 +216,7 @@ func TestRegistryTrimTraceRefusesLive(t *testing.T) {
 	appendChain(c, 0, 1, 50)
 	c.Flush()
 
-	reg := NewRegistry([]string{root}, RegistryOptions{Live: true})
+	reg := NewRegistry([]string{root}, RegistryOptions{})
 	if _, err := reg.Refresh(); err != nil {
 		t.Fatal(err)
 	}

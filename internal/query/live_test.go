@@ -127,7 +127,7 @@ func TestRegistryCloseRefreshRace(t *testing.T) {
 	}
 	defer wr.Close()
 
-	reg := NewRegistry([]string{root}, RegistryOptions{Live: true})
+	reg := NewRegistry([]string{root}, RegistryOptions{})
 	start := make(chan struct{})
 	var wg sync.WaitGroup
 	for i := 0; i < 4; i++ {
@@ -183,7 +183,7 @@ func TestServeLiveTrace(t *testing.T) {
 	appendChain(c, 0, 1, 120)
 	c.Flush()
 
-	reg := NewRegistry([]string{root}, RegistryOptions{Live: true})
+	reg := NewRegistry([]string{root}, RegistryOptions{})
 	added, err := reg.Refresh()
 	if err != nil {
 		t.Fatal(err)

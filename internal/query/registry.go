@@ -24,12 +24,6 @@ type RegistryOptions struct {
 	// queries walk; 0 takes store.DefaultCacheBytes. Per-query budgets
 	// bound how much of it one query may churn.
 	CacheBytes int64
-	// Live registers stores whose writer has not closed yet: the
-	// reader attaches in follow mode, the trace reports live: true
-	// with a monotone frontier, and PollLive advances it until the
-	// final manifest lands. Off, Refresh keeps today's behavior of
-	// skipping directories still being written.
-	Live bool
 }
 
 // ErrClosed reports an operation against a registry that Close has
@@ -52,9 +46,9 @@ type regStats struct {
 // store exactly once, so a recording box can keep dropping new trace
 // directories under a root and a periodic refresh publishes them
 // without a restart. A directory still being written (no final
-// manifest yet) is skipped — unless RegistryOptions.Live is set, in
-// which case it registers in follow mode and PollLive tails it while
-// it records.
+// manifest yet) registers in follow mode: the trace reports live: true
+// with a monotone frontier, and PollLive tails it until the final
+// manifest lands.
 //
 // All methods are safe for concurrent use; reads take a shared lock,
 // so queries never wait on a refresh's directory scan. Refresh,
@@ -63,7 +57,6 @@ type regStats struct {
 // release.
 type Registry struct {
 	roots []string
-	opts  RegistryOptions
 
 	refreshMu sync.Mutex // serializes Refresh / PollLive / lifecycle ops / Close
 
@@ -87,7 +80,7 @@ type Trace struct {
 
 	stats  *regStats
 	reader *store.Reader
-	revs   revCache // reverse indexes over reader, charged to its cache
+	revs   revCache // reverse index over reader, charged to its cache
 
 	attached atomic.Pointer[progAttachment]
 	// attachSeq counts AttachProgram calls. An attach changes answers
@@ -106,7 +99,6 @@ type progAttachment struct {
 func NewRegistry(roots []string, opts RegistryOptions) *Registry {
 	return &Registry{
 		roots:  append([]string(nil), roots...),
-		opts:   opts,
 		cache:  store.NewChunkCache(opts.CacheBytes),
 		traces: make(map[string]*Trace),
 		byDir:  make(map[string]string),
@@ -120,8 +112,7 @@ func NewRegistry(roots []string, opts RegistryOptions) *Registry {
 // fleet on disk always yields the same id assignment regardless of
 // root order or scan timing. The first error opening a store is
 // returned after the scan completes (other candidates still
-// register); "not a store" — and, without RegistryOptions.Live,
-// "not closed yet" — are not errors.
+// register); "not a store" is not an error.
 func (g *Registry) Refresh() ([]string, error) {
 	g.refreshMu.Lock()
 	defer g.refreshMu.Unlock()
@@ -183,8 +174,8 @@ func (g *Registry) Refresh() ([]string, error) {
 	return added, firstErr
 }
 
-// register opens dir if it is an unregistered store (closed, or any
-// store in live mode). ok reports a new registration.
+// register opens dir if it is an unregistered store, in follow mode
+// when its writer has not closed yet. ok reports a new registration.
 func (g *Registry) register(dir, canon, base string) (id string, ok bool, err error) {
 	g.mu.RLock()
 	_, seen := g.byDir[canon]
@@ -195,9 +186,6 @@ func (g *Registry) register(dir, canon, base string) (id string, ok bool, err er
 	isStore, closed, err := store.Status(dir)
 	if err != nil || !isStore {
 		return "", false, err
-	}
-	if !closed && !g.opts.Live {
-		return "", false, nil
 	}
 	r, err := store.Open(dir, store.ReaderOptions{
 		Cache:  g.cache,
@@ -515,13 +503,13 @@ func (t *Trace) Program() *isa.Program {
 
 // source builds the ddg.Source one query traverses: the trace's
 // reader, viewed through the query's budget (nil = unlimited), with O1
-// reconstruction composed on top unless raw or no program is attached.
-func (t *Trace) source(b *store.Budget, raw bool) ddg.Source {
+// reconstruction composed on top when a program is attached.
+func (t *Trace) source(b *store.Budget) ddg.Source {
 	var src ddg.Source = t.reader
 	if b != nil {
 		src = t.reader.Budgeted(b)
 	}
-	if a := t.attached.Load(); a != nil && !raw {
+	if a := t.attached.Load(); a != nil {
 		return a.recon.ReaderOver(src)
 	}
 	return src

@@ -8,16 +8,16 @@ import (
 	"scaldift/internal/store"
 )
 
-// revCache holds the reverse indexes forward queries walk over a
-// closed trace's reader: one slot for the reconstructing view, one for
-// the raw records (reconstruction adds edges, so the two differ). Each
-// cached index is charged to the reader's chunk cache (store.Reader.Hold)
-// and leaves its slot when the cache lets it go — on eviction, on a
-// trim's new generation, or when the reader closes — so the one cache
-// budget bounds the indexes too.
+// revCache holds the reverse index forward queries walk over a closed
+// trace: one slot, built through the query's view of the reader
+// (reconstructing when a program is attached). The cached index is
+// charged to the reader's chunk cache (store.Reader.Hold) and leaves
+// its slot when the cache lets it go — on eviction, on a trim's new
+// generation, or when the reader closes — so the one cache budget
+// bounds the index too.
 type revCache struct {
-	mu    sync.Mutex
-	slots [2]*revEntry // [raw]
+	mu   sync.Mutex
+	slot *revEntry
 }
 
 // revEntry is one cached index and the key it was built under: the
@@ -30,32 +30,29 @@ type revEntry struct {
 	dropped     bool   // the chunk cache let it go (revCache.mu)
 }
 
-// bytes returns the resident size of the cached indexes.
+// bytes returns the resident size of the cached index.
 func (c *revCache) bytes() int64 {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	var n int64
-	for _, e := range c.slots {
-		if e != nil {
-			n += e.rev.Bytes()
-		}
+	if c.slot == nil {
+		return 0
 	}
-	return n
+	return c.slot.rev.Bytes()
 }
 
-// forget takes e out of slot i: the chunk cache let it go.
-func (c *revCache) forget(i byte, e *revEntry) {
+// forget takes e out of the slot: the chunk cache let it go.
+func (c *revCache) forget(e *revEntry) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	e.dropped = true
-	if c.slots[i] == e {
-		c.slots[i] = nil
+	if c.slot == e {
+		c.slot = nil
 	}
 }
 
 // reverse returns the reverse index a forward query walks over src,
 // the query's own (budgeted) view of the trace's reader. A closed
-// trace serves an index cached under (gen, attach, raw), building it
+// trace serves an index cached under (gen, attach), building it
 // through src on a miss; a live trace grows between polls without a
 // generation bump, so it builds a fresh one per query. An index the
 // budget or done cut short, or one larger than the whole chunk-cache
@@ -63,11 +60,11 @@ func (c *revCache) forget(i byte, e *revEntry) {
 // last to publish wins — the same idiom as the reader's chunk loads:
 // nobody waits on another query's build. Nil means done fired
 // mid-build.
-func (t *Trace) reverse(src ddg.Source, live bool, gen, attach uint64, raw bool, b *store.Budget, done <-chan struct{}) *slicing.Reverse {
-	c, i := &t.revs, b2b(raw)
+func (t *Trace) reverse(src ddg.Source, live bool, gen, attach uint64, b *store.Budget, done <-chan struct{}) *slicing.Reverse {
+	c := &t.revs
 	if !live {
 		c.mu.Lock()
-		e := c.slots[i]
+		e := c.slot
 		c.mu.Unlock()
 		if e != nil && e.gen == gen && e.attach == attach {
 			t.stats.revHits.Add(1)
@@ -80,18 +77,18 @@ func (t *Trace) reverse(src ddg.Source, live bool, gen, attach uint64, raw bool,
 		return rev
 	}
 	mine := &revEntry{gen: gen, attach: attach, rev: rev}
-	mine.release = t.reader.Hold(rev.Bytes(), func() { c.forget(i, mine) })
+	mine.release = t.reader.Hold(rev.Bytes(), func() { c.forget(mine) })
 	if mine.release == nil {
 		return rev
 	}
 	// The cache may have let mine go already; it must not then enter
 	// the slot, where nothing would bound it.
 	c.mu.Lock()
-	old := c.slots[i]
+	old := c.slot
 	if mine.dropped {
 		old = nil
 	} else {
-		c.slots[i] = mine
+		c.slot = mine
 	}
 	c.mu.Unlock()
 	if old != nil {

@@ -110,7 +110,7 @@ func TestReverseIndexLiveTrace(t *testing.T) {
 	appendChain(c, 0, 1, 120)
 	c.Flush()
 
-	reg := NewRegistry([]string{root}, RegistryOptions{Live: true})
+	reg := NewRegistry([]string{root}, RegistryOptions{})
 	if _, err := reg.Refresh(); err != nil {
 		t.Fatal(err)
 	}
@@ -380,11 +380,11 @@ func TestReverseIndexConcurrentChurn(t *testing.T) {
 	}
 }
 
-// weakIndex returns a weak pointer to t's cached raw-record index.
+// weakIndex returns a weak pointer to t's cached index.
 func weakIndex(t *Trace) weak.Pointer[slicing.Reverse] {
 	t.revs.mu.Lock()
 	defer t.revs.mu.Unlock()
-	return weak.Make(t.revs.slots[0].rev)
+	return weak.Make(t.revs.slot.rev)
 }
 
 // chainBenchService serves a closed 4-thread, 20 000-instance chain
@@ -430,13 +430,11 @@ func benchmarkServedForward(b *testing.B, cold bool) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if cold {
-			for i := range tr.revs.slots {
-				tr.revs.mu.Lock()
-				e := tr.revs.slots[i]
-				tr.revs.mu.Unlock()
-				if e != nil {
-					e.release()
-				}
+			tr.revs.mu.Lock()
+			e := tr.revs.slot
+			tr.revs.mu.Unlock()
+			if e != nil {
+				e.release()
 			}
 		}
 		resp, err := cl.Slice(ctx, req)

@@ -173,7 +173,7 @@ func sliceCacheKey(trace string, gen, attach uint64, req *SliceRequest, crits []
 	writeU64(gen)
 	writeU64(attach)
 	h.Write([]byte(req.Direction))
-	h.Write([]byte{0, b2b(req.FollowControl), b2b(req.FollowAnti), b2b(req.Raw)})
+	h.Write([]byte{0, b2b(req.FollowControl)})
 	writeU64(uint64(req.MaxNodes))
 	writeU64(uint64(req.BudgetChunkLoads))
 	for _, c := range crits {
@@ -437,7 +437,7 @@ func (s *Server) runSlice(ctx context.Context, req *SliceRequest) (*SliceRespons
 	frontier := t.Frontier()
 	// Read before source loads the program, for the same reason.
 	attach := t.attachSeq.Load()
-	src := t.source(budget, req.Raw)
+	src := t.source(budget)
 	crits, err := resolveCriteria(frontier, src, req.Criteria)
 	if err != nil {
 		return nil, http.StatusUnprocessableEntity, err
@@ -458,7 +458,6 @@ func (s *Server) runSlice(ctx context.Context, req *SliceRequest) (*SliceRespons
 	}
 	sopts := slicing.Options{
 		FollowControl: req.FollowControl,
-		FollowAnti:    req.FollowAnti,
 		MaxNodes:      req.MaxNodes,
 		Done:          ctx.Done(),
 	}
@@ -472,7 +471,7 @@ func (s *Server) runSlice(ctx context.Context, req *SliceRequest) (*SliceRespons
 		for i, c := range crits {
 			ids[i] = c.ID
 		}
-		rev := t.reverse(src, live, gen, attach, req.Raw, budget, ctx.Done())
+		rev := t.reverse(src, live, gen, attach, budget, ctx.Done())
 		sl = slicing.ForwardOver(rev, src, t.Program(), ids, sopts, sliceWorkers)
 	}
 	wall := time.Since(start)

@@ -66,9 +66,9 @@ func newServiceCache(t *testing.T, w *prog.Workload, attach bool, sopts ServerOp
 	return NewClient(srv.URL, srv.Client()), id, reg, s
 }
 
-// TestRegistryRefreshPicksUpClosedTraces: only directories whose
-// writer has closed appear, and a later refresh publishes new ones
-// without a restart.
+// TestRegistryRefreshPicksUpClosedTraces: a store still being written
+// registers live and flips to closed once its writer closes, and a
+// later refresh publishes new stores without a restart.
 func TestRegistryRefreshPicksUpClosedTraces(t *testing.T) {
 	w := prog.Compress(200, 1)
 	cl, _, _, _ := newService(t, w, false, ServerOptions{})
@@ -85,18 +85,12 @@ func TestRegistryRefreshPicksUpClosedTraces(t *testing.T) {
 		t.Fatalf("trace info incomplete: %+v", traces[0])
 	}
 
-	// A store still being written must NOT register...
+	// A store still being written registers live...
 	root2 := t.TempDir()
 	reg2 := NewRegistry([]string{root2}, RegistryOptions{})
+	t.Cleanup(func() { reg2.Close() })
 	wr, err := store.Create(store.Options{Dir: filepath.Join(root2, "live")})
 	if err != nil {
-		t.Fatal(err)
-	}
-	if added, _ := reg2.Refresh(); len(added) != 0 {
-		t.Fatalf("unclosed store registered: %v", added)
-	}
-	// ...until its writer closes.
-	if err := wr.Close(); err != nil {
 		t.Fatal(err)
 	}
 	added, err := reg2.Refresh()
@@ -104,11 +98,41 @@ func TestRegistryRefreshPicksUpClosedTraces(t *testing.T) {
 		t.Fatal(err)
 	}
 	if len(added) != 1 || added[0] != "live" {
-		t.Fatalf("closed store not picked up: %v", added)
+		t.Fatalf("unclosed store not registered: %v", added)
 	}
-	// Refresh is idempotent.
+	tr, _ := reg2.Get("live")
+	if !tr.Live() {
+		t.Fatal("unclosed store registered closed")
+	}
+	// ...and PollLive flips it to closed once its writer closes.
+	if err := wr.Close(); err != nil {
+		t.Fatal(err)
+	}
+	closed, err := reg2.PollLive()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(closed) != 1 || closed[0] != "live" || tr.Live() {
+		t.Fatalf("writer closed, PollLive reported %v, live=%v", closed, tr.Live())
+	}
+	// Refresh is idempotent...
 	if added, _ := reg2.Refresh(); len(added) != 0 {
 		t.Fatalf("second refresh re-registered: %v", added)
+	}
+	// ...and picks up a store closed after the first one.
+	wr, err = store.Create(store.Options{Dir: filepath.Join(root2, "later")})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := wr.Close(); err != nil {
+		t.Fatal(err)
+	}
+	added, err = reg2.Refresh()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(added) != 1 || added[0] != "later" {
+		t.Fatalf("closed store not picked up: %v", added)
 	}
 }
 
@@ -267,10 +291,9 @@ func TestServerBudget(t *testing.T) {
 	}
 }
 
-// TestServerConveniencesAndRaw: N=0 resolves to the newest instance,
-// an omitted PC resolves from the stored record, and Raw strips O1
-// reconstruction (a strictly-not-larger slice on an optimized trace).
-func TestServerConveniencesAndRaw(t *testing.T) {
+// TestServerConveniences: N=0 resolves to the newest instance and an
+// omitted PC resolves from the stored record.
+func TestServerConveniences(t *testing.T) {
 	w := prog.Compress(400, 1)
 	cl, id, reg, _ := newService(t, w, true, ServerOptions{})
 	ctx := context.Background()
@@ -297,18 +320,6 @@ func TestServerConveniencesAndRaw(t *testing.T) {
 	}
 	if len(implicit.Lines) == 0 {
 		t.Fatal("attached program produced no lines")
-	}
-
-	raw, err := cl.Slice(ctx, &SliceRequest{Trace: id, Direction: DirBackward,
-		Criteria: []Criterion{{TID: 0}}, FollowControl: true, Raw: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if raw.Edges > implicit.Edges {
-		t.Fatalf("raw slice has more edges (%d) than reconstructed (%d)", raw.Edges, implicit.Edges)
-	}
-	if raw.Edges == implicit.Edges {
-		t.Log("note: O1 elided nothing on this chain (raw == reconstructed)")
 	}
 
 	info, err := listTraces(ctx, cl)

@@ -70,8 +70,6 @@ type Options struct {
 	// full (data+control) dynamic slice. Without it the slice is the
 	// data slice.
 	FollowControl bool
-	// FollowAnti includes WAR/WAW edges (race-detection slicing).
-	FollowAnti bool
 	// MaxNodes bounds the traversal (0 = unbounded).
 	MaxNodes int
 	// Done, when non-nil, cancels the traversal cooperatively once it
@@ -84,13 +82,7 @@ type Options struct {
 // follows is the edge-kind filter: which dependence kinds the
 // traversal crosses.
 func (o *Options) follows(k ddg.Kind) bool {
-	switch k {
-	case ddg.Control:
-		return o.FollowControl
-	case ddg.WAR, ddg.WAW:
-		return o.FollowAnti
-	}
-	return true
+	return k != ddg.Control || o.FollowControl
 }
 
 // doneFired reports whether o.Done is readable. Checked every few

@@ -161,27 +161,6 @@ loop:
 	}
 }
 
-func TestAntiDependenceOption(t *testing.T) {
-	g, p := buildGraph(t, `
-    movi r1, 1        ; line 2
-    store r0, r1, 9   ; line 3 write
-    load r2, r0, 9    ; line 4 read
-    movi r3, 2        ; line 5
-    store r0, r3, 9   ; line 6 write (WAR with 4, WAW with 3)
-    out r2, 1
-    halt
-`, nil, ddg.ExtractorOpts{WARWAW: true})
-	w2 := instanceOf(g, 0, 4) // second store
-	plain := Backward(g, p, []Criterion{{ID: w2, PC: 4}}, Options{})
-	if contains(plain, 4) {
-		t.Fatalf("plain slice %v should not include the read", plain.Lines)
-	}
-	anti := Backward(g, p, []Criterion{{ID: w2, PC: 4}}, Options{FollowAnti: true})
-	if !contains(anti, 4) || !contains(anti, 3) {
-		t.Fatalf("anti slice %v missing WAR/WAW statements", anti.Lines)
-	}
-}
-
 func TestWindowTruncation(t *testing.T) {
 	// A compact ring small enough to evict early history: slicing
 	// reports truncation.

@@ -448,7 +448,7 @@ func TestReverseShared(t *testing.T) {
 				starts = append(starts, id)
 			}
 		}
-		for _, opts := range []Options{{}, {FollowControl: true}, {FollowControl: true, FollowAnti: true}} {
+		for _, opts := range []Options{{}, {FollowControl: true}} {
 			for _, workers := range []int{1, 4} {
 				label := fmt.Sprintf("%s %+v workers %d", w.Name, opts, workers)
 				got := ForwardOver(rev, g, w.Prog, starts, opts, workers)

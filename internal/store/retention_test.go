@@ -817,3 +817,88 @@ func TestStoreDamageBurstKeepsHealthyCache(t *testing.T) {
 		t.Fatalf("negative set unbounded: %d entries / %d fifo over bound %d", negs, negFifo, maxNegatives)
 	}
 }
+
+// TestStoreSyncOnSealMatchesUnsynced records one chunk stream twice,
+// with and without SyncOnSeal, through mid-run seals, retention trims
+// and Close — the writer's three fsync sites: the directory entry of
+// each new segment, each sealed segment, and the directory after the
+// final manifest. Syncing must change nothing a reader can see: both
+// directories hold the same files byte for byte and reopen to the same
+// windows, trim floors and dependences.
+func TestStoreSyncOnSealMatchesUnsynced(t *testing.T) {
+	base := time.Now()
+	record := func(sync bool) (string, *ddg.Full) {
+		dir := t.TempDir()
+		w, err := Create(Options{Dir: dir, SegmentBytes: 2048, SyncOnSeal: sync, Retain: Retention{MaxBytes: 8 << 10}})
+		if err != nil {
+			t.Fatal(err)
+		}
+		w.now = func() time.Time { return base }
+		c := ddg.NewCompactSized(0, 256)
+		c.SetSpill(w)
+		model := appendSynthetic(c, 3, 400)
+		c.Flush()
+		if err := w.Close(); err != nil {
+			t.Fatalf("close (SyncOnSeal %v): %v", sync, err)
+		}
+		return dir, model
+	}
+	synced, model := record(true)
+	plain, _ := record(false)
+
+	man, err := readManifest(synced)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(man.Trimmed) == 0 || man.Generation < 3 {
+		t.Fatalf("generation %d, %d trim records: want seals and trims before Close", man.Generation, len(man.Trimmed))
+	}
+	entries, err := os.ReadDir(synced)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := len(segFiles(t, plain)) + 1; len(entries) != got {
+		t.Fatalf("synced store holds %d files, unsynced twin %d", len(entries), got)
+	}
+	for _, e := range entries {
+		a, err := os.ReadFile(filepath.Join(synced, e.Name()))
+		if err != nil {
+			t.Fatal(err)
+		}
+		b, err := os.ReadFile(filepath.Join(plain, e.Name()))
+		if err != nil {
+			t.Fatalf("%s: in the synced store only (%v)", e.Name(), err)
+		}
+		if string(a) != string(b) {
+			t.Fatalf("%s differs between the synced store and its twin", e.Name())
+		}
+	}
+
+	open := func(dir string) *Reader {
+		r, err := Open(dir, ReaderOptions{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(func() { r.Close() })
+		return r
+	}
+	rs, rp := open(synced), open(plain)
+	if fmt.Sprint(rs.Threads(), rs.Trimmed()) != fmt.Sprint(rp.Threads(), rp.Trimmed()) {
+		t.Fatalf("threads/trims: synced %v %v, twin %v %v", rs.Threads(), rs.Trimmed(), rp.Threads(), rp.Trimmed())
+	}
+	if n := checkTrimmedWindows(t, model, rs); n == 0 {
+		t.Fatal("nothing survived the trim")
+	}
+	for _, tid := range rs.Threads() {
+		lo, hi := rs.Window(tid)
+		if plo, phi := rp.Window(tid); plo != lo || phi != hi {
+			t.Fatalf("tid %d window: synced [%d,%d], twin [%d,%d]", tid, lo, hi, plo, phi)
+		}
+		for n := lo; n <= hi; n++ {
+			id := ddg.MakeID(tid, n)
+			if a, b := depsOf(rs, id), depsOf(rp, id); fmt.Sprint(a) != fmt.Sprint(b) {
+				t.Fatalf("deps of %v: synced %v, twin %v", id, a, b)
+			}
+		}
+	}
+}
