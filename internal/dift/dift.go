@@ -19,6 +19,12 @@
 // type whose zero value means "untainted" and instantiating the
 // engine with NewEngine[L]; register and memory labels live in the
 // generic shadow.Mem[L], so adding a domain needs no engine changes.
+//
+// There is one engine and one rule set. The Engine runs inline,
+// attached to the machine, or offloaded, fed the recorded stream by
+// internal/pipeline on its helper goroutine. In every domain a
+// constant write untaints its destination, and the label of an
+// address register never flows into the value loaded or stored.
 package dift
 
 import (
@@ -42,20 +48,17 @@ type Domain[L comparable] interface {
 	Transfer(ev *vm.Event, src L) L
 }
 
-// Policy selects propagation rules that the paper treats as
-// application-specific choices.
-type Policy struct {
-	// TrackAddresses also propagates taint from the address register
-	// of loads and stores into the accessed value (pointer taint).
-	TrackAddresses bool
-	// ClearOnConst treats constant writes (MOVI) as untainting, the
-	// conventional rule. Disable to keep labels sticky for ablation.
-	ClearOnConst bool
-}
+// Policy has no fields: the engine has one rule set (see the package
+// doc).
+//
+// Deprecated: kept only because the frozen bench/ directory passes
+// DefaultPolicy(); the next benchmark PR removes both (ROADMAP item 4).
+type Policy struct{}
 
-// DefaultPolicy is the propagation rule set used by the paper's
-// security application.
-func DefaultPolicy() Policy { return Policy{ClearOnConst: true} }
+// DefaultPolicy returns the empty Policy.
+//
+// Deprecated: see Policy.
+func DefaultPolicy() Policy { return Policy{} }
 
 // Sink receives taint observations at information-flow sinks.
 type Sink[L comparable] interface {
@@ -66,21 +69,24 @@ type Sink[L comparable] interface {
 	OnIndirectBranch(ev *vm.Event, label L)
 }
 
-// Engine is the taint-propagation tool. Attach it to a vm.Machine.
+// Engine is the taint-propagation tool: the one DIFT engine. Attach
+// it to a vm.Machine for inline analysis, or let the offloaded
+// pipeline (internal/pipeline) feed it the recorded stream on its
+// helper goroutine.
 type Engine[L comparable] struct {
 	dom Domain[L]
-	pol Policy
 	// regs holds each thread's register file in its own allocation, so
-	// a Regs pointer stays valid while later threads grow the slice.
+	// a regFile pointer stays valid while later threads grow the slice.
 	regs  []*[isa.NumRegs]L
 	mem   *shadow.Mem[L]
 	sinks []Sink[L]
 	zero  L
 }
 
-// NewEngine creates a DIFT engine over the given domain and policy.
-func NewEngine[L comparable](dom Domain[L], pol Policy) *Engine[L] {
-	return &Engine[L]{dom: dom, pol: pol, mem: shadow.NewMem[L]()}
+// NewEngine creates a DIFT engine over the given domain. The policy
+// argument is ignored (see Policy).
+func NewEngine[L comparable](dom Domain[L], _ Policy) *Engine[L] {
+	return &Engine[L]{dom: dom, mem: shadow.NewMem[L]()}
 }
 
 // AddSink registers a sink.
@@ -100,8 +106,9 @@ func (e *Engine[L]) MemTaint(addr int64) L { return e.mem.Get(addr) }
 // TaintedWords returns the number of memory words currently tainted.
 func (e *Engine[L]) TaintedWords() int { return e.mem.Tainted() }
 
-// Regs implements RegBank, growing the per-thread file on demand.
-func (e *Engine[L]) Regs(tid int) *[isa.NumRegs]L {
+// regFile returns thread tid's register labels, growing the bank on
+// demand.
+func (e *Engine[L]) regFile(tid int) *[isa.NumRegs]L {
 	for tid >= len(e.regs) {
 		e.regs = append(e.regs, new([isa.NumRegs]L))
 	}
@@ -109,13 +116,14 @@ func (e *Engine[L]) Regs(tid int) *[isa.NumRegs]L {
 }
 
 // OnEvent implements vm.Tool: propagate taint for one instruction.
-// The propagation semantics live in Step, which the offloaded
-// pipeline (internal/pipeline) shares.
-func (e *Engine[L]) OnEvent(m *vm.Machine, ev *vm.Event) {
+// The offloaded pipeline calls it for each recorded event, in the
+// order the events executed, so inline and offloaded analysis run the
+// same code.
+func (e *Engine[L]) OnEvent(_ *vm.Machine, ev *vm.Event) {
 	if ev.Blocked {
 		return
 	}
-	Step(e.dom, e.pol, e, e.mem, e.sinks, ev)
+	e.step(ev)
 }
 
 var _ vm.Tool = (*Engine[bool])(nil)

@@ -7,7 +7,7 @@ import (
 	"scaldift/internal/vm"
 )
 
-func runBool(t *testing.T, text string, inputs []int64, pol Policy) (*Engine[bool], *CollectSink[bool], *vm.Machine) {
+func runBool(t *testing.T, text string, inputs []int64) (*Engine[bool], *CollectSink[bool], *vm.Machine) {
 	t.Helper()
 	p, err := isa.Assemble("t", text)
 	if err != nil {
@@ -15,7 +15,7 @@ func runBool(t *testing.T, text string, inputs []int64, pol Policy) (*Engine[boo
 	}
 	m := vm.MustNew(p, vm.Config{})
 	m.SetInput(0, inputs)
-	e := NewEngine[bool](Bool{}, pol)
+	e := NewEngine[bool](Bool{}, DefaultPolicy())
 	sink := &CollectSink[bool]{}
 	e.AddSink(sink)
 	m.AttachTool(e)
@@ -34,7 +34,7 @@ func TestBoolTaintFlowsToOutput(t *testing.T) {
     out r3, 1        ; tainted output
     out r2, 1        ; clean output
     halt
-`, []int64{9}, DefaultPolicy())
+`, []int64{9})
 	if len(sink.Outputs) != 2 || !sink.Outputs[0] || sink.Outputs[1] {
 		t.Fatalf("outputs = %v, want [true false]", sink.Outputs)
 	}
@@ -47,7 +47,7 @@ func TestTaintThroughMemory(t *testing.T) {
     load r2, r0, 10
     out r2, 1
     halt
-`, []int64{3}, DefaultPolicy())
+`, []int64{3})
 	if !sink.Outputs[0] {
 		t.Fatal("taint lost through memory")
 	}
@@ -65,43 +65,24 @@ func TestConstClearsTaint(t *testing.T) {
     movi r1, 7       ; overwrite: untaint
     out r1, 1
     halt
-`, []int64{3}, DefaultPolicy())
+`, []int64{3})
 	if sink.Outputs[0] {
-		t.Fatal("MOVI should clear taint under ClearOnConst")
+		t.Fatal("MOVI should clear taint")
 	}
 }
 
-func TestStickyConstPolicy(t *testing.T) {
+// TestAddressRegisterNotPropagated pins that a tainted address does
+// not taint the value loaded through it: only the cell's label flows.
+func TestAddressRegisterNotPropagated(t *testing.T) {
 	_, sink, _ := runBool(t, `
-    in r1, 0
-    movi r1, 7
-    out r1, 1
-    halt
-`, []int64{3}, Policy{ClearOnConst: false})
-	// With sticky labels MOVI writes the zero-join label, which for a
-	// fresh constant is still untainted — it has no sources. Sticky
-	// affects only domains where Transfer manufactures labels; for
-	// Bool the result is identical.
-	if sink.Outputs[0] {
-		t.Fatal("constant write has no taint sources either way")
-	}
-}
-
-func TestAddressTaintPolicy(t *testing.T) {
-	prog := `
 .data 11, 22, 33, 44
     in r1, 0          ; tainted index
     load r2, r1, 0    ; value at tainted address
     out r2, 1
     halt
-`
-	_, sink, _ := runBool(t, prog, []int64{2}, Policy{ClearOnConst: true})
+`, []int64{2})
 	if sink.Outputs[0] {
-		t.Fatal("without TrackAddresses the loaded value is clean")
-	}
-	_, sink, _ = runBool(t, prog, []int64{2}, Policy{ClearOnConst: true, TrackAddresses: true})
-	if !sink.Outputs[0] {
-		t.Fatal("with TrackAddresses the loaded value is tainted")
+		t.Fatal("the loaded value took the address register's taint")
 	}
 }
 
@@ -118,7 +99,7 @@ child:
     ; r1 = tainted arg
     store r0, r1, 1
     halt
-`, []int64{5}, DefaultPolicy())
+`, []int64{5})
 	if !sink.Outputs[0] {
 		t.Fatal("taint lost across spawn argument and shared memory")
 	}
@@ -276,9 +257,9 @@ func TestCasPropagatesTaint(t *testing.T) {
 }
 
 // The CAS and spawn tests below pin the engine's observed semantics
-// so the pipeline refactor (and anything after it) cannot silently
-// change them: Step in state.go is shared by both engines, and these
-// are the behaviors the differential suite holds it to.
+// so no later change can silently alter them: the offloaded pipeline
+// runs this same engine, and these are the behaviors the differential
+// suite holds it to.
 
 // TestCasFailureSemantics pins the failure path: a CAS whose expected
 // value does not match still *reads* memory (the old value lands in
@@ -312,8 +293,8 @@ func TestCasFailureSemantics(t *testing.T) {
 }
 
 // TestCasSuccessStoresConstant pins the success path: the stored word
-// is the immediate — a constant — so under ClearOnConst the cell's
-// label is cleared exactly like a MOVI destination, tainted expected
+// is the immediate — a constant — so the cell's label is cleared
+// exactly like a MOVI destination, tainted expected
 // register or not. (The engine used to label the cell from the
 // expected-value register unconditionally, over-tainting a constant
 // store.)
@@ -338,66 +319,10 @@ func TestCasSuccessStoresConstant(t *testing.T) {
 		t.Fatal("CAS should have succeeded")
 	}
 	if e.MemTaint(0) {
-		t.Fatal("successful CAS stores a constant: ClearOnConst must clear the cell")
+		t.Fatal("successful CAS stores a constant: the cell must be cleared")
 	}
 	if !e.RegTaint(0, 3) {
 		t.Fatal("Rd still carries the old (tainted) memory label")
-	}
-}
-
-// TestCasSuccessStickyKeepsGateDependence pins the sticky ablation
-// (ClearOnConst off): the cell keeps a conservative dependence on the
-// expected-value register whose comparison gated the swap — its label
-// read BEFORE the Rd update, so Rd == Rs2 does not leak the old
-// value's label into the cell (the aliasing bug fixed in Step).
-func TestCasSuccessStickyKeepsGateDependence(t *testing.T) {
-	sticky := Policy{ClearOnConst: false}
-
-	// Tainted expected register: the swapped cell depends on the gate.
-	p := isa.MustAssemble("t", `
-.data 0
-    in r2, 0            ; tainted expected value
-    store r0, r2, 0     ; mem[0] = input (tainted)
-    cas r3, r0, r2, 9   ; succeeds
-    halt
-`)
-	m := vm.MustNew(p, vm.Config{})
-	m.SetInput(0, []int64{5})
-	e := NewEngine[bool](Bool{}, sticky)
-	m.AttachTool(e)
-	if res := m.Run(); res.Failed {
-		t.Fatal(res.FailMsg)
-	}
-	if !e.MemTaint(0) {
-		t.Fatal("sticky CAS must keep the expected register's label on the cell")
-	}
-
-	// Rd == Rs2 with a clean expected register over tainted memory:
-	// the cell must take the register's PRE-update (clean) label, not
-	// the tainted old value that lands in Rd by the same instruction.
-	p2 := isa.MustAssemble("t", `
-.data 0
-    in r3, 0            ; tainted, value 5
-    store r0, r3, 0     ; mem[0] = 5, tainted
-    movi r2, 5          ; clean expected value
-    cas r2, r0, r2, 9   ; Rd == Rs2, succeeds
-    halt
-`)
-	m2 := vm.MustNew(p2, vm.Config{})
-	m2.SetInput(0, []int64{5})
-	e2 := NewEngine[bool](Bool{}, sticky)
-	m2.AttachTool(e2)
-	if res := m2.Run(); res.Failed {
-		t.Fatal(res.FailMsg)
-	}
-	if m2.Mem[0] != 9 {
-		t.Fatal("CAS should have succeeded")
-	}
-	if !e2.RegTaint(0, 2) {
-		t.Fatal("Rd must carry the old (tainted) memory label")
-	}
-	if e2.MemTaint(0) {
-		t.Fatal("Rd == Rs2 aliasing: cell took the post-update label instead of the clean pre-CAS one")
 	}
 }
 
@@ -474,25 +399,25 @@ loop:
     br loop
 done:
     halt
-`, []int64{1}, DefaultPolicy())
+`, []int64{1})
 	if e.TaintedWords() != 2000 {
 		t.Fatalf("tainted = %d, want 2000", e.TaintedWords())
 	}
 }
 
-// TestRegsStayValidAsThreadsGrow: a register file pointer from Regs
-// stays live while later threads grow the bank (Step and StepBatch
-// hold such pointers across a batch), and RegTaint of a negative
-// thread id is the zero label, as Pipeline's is.
+// TestRegsStayValidAsThreadsGrow: a register file pointer from regFile
+// stays live while later threads grow the bank (a spawn grows it while
+// step holds the spawner's file), and RegTaint of a negative thread id
+// is the zero label.
 func TestRegsStayValidAsThreadsGrow(t *testing.T) {
 	e := NewEngine[bool](Bool{}, DefaultPolicy())
 	if e.RegTaint(-1, 0) {
 		t.Fatal("negative tid reported a taint")
 	}
-	r0 := e.Regs(0)
-	e.Regs(40)
+	r0 := e.regFile(0)
+	e.regFile(40)
 	r0[3] = true
 	if !e.RegTaint(0, 3) {
-		t.Fatal("a label written through Regs(0) after Regs(40) was lost")
+		t.Fatal("a label written through regFile(0) after regFile(40) was lost")
 	}
 }

@@ -5,21 +5,6 @@ import (
 	"scaldift/internal/vm"
 )
 
-// Store abstracts the memory-label container a propagation step reads
-// and writes: a paged shadow.Mem, inline and in the offloaded pipeline
-// (internal/pipeline) alike.
-type Store[L comparable] interface {
-	Get(addr int64) L
-	Set(addr int64, l L)
-}
-
-// RegBank hands out per-thread register label files. Implementations
-// must return a stable pointer for a given tid; Step only asks for
-// the executing thread and, on spawn, the child thread.
-type RegBank[L comparable] interface {
-	Regs(tid int) *[isa.NumRegs]L
-}
-
 // joinSrc folds the labels of the event's source registers.
 func joinSrc[L comparable](dom Domain[L], regs *[isa.NumRegs]L, ev *vm.Event) L {
 	var l L
@@ -29,19 +14,18 @@ func joinSrc[L comparable](dom Domain[L], regs *[isa.NumRegs]L, ev *vm.Event) L 
 	return l
 }
 
-// Step applies the label effects of one non-blocked event to the
-// given register bank and memory store, firing sinks as it goes. It
-// is the DIFT propagation transfer function — the single place the
-// semantics live — shared verbatim by the inline Engine and by the
-// offloaded pipeline, so the two cannot drift apart (the
-// differential suite in internal/pipeline checks that they do not).
+// step applies the label effects of one non-blocked event to the
+// engine's register bank and shadow memory, firing sinks as it goes.
+// It is the DIFT propagation transfer function, the single place the
+// semantics live: inline analysis and the offloaded pipeline both
+// reach it through OnEvent.
 //
-// Step is pure with respect to everything except (regs, mem, sinks):
-// for a fixed domain and policy, the labels it writes depend only on
-// the event and the labels it reads.
-func Step[L comparable](dom Domain[L], pol Policy, bank RegBank[L], mem Store[L], sinks []Sink[L], ev *vm.Event) {
+// For a fixed domain, the labels step writes depend only on the event
+// and the labels it reads.
+func (e *Engine[L]) step(ev *vm.Event) {
 	var zero L
-	regs := bank.Regs(ev.TID)
+	dom := e.dom
+	regs := e.regFile(ev.TID)
 	// Register label writes are guarded with DstReg > 0: r0 is the
 	// discard register — the machine drops writes to it and it always
 	// reads 0 — so labeling it would let a discarded computation
@@ -55,66 +39,38 @@ func Step[L comparable](dom Domain[L], pol Policy, bank RegBank[L], mem Store[L]
 			regs[ev.DstReg] = zero // INAVAIL is not a source
 		}
 	case vm.EvCompute, vm.EvCas:
-		if ev.DstReg < 0 {
-			return
-		}
-		src := joinSrc(dom, regs, ev)
-		if ev.SrcMem != vm.NoAddr { // CAS reads memory too
-			src = dom.Join(src, mem.Get(ev.SrcMem))
-		}
-		// Read the expected-value register's label BEFORE the Rd
-		// update: when Rd == Rs2 the memory write below must see the
-		// pre-CAS label, not the label of the old value that just
-		// landed in Rd (a former aliasing bug, pinned by the Rd == Rs2
-		// CAS tests).
-		var srcM L
-		if ev.DstMem != vm.NoAddr {
-			srcM = regs[int(ev.Instr.Rs2)]
-		}
 		if ev.DstReg > 0 {
-			if ev.NSrc == 0 && ev.SrcMem == vm.NoAddr && pol.ClearOnConst {
-				regs[ev.DstReg] = zero
+			if ev.NSrc == 0 && ev.SrcMem == vm.NoAddr {
+				regs[ev.DstReg] = zero // a constant (MOVI) untaints
 			} else {
+				src := joinSrc(dom, regs, ev)
+				if ev.SrcMem != vm.NoAddr { // CAS reads memory too
+					src = dom.Join(src, e.mem.Get(ev.SrcMem))
+				}
 				regs[ev.DstReg] = dom.Transfer(ev, src)
 			}
 		}
 		if ev.DstMem != vm.NoAddr {
 			// CAS success swapped the *constant* Imm into the cell
-			// (exec.go stores ins.Imm). Under ClearOnConst the cell is
-			// therefore cleared, exactly like a MOVI destination; with
-			// sticky labels the cell keeps a conservative dependence on
-			// the expected-value register whose comparison gated the
-			// swap. Labeling the cell with Rs2's label unconditionally
-			// (the old rule) over-tainted a constant store.
-			if pol.ClearOnConst {
-				mem.Set(ev.DstMem, zero)
-			} else {
-				mem.Set(ev.DstMem, dom.Transfer(ev, srcM))
-			}
+			// (exec.go stores ins.Imm), so the cell is cleared exactly
+			// like a MOVI destination.
+			e.mem.Set(ev.DstMem, zero)
 		}
 	case vm.EvLoad:
-		src := mem.Get(ev.SrcMem)
-		if pol.TrackAddresses && ev.AddrReg >= 0 {
-			src = dom.Join(src, regs[ev.AddrReg])
-		}
 		if ev.DstReg > 0 {
-			regs[ev.DstReg] = dom.Transfer(ev, src)
+			regs[ev.DstReg] = dom.Transfer(ev, e.mem.Get(ev.SrcMem))
 		}
 	case vm.EvStore:
-		src := joinSrc(dom, regs, ev)
-		if pol.TrackAddresses && ev.AddrReg >= 0 {
-			src = dom.Join(src, regs[ev.AddrReg])
-		}
-		mem.Set(ev.DstMem, dom.Transfer(ev, src))
+		e.mem.Set(ev.DstMem, dom.Transfer(ev, joinSrc(dom, regs, ev)))
 	case vm.EvOutput:
 		l := joinSrc(dom, regs, ev)
-		for _, s := range sinks {
+		for _, s := range e.sinks {
 			s.OnOutput(ev, l)
 		}
 	case vm.EvBranch, vm.EvCall:
 		if ev.Instr.Op == isa.BRR || ev.Instr.Op == isa.CALLR {
 			l := regs[int(ev.Instr.Rs1)]
-			for _, s := range sinks {
+			for _, s := range e.sinks {
 				s.OnIndirectBranch(ev, l)
 			}
 		}
@@ -126,16 +82,16 @@ func Step[L comparable](dom Domain[L], pol Policy, bank RegBank[L], mem Store[L]
 		if ev.DstReg > 0 {
 			regs[ev.DstReg] = zero // tid is not input-derived
 		}
-		bank.Regs(child)[1] = arg
+		e.regFile(child)[1] = arg
 	case vm.EvFlag:
 		if ev.DstMem != vm.NoAddr {
-			mem.Set(ev.DstMem, zero) // flag constants are untainted
+			e.mem.Set(ev.DstMem, zero) // flag constants are untainted
 		}
 	}
 }
 
-// Relevant reports whether Step does anything for ev: whether the
-// event can read or write a label or reach a sink. The pipeline's
+// Relevant reports whether the engine does anything for ev: whether
+// the event can read or write a label or reach a sink. The pipeline's
 // recorder uses it to drop the rest of the stream (plain branches,
 // sync operations with no label effect, blocked retries) before
 // copying, which is most of the volume on control-heavy code.

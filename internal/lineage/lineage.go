@@ -73,12 +73,6 @@ func (d *Domain) Transfer(_ *vm.Event, src bdd.Ref) bdd.Ref { return src }
 
 var _ dift.Domain[bdd.Ref] = (*Domain)(nil)
 
-// NewEngine builds a DIFT engine over this domain — the generic
-// shadow.Mem[bdd.Ref] instantiation — with the given policy.
-func NewEngine(d *Domain, pol dift.Policy) *dift.Engine[bdd.Ref] {
-	return dift.NewEngine[bdd.Ref](d, pol)
-}
-
 // OutputLineage is the recorded provenance of one OUT word.
 type OutputLineage struct {
 	Ch  int     // output channel
@@ -178,7 +172,7 @@ func (r *Recorder) Report() Report {
 // attached and returns both after the run, plus the VM result. It is
 // the one-call entry point for "trace this run's provenance".
 func Run(m *vm.Machine, d *Domain, pol dift.Policy) (*dift.Engine[bdd.Ref], *Recorder, *vm.Result) {
-	e := NewEngine(d, pol)
+	e := dift.NewEngine[bdd.Ref](d, pol)
 	rec := NewRecorder(d)
 	e.AddSink(rec)
 	m.AttachTool(e)

@@ -11,23 +11,26 @@ import (
 	"scaldift/internal/vm"
 )
 
-// Regression tests for the two CAS label bugs fixed in dift.Step,
-// pinned under BOTH engines (inline and pipeline) and all three label
-// domains. The differential suite alone could never catch them: the
-// engines share Step, so they diverged from the truth identically.
+// Regression tests for the two CAS label bugs once fixed in the
+// engine's transfer function, pinned inline and offloaded and under
+// all three label domains. The differential suite alone could never
+// catch them: both sides run the same engine, so they diverge from
+// the truth identically.
 //
 //   Bug 1 (aliasing): with Rd == Rs2 the swapped cell used to take
 //   the expected-value register's POST-update label — the old memory
 //   value's label that had just landed in Rd.
 //   Bug 2 (const store): a successful CAS stores the constant Imm
 //   (vm/exec.go), yet the cell was labeled from Rs2 — over-tainting a
-//   constant store under ClearOnConst.
+//   constant store.
+//
+// The subtests keep the "clearOnConst" suffix of the rule they pin,
+// now the engine's only one.
 
 // casSuccessAlias succeeds with Rd == Rs2: r2 is the clean expected
 // value, mem[0] holds a tainted 5. After the CAS, Rd must carry the
-// old (tainted) value's label and the cell must be CLEAN — under
-// ClearOnConst because the stored 9 is a constant, under sticky
-// labels because the gate register's pre-CAS label is clean.
+// old (tainted) value's label and the cell must be CLEAN, because the
+// stored 9 is a constant.
 const casSuccessAlias = `
 .data 0
     in r3, 0            ; tainted input, value 5
@@ -50,8 +53,8 @@ const casFailureAlias = `
 `
 
 // casBoth runs text under the inline engine and the pipeline with the
-// same domain/policy and returns both for label comparison.
-func casBoth[L comparable](t *testing.T, text string, dom, pdom dift.Domain[L], pol dift.Policy) (*dift.Engine[L], *Pipeline[L], *vm.Machine) {
+// same domain and returns both for label comparison.
+func casBoth[L comparable](t *testing.T, text string, dom, pdom dift.Domain[L]) (*dift.Engine[L], *Pipeline[L], *vm.Machine) {
 	t.Helper()
 	p, err := isa.Assemble("t", text)
 	if err != nil {
@@ -59,7 +62,7 @@ func casBoth[L comparable](t *testing.T, text string, dom, pdom dift.Domain[L], 
 	}
 	mi := vm.MustNew(p, vm.Config{})
 	mi.SetInput(0, []int64{5})
-	eng := dift.NewEngine[L](dom, pol)
+	eng := dift.NewEngine[L](dom, dift.DefaultPolicy())
 	mi.AttachTool(eng)
 	if res := mi.Run(); res.Failed {
 		t.Fatalf("inline run failed: %s", res.FailMsg)
@@ -67,7 +70,7 @@ func casBoth[L comparable](t *testing.T, text string, dom, pdom dift.Domain[L], 
 
 	mp := vm.MustNew(p, vm.Config{})
 	mp.SetInput(0, []int64{5})
-	pl := New[L](pdom, pol, Options{BatchEvents: 4})
+	pl := New[L](pdom, dift.DefaultPolicy(), Options{BatchEvents: 4})
 	if res := Run(mp, pl); res.Failed {
 		t.Fatalf("pipeline run failed: %s", res.FailMsg)
 	}
@@ -94,32 +97,28 @@ func checkCas[L comparable](t *testing.T, eng *dift.Engine[L], pl *Pipeline[L], 
 }
 
 func TestCasRdRs2AliasingComparableDomains(t *testing.T) {
-	sticky := dift.Policy{ClearOnConst: false}
 	cases := []struct {
 		name     string
 		text     string
-		pol      dift.Policy
 		wantMem  int64 // machine value of mem[0] after the run
 		memTaint bool
 	}{
 		// Success: cell stores the constant 9 and must end up clean —
-		// the buggy rule tainted it from post-update Rs2 in all four.
-		{"success/clearOnConst", casSuccessAlias, dift.DefaultPolicy(), 9, false},
-		{"success/sticky", casSuccessAlias, sticky, 9, false},
+		// the buggy rule tainted it from post-update Rs2.
+		{"success/clearOnConst", casSuccessAlias, 9, false},
 		// Failure: no write, tainted cell label untouched.
-		{"failure/clearOnConst", casFailureAlias, dift.DefaultPolicy(), 5, true},
-		{"failure/sticky", casFailureAlias, sticky, 5, true},
+		{"failure/clearOnConst", casFailureAlias, 5, true},
 	}
 	for _, tc := range cases {
 		t.Run("bool/"+tc.name, func(t *testing.T) {
-			eng, pl, m := casBoth[bool](t, tc.text, dift.Bool{}, dift.Bool{}, tc.pol)
+			eng, pl, m := casBoth[bool](t, tc.text, dift.Bool{}, dift.Bool{})
 			if m.Mem[0] != tc.wantMem {
 				t.Fatalf("mem[0] = %d, want %d", m.Mem[0], tc.wantMem)
 			}
 			checkCas(t, eng, pl, true, tc.memTaint)
 		})
 		t.Run("pc/"+tc.name, func(t *testing.T) {
-			eng, pl, _ := casBoth[dift.PCLabel](t, tc.text, dift.PC{}, dift.PC{}, tc.pol)
+			eng, pl, _ := casBoth[dift.PCLabel](t, tc.text, dift.PC{}, dift.PC{})
 			checkCas(t, eng, pl, true, tc.memTaint)
 			if eng.MemTaint(0) != pl.MemTaint(0) {
 				t.Fatalf("PC labels diverged: inline %d, pipeline %d", eng.MemTaint(0), pl.MemTaint(0))
@@ -129,23 +128,19 @@ func TestCasRdRs2AliasingComparableDomains(t *testing.T) {
 }
 
 func TestCasRdRs2AliasingLineage(t *testing.T) {
-	sticky := dift.Policy{ClearOnConst: false}
 	cases := []struct {
 		name     string
 		text     string
-		pol      dift.Policy
 		memTaint bool
 	}{
-		{"success/clearOnConst", casSuccessAlias, dift.DefaultPolicy(), false},
-		{"success/sticky", casSuccessAlias, sticky, false},
-		{"failure/clearOnConst", casFailureAlias, dift.DefaultPolicy(), true},
-		{"failure/sticky", casFailureAlias, sticky, true},
+		{"success/clearOnConst", casSuccessAlias, false},
+		{"failure/clearOnConst", casFailureAlias, true},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
 			di := lineage.NewDomain(8)
 			dp := lineage.NewDomain(8)
-			eng, pl, _ := casBoth[bdd.Ref](t, tc.text, di, dp, tc.pol)
+			eng, pl, _ := casBoth[bdd.Ref](t, tc.text, di, dp)
 			checkCas(t, eng, pl, true, tc.memTaint)
 			// Lineage refs live in separate managers; compare the
 			// denoted element sets.

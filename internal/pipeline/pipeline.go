@@ -6,26 +6,24 @@
 // analyzes the sealed batches downstream, in the order they executed.
 //
 // Two analysis kinds run on this machinery: DIFT propagation in this
-// package (the inline transfer function, dift.StepBatch, over one
-// plain shadow.Mem) and the ONTRAC dependence-tracing stage in
-// internal/ontrac (the inline tracer). Both hand a per-batch function
-// to the shared Consumer (consumer.go), which owns the queue, the
-// goroutine and batch recycling. docs/ARCHITECTURE.md places the
+// package (the inline dift.Engine) and the ONTRAC dependence-tracing
+// stage in internal/ontrac (the inline tracer). Both hand a per-batch
+// function to the shared Consumer (consumer.go), which owns the queue,
+// the goroutine and batch recycling, and both feed each recorded event
+// to the inline tool's OnEvent. docs/ARCHITECTURE.md places the
 // package in the full path; docs/PERF.md accounts for the record and
 // analyze costs and the hand-off sizing.
 //
-// Equivalence with the inline engines is by construction plus
-// checking: the helper runs the same transfer function over the same
-// kind of shadow memory in the same event order, sinks fire in that
-// order, and the differential suite in this package runs every
-// prog.All() workload under both engines across randomized schedules
-// and batch sizes and asserts identical labels and sink streams.
+// Equivalence with inline analysis is by construction plus checking:
+// the helper runs the inline engine itself over the events in the
+// order they executed, sinks fire in that order, and the differential
+// suite in this package runs every prog.All() workload both ways
+// across randomized schedules and batch sizes and asserts identical
+// labels and sink streams.
 package pipeline
 
 import (
 	"scaldift/internal/dift"
-	"scaldift/internal/isa"
-	"scaldift/internal/shadow"
 	"scaldift/internal/vm"
 )
 
@@ -58,35 +56,33 @@ func (o *Options) Fill() {
 	}
 }
 
-// Pipeline is the offloaded DIFT engine. Create with New, attach to a
-// machine with Attach (or use Run), and read results after Close.
-// Sinks fire on the consumer goroutine, in global sequence order,
-// and receive a private copy of the event: the pointer stays valid
-// after the callback (unlike the inline engine's reused event).
+// Pipeline is offloaded DIFT: the inline dift.Engine, run on the
+// consumer goroutine over the recorded stream. Create with New, attach
+// to a machine with Attach (or use Run), and read the engine's labels
+// after Close. Sinks fire on the consumer goroutine, in global
+// sequence order, and receive a private copy of the event: the
+// pointer stays valid after the callback (unlike the inline engine's
+// reused event).
 type Pipeline[L comparable] struct {
-	dom   dift.Domain[L]
-	pol   dift.Policy
-	opt   Options
-	mem   *shadow.Mem[L]
-	regs  []*[isa.NumRegs]L
+	*dift.Engine[L]
+	opt Options
+	// sinks are the registered sinks; the engine itself has one,
+	// copySink, which hands each of these a private event copy.
 	sinks []dift.Sink[L]
 
 	cons   *Consumer
 	events uint64
 	stats  LearnerStats
-	// sinkBuf is the one-element dift.Sink slice StepBatch runs
-	// against: the copying adapter in front of sinks.
-	sinkBuf []dift.Sink[L]
 }
 
-// New creates a pipeline over the given domain and policy. Every
-// domain call happens on one goroutine at a time (the consumer's, or
-// Consume's caller), so any dift.Domain serves, lineage.NewDomain
-// included.
+// New creates a pipeline over the given domain. The policy argument is
+// ignored (see dift.Policy). Every domain call happens on one
+// goroutine at a time (the consumer's, or Consume's caller), so any
+// dift.Domain serves, lineage.NewDomain included.
 func New[L comparable](dom dift.Domain[L], pol dift.Policy, opt Options) *Pipeline[L] {
 	opt.Fill()
-	p := &Pipeline[L]{dom: dom, pol: pol, opt: opt, mem: shadow.NewMem[L]()}
-	p.sinkBuf = []dift.Sink[L]{copySink[L]{p}}
+	p := &Pipeline[L]{Engine: dift.NewEngine(dom, pol), opt: opt}
+	p.Engine.AddSink(copySink[L]{p})
 	p.cons = NewConsumer(p.handle)
 	return p
 }
@@ -139,31 +135,6 @@ func CollectWith(m *vm.Machine, batchEvents int, filter func(*vm.Event) bool) ([
 	return out, res
 }
 
-// Regs implements dift.RegBank, growing the bank on demand as the
-// inline engine does; each file is allocated on its own, so the
-// pointers stay stable.
-func (p *Pipeline[L]) Regs(tid int) *[isa.NumRegs]L {
-	for tid >= len(p.regs) {
-		p.regs = append(p.regs, new([isa.NumRegs]L))
-	}
-	return p.regs[tid]
-}
-
-// RegTaint returns the label of register r in thread tid.
-func (p *Pipeline[L]) RegTaint(tid, r int) L {
-	var zero L
-	if tid < 0 || tid >= len(p.regs) || r < 0 || r >= isa.NumRegs {
-		return zero
-	}
-	return p.regs[tid][r]
-}
-
-// MemTaint returns the label of memory word addr.
-func (p *Pipeline[L]) MemTaint(addr int64) L { return p.mem.Get(addr) }
-
-// TaintedWords returns the number of memory words currently tainted.
-func (p *Pipeline[L]) TaintedWords() int { return p.mem.Tainted() }
-
 // LearnerStats counts the batches whose first and last event belong
 // to different threads, in Windows and OrderedMerges alike; the other
 // fields stay zero.
@@ -187,4 +158,38 @@ func (p *Pipeline[L]) ConflictStats() LearnerStats { return p.stats }
 // than the inline engine's count for the same run.
 func (p *Pipeline[L]) Events() uint64 { return p.events }
 
-var _ dift.RegBank[bool] = (*Pipeline[bool])(nil)
+// copySink is the one sink registered on the engine, in front of the
+// pipeline's own sinks. The event it is handed points into a recorder
+// batch that returns to the pool right after the handler, so a
+// registered sink holding that pointer past the callback would watch
+// its event be overwritten by an unrelated one (the pooled-reuse
+// hazard TestSinkEventsSurvivePoolReuse pins). Every delivery
+// therefore goes out as a private copy.
+type copySink[L comparable] struct{ p *Pipeline[L] }
+
+func (c copySink[L]) OnOutput(ev *vm.Event, l L) {
+	cp := *ev
+	for _, s := range c.p.sinks {
+		s.OnOutput(&cp, l)
+	}
+}
+
+func (c copySink[L]) OnIndirectBranch(ev *vm.Event, l L) {
+	cp := *ev
+	for _, s := range c.p.sinks {
+		s.OnIndirectBranch(&cp, l)
+	}
+}
+
+// handle is the helper thread's whole job: the inline engine over one
+// batch, whose events are already in the order they executed.
+func (p *Pipeline[L]) handle(evs []vm.Event) {
+	if n := len(evs); n > 0 && evs[0].TID != evs[n-1].TID {
+		p.stats.Windows++
+		p.stats.OrderedMerges++
+	}
+	for i := range evs {
+		p.OnEvent(nil, &evs[i])
+	}
+	p.events += uint64(len(evs))
+}

@@ -9,8 +9,9 @@ import (
 
 // This file is the brute-force oracle: a second, independent
 // implementation of the VM's execution semantics, the DIFT transfer
-// function (under dift.DefaultPolicy: ClearOnConst on, address taint
-// off), exact lineage sets as plain Go maps, a naive dynamic data-
+// function (the engine's one rule set: a constant write untaints, and
+// an address register's label never flows into the accessed value),
+// exact lineage sets as plain Go maps, a naive dynamic data-
 // dependence graph, and backward/forward data slices as transitive
 // closures over it. It deliberately imports only internal/isa: no
 // shadow memory, no sharding, no windows, no elision, no trace
@@ -241,7 +242,7 @@ type oracle struct {
 }
 
 // okind classifies a completed instruction for taint propagation,
-// mirroring the event-kind cases dift.Step distinguishes.
+// mirroring the event-kind cases the dift engine distinguishes.
 type okind uint8
 
 const (
@@ -795,7 +796,7 @@ func b2i(v bool) int64 {
 }
 
 // observe applies the analysis effects of one completed instruction:
-// taint in all three domains (mirroring dift.Step), the DDG node and
+// taint in all three domains (mirroring dift.Engine), the DDG node and
 // its data dependences (mirroring ddg.Extractor.OnEvent),
 // and sink records for OUT and indirect branches.
 func (o *oracle) observe(t *othread, ins *isa.Instr, pc int, b *obs) {
@@ -831,7 +832,7 @@ func (o *oracle) taint(t *othread, ins *isa.Instr, pc int, b *obs) {
 		}
 		if b.dstReg > 0 {
 			if b.nsrc == 0 && b.srcMem < 0 {
-				// ClearOnConst: a pure-constant destination is clean.
+				// A pure-constant destination is clean.
 				t.boolRegs[b.dstReg] = false
 				t.pcRegs[b.dstReg] = 0
 				t.linRegs[b.dstReg] = nil
@@ -842,7 +843,7 @@ func (o *oracle) taint(t *othread, ins *isa.Instr, pc int, b *obs) {
 			}
 		}
 		if b.dstMem >= 0 {
-			// CAS success swaps a constant in; ClearOnConst clears the cell.
+			// CAS success swaps a constant in, which clears the cell.
 			o.clearMemTaint(b.dstMem)
 		}
 	case oLoad:

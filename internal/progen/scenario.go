@@ -282,7 +282,7 @@ func (s *scenario) inline() {
 	ps := &capSink[dift.PCLabel]{}
 	pe.AddSink(ps)
 	ld := lineage.NewDomain(s.bits)
-	le := lineage.NewEngine(ld, dift.DefaultPolicy())
+	le := dift.NewEngine[bdd.Ref](ld, dift.DefaultPolicy())
 	lr := lineage.NewRecorder(ld)
 	le.AddSink(lr)
 	m.AttachTool(be)

@@ -74,15 +74,12 @@ type Event struct {
 	Instr     *isa.Instr
 
 	// Dataflow: the instruction computed DstReg and/or DstMem from
-	// SrcRegs[:NSrc] and/or SrcMem. AddrReg is the register that
-	// supplied a memory effective address (a source only under
-	// address-taint policies).
+	// SrcRegs[:NSrc] and/or SrcMem.
 	DstReg  int // register written, or NoReg
 	DstMem  int64
 	SrcRegs [2]int
 	NSrc    int
 	SrcMem  int64
-	AddrReg int
 
 	// Values.
 	DstVal int64 // value written to DstReg/DstMem
@@ -102,7 +99,6 @@ func (ev *Event) reset() {
 	ev.DstMem = NoAddr
 	ev.NSrc = 0
 	ev.SrcMem = NoAddr
-	ev.AddrReg = NoReg
 	ev.Blocked = false
 	ev.Ch = 0
 	ev.IOVal = 0

@@ -257,7 +257,6 @@ func (m *Machine) exec(t *Thread) {
 		ev.Kind = EvLoad
 		ev.DstReg = int(ins.Rd)
 		ev.SrcMem = addr
-		ev.AddrReg = int(ins.Rs1)
 		ev.DstVal = v
 		m.setReg(t, ins.Rd, v)
 	case isa.STORE:
@@ -270,7 +269,6 @@ func (m *Machine) exec(t *Thread) {
 		v := t.Regs[ins.Rs2]
 		ev.Kind = EvStore
 		ev.DstMem = addr
-		ev.AddrReg = int(ins.Rs1)
 		ev.addSrc(ins.Rs2)
 		ev.DstVal = v
 		m.Mem[addr] = v

@@ -2,6 +2,7 @@ package vm
 
 import (
 	"testing"
+	"unsafe"
 
 	"scaldift/internal/isa"
 )
@@ -24,6 +25,19 @@ func recordRun(t *testing.T, text string, inputs []int64, batchEvents int, filte
 	}
 	rec.Flush()
 	return out
+}
+
+// TestEventSize pins the recorded event at 136 bytes on 64-bit hosts:
+// the recorder copies one per kept instruction and the queue holds
+// 16 k of them by default, so a change that grows the event has to
+// say so here (and in docs/PERF.md's hand-off section).
+func TestEventSize(t *testing.T) {
+	if unsafe.Sizeof(uintptr(0)) != 8 {
+		t.Skip("event layout pinned for 64-bit hosts")
+	}
+	if got := unsafe.Sizeof(Event{}); got != 136 {
+		t.Fatalf("vm.Event is %d bytes, want 136", got)
+	}
 }
 
 func TestRecorderSealsAtCapacity(t *testing.T) {
