@@ -1,13 +1,17 @@
 package dift_test
 
-// StepBatch must be observationally identical to calling Step on each
-// event in order — it is an amortization of dispatch, not a second
-// transfer function. This differential suite replays real recorded
-// event streams (every prog workload plus progen-generated concurrent
-// programs) through both, under multiple domains and policies, and
-// compares every register file, the full shadow memory, and the sink
-// observation sequence. The test lives in an external package so it
-// can use progen (which imports dift).
+// Batch propagation must be observationally identical to stepping each
+// event in order: the offloaded pipeline consumes the recorder's
+// relevance-filtered batches, and that must leave exactly the labels
+// and sink observations the inline engine produced from every live
+// event of the same run. This differential suite replays real event
+// streams (every prog workload plus progen-generated concurrent
+// programs) both ways, under two domains, and compares every register
+// file, the shadow memory and the sink observation sequence. The
+// tests are named after StepBatch, the batch transfer function the
+// pipeline once ran in place of the engine, and the "default" suffix
+// names the engine's one rule set. The test lives in an external
+// package so it can use pipeline and progen (which import dift).
 
 import (
 	"fmt"
@@ -15,22 +19,11 @@ import (
 
 	"scaldift/internal/dift"
 	"scaldift/internal/isa"
+	"scaldift/internal/pipeline"
 	"scaldift/internal/prog"
 	"scaldift/internal/progen"
-	"scaldift/internal/shadow"
 	"scaldift/internal/vm"
 )
-
-// bank is a minimal RegBank with the stable per-tid pointers the
-// contract requires.
-type bank[L comparable] struct{ files []*[isa.NumRegs]L }
-
-func (b *bank[L]) Regs(tid int) *[isa.NumRegs]L {
-	for tid >= len(b.files) {
-		b.files = append(b.files, new([isa.NumRegs]L))
-	}
-	return b.files[tid]
-}
 
 // obs is one sink observation, comparable across replays.
 type obs[L comparable] struct {
@@ -49,90 +42,68 @@ func (s *obsSink[L]) OnIndirectBranch(ev *vm.Event, l L) {
 	s.got = append(s.got, obs[L]{seq: ev.Seq, label: l, branch: true})
 }
 
-// record runs m with a relevance-filtered recorder and returns the
-// batches' event slices (copied, so pooling cannot alias them).
-func record(t *testing.T, m *vm.Machine) [][]vm.Event {
+// diffReplay runs m once with an inline engine (event by event) and a
+// relevance-filtered recorder attached, then consumes the recorded
+// batches with a pipeline (batch at a time), and fails on any
+// divergence in registers, memory, or sink observations.
+func diffReplay[L comparable](t *testing.T, dom, pdom dift.Domain[L], m *vm.Machine) {
 	t.Helper()
-	var out [][]vm.Event
-	rec := vm.NewRecorder(vm.DefaultBatchEvents, dift.Relevant, func(b *vm.Batch) {
-		evs := make([]vm.Event, len(b.Events))
-		copy(evs, b.Events)
-		out = append(out, evs)
-	})
-	m.AttachTool(rec)
-	if res := m.Run(); res.Failed {
+	eng := dift.NewEngine[L](dom, dift.DefaultPolicy())
+	stepSink := &obsSink[L]{}
+	eng.AddSink(stepSink)
+	m.AttachTool(eng)
+	batches, res := pipeline.Collect(m, vm.DefaultBatchEvents)
+	if res.Failed {
 		t.Fatalf("run failed: %s", res.FailMsg)
 	}
-	rec.Flush()
-	return out
-}
-
-// diffReplay feeds the same batch stream through Step (event by
-// event) and StepBatch (batch at a time) and fails on any divergence
-// in registers, memory, or sink observations.
-func diffReplay[L comparable](t *testing.T, dom dift.Domain[L], pol dift.Policy, batches [][]vm.Event) {
-	t.Helper()
-	stepBank, batchBank := &bank[L]{}, &bank[L]{}
-	stepMem, batchMem := shadow.NewMem[L](), shadow.NewMem[L]()
-	stepSink, batchSink := &obsSink[L]{}, &obsSink[L]{}
-	stepSinks := []dift.Sink[L]{stepSink}
-	batchSinks := []dift.Sink[L]{batchSink}
-	for _, evs := range batches {
-		for i := range evs {
-			dift.Step(dom, pol, stepBank, stepMem, stepSinks, &evs[i])
+	// Remember every written cell before Consume recycles the batches.
+	var written []int64
+	for _, b := range batches {
+		for i := range b.Events {
+			if addr := b.Events[i].DstMem; addr != vm.NoAddr {
+				written = append(written, addr)
+			}
 		}
-		dift.StepBatch(dom, pol, batchBank, batchMem, batchSinks, evs)
 	}
+	p := pipeline.New[L](pdom, dift.DefaultPolicy(), pipeline.Options{})
+	batchSink := &obsSink[L]{}
+	p.AddSink(batchSink)
+	p.Consume(batches)
+
 	if len(stepSink.got) != len(batchSink.got) {
-		t.Fatalf("sink observations: Step %d, StepBatch %d", len(stepSink.got), len(batchSink.got))
+		t.Fatalf("sink observations: per event %d, batched %d", len(stepSink.got), len(batchSink.got))
 	}
 	for i := range stepSink.got {
 		if stepSink.got[i] != batchSink.got[i] {
-			t.Fatalf("sink obs %d: Step %+v, StepBatch %+v", i, stepSink.got[i], batchSink.got[i])
+			t.Fatalf("sink obs %d: per event %+v, batched %+v", i, stepSink.got[i], batchSink.got[i])
 		}
 	}
-	for tid := range stepBank.files {
-		sf, bf := stepBank.Regs(tid), batchBank.Regs(tid)
+	for tid := range m.Threads {
 		for r := 0; r < isa.NumRegs; r++ {
-			if sf[r] != bf[r] {
-				t.Fatalf("tid %d r%d: Step %v, StepBatch %v", tid, r, sf[r], bf[r])
+			if s, b := eng.RegTaint(tid, r), p.RegTaint(tid, r); s != b {
+				t.Fatalf("tid %d r%d: per event %v, batched %v", tid, r, s, b)
 			}
 		}
 	}
-	if sw, bw := stepMem.Tainted(), batchMem.Tainted(); sw != bw {
-		t.Fatalf("tainted words: Step %d, StepBatch %d", sw, bw)
+	if sw, bw := eng.TaintedWords(), p.TaintedWords(); sw != bw {
+		t.Fatalf("tainted words: per event %d, batched %d", sw, bw)
 	}
 	// Only an event's DstMem is ever written.
-	for _, evs := range batches {
-		for i := range evs {
-			if addr := evs[i].DstMem; addr != vm.NoAddr && stepMem.Get(addr) != batchMem.Get(addr) {
-				t.Fatalf("mem[%d]: Step %v, StepBatch %v", addr, stepMem.Get(addr), batchMem.Get(addr))
-			}
+	for _, addr := range written {
+		if s, b := eng.MemTaint(addr), p.MemTaint(addr); s != b {
+			t.Fatalf("mem[%d]: per event %v, batched %v", addr, s, b)
 		}
 	}
-}
-
-// policies exercises both fast-loop specializations in StepBatch: the
-// default rules and the address-tracking/sticky ablation.
-var policies = []struct {
-	name string
-	pol  dift.Policy
-}{
-	{"default", dift.DefaultPolicy()},
-	{"track-addr-sticky", dift.Policy{TrackAddresses: true, ClearOnConst: false}},
 }
 
 func TestStepBatchMatchesStepOnWorkloads(t *testing.T) {
 	for _, w := range prog.All() {
-		batches := record(t, w.NewMachine())
-		for _, pc := range policies {
-			t.Run(w.Name+"/bool/"+pc.name, func(t *testing.T) {
-				diffReplay[bool](t, dift.Bool{}, pc.pol, batches)
-			})
-			t.Run(w.Name+"/pc/"+pc.name, func(t *testing.T) {
-				diffReplay[dift.PCLabel](t, dift.PC{}, pc.pol, batches)
-			})
-		}
+		t.Run(w.Name+"/bool/default", func(t *testing.T) {
+			diffReplay[bool](t, dift.Bool{}, dift.Bool{}, w.NewMachine())
+		})
+		t.Run(w.Name+"/pc/default", func(t *testing.T) {
+			diffReplay[dift.PCLabel](t, dift.PC{}, dift.PC{}, w.NewMachine())
+		})
 	}
 }
 
@@ -152,11 +123,8 @@ func TestStepBatchMatchesStepOnGenerated(t *testing.T) {
 		for ch, words := range g.Inputs {
 			m.SetInput(ch, words)
 		}
-		batches := record(t, m)
-		for _, pc := range policies {
-			t.Run(fmt.Sprintf("seed%d/%s", seed, pc.name), func(t *testing.T) {
-				diffReplay[bool](t, dift.Bool{}, pc.pol, batches)
-			})
-		}
+		t.Run(fmt.Sprintf("seed%d/default", seed), func(t *testing.T) {
+			diffReplay[bool](t, dift.Bool{}, dift.Bool{}, m)
+		})
 	}
 }

@@ -71,9 +71,45 @@ func TestConstClearsTaint(t *testing.T) {
 	}
 }
 
-// TestAddressRegisterNotPropagated pins that a tainted address does
-// not taint the value loaded through it: only the cell's label flows.
-func TestAddressRegisterNotPropagated(t *testing.T) {
+// TestStickyConstPolicy pins that labels do not stick across a
+// constant write even in a domain whose Transfer manufactures labels:
+// under PC taint a MOVI over a tainted register, and a successful CAS
+// (which stores the constant Imm) over a tainted cell, leave the zero
+// label, not the writing statement's.
+func TestStickyConstPolicy(t *testing.T) {
+	p := isa.MustAssemble("t", `
+.data 0
+    in r1, 0            ; tainted, value 5
+    store r0, r1, 0     ; mem[0] = 5, tainted
+    movi r1, 7          ; constant over a tainted register
+    movi r2, 5
+    cas r3, r0, r2, 9   ; succeeds: constant over a tainted cell
+    halt
+`)
+	m := vm.MustNew(p, vm.Config{})
+	m.SetInput(0, []int64{5})
+	e := NewEngine[PCLabel](PC{}, DefaultPolicy())
+	m.AttachTool(e)
+	if res := m.Run(); res.Failed {
+		t.Fatal(res.FailMsg)
+	}
+	if m.Mem[0] != 9 {
+		t.Fatal("CAS should have succeeded")
+	}
+	if got := e.RegTaint(0, 1); got != 0 {
+		t.Fatalf("PC taint of r1 after MOVI = %d, want 0", got)
+	}
+	if got := e.MemTaint(0); got != 0 {
+		t.Fatalf("PC taint of the swapped cell = %d, want 0", got)
+	}
+	if got, want := e.RegTaint(0, 3), PCLabel(p.Instrs[4].Line); got != want {
+		t.Fatalf("PC taint of the CAS destination = %d, want %d (the old value flowed)", got, want)
+	}
+}
+
+// TestAddressTaintPolicy pins that a tainted address does not taint
+// the value loaded through it: only the cell's label flows.
+func TestAddressTaintPolicy(t *testing.T) {
 	_, sink, _ := runBool(t, `
 .data 11, 22, 33, 44
     in r1, 0          ; tainted index

@@ -24,8 +24,10 @@ import (
 //   (vm/exec.go), yet the cell was labeled from Rs2 — over-tainting a
 //   constant store.
 //
-// The subtests keep the "clearOnConst" suffix of the rule they pin,
-// now the engine's only one.
+// The "clearOnConst" subtests run the aliasing programs below. The
+// "sticky" subtests run a tainted expected-value register over a clean
+// cell — the label a sticky-constant rule would carry into the
+// swapped cell — and pin that the cell does not take it.
 
 // casSuccessAlias succeeds with Rd == Rs2: r2 is the clean expected
 // value, mem[0] holds a tainted 5. After the CAS, Rd must carry the
@@ -48,6 +50,31 @@ const casFailureAlias = `
     in r3, 0            ; tainted input, value 5
     store r0, r3, 0     ; mem[0] = 5, tainted
     movi r2, 6          ; clean expected value, cannot match
+    cas r2, r0, r2, 9   ; Rd == Rs2, fails
+    halt
+`
+
+// casSuccessStickyGate succeeds with Rd == Rs2 and a tainted expected
+// value over a clean cell. Rd joins the gate and the old value, so it
+// is tainted; the cell stores the constant 9 and must stay CLEAN.
+const casSuccessStickyGate = `
+.data 0
+    movi r3, 5
+    store r0, r3, 0     ; mem[0] = 5, clean
+    in r2, 0            ; tainted expected value, 5
+    cas r2, r0, r2, 9   ; Rd == Rs2, succeeds: mem[0] = 9
+    halt
+`
+
+// casFailureStickyGate fails with Rd == Rs2 and a tainted expected
+// value over a clean cell: Rd is tainted by the gate, and the cell,
+// never written, stays CLEAN.
+const casFailureStickyGate = `
+.data 0
+    movi r3, 5
+    store r0, r3, 0     ; mem[0] = 5, clean
+    in r2, 0            ; tainted input, value 5
+    addi r2, r2, 1      ; tainted expected value 6, cannot match
     cas r2, r0, r2, 9   ; Rd == Rs2, fails
     halt
 `
@@ -106,8 +133,10 @@ func TestCasRdRs2AliasingComparableDomains(t *testing.T) {
 		// Success: cell stores the constant 9 and must end up clean —
 		// the buggy rule tainted it from post-update Rs2.
 		{"success/clearOnConst", casSuccessAlias, 9, false},
-		// Failure: no write, tainted cell label untouched.
+		{"success/sticky", casSuccessStickyGate, 9, false},
+		// Failure: no write, the cell's label untouched.
 		{"failure/clearOnConst", casFailureAlias, 5, true},
+		{"failure/sticky", casFailureStickyGate, 5, false},
 	}
 	for _, tc := range cases {
 		t.Run("bool/"+tc.name, func(t *testing.T) {
@@ -134,7 +163,9 @@ func TestCasRdRs2AliasingLineage(t *testing.T) {
 		memTaint bool
 	}{
 		{"success/clearOnConst", casSuccessAlias, false},
+		{"success/sticky", casSuccessStickyGate, false},
 		{"failure/clearOnConst", casFailureAlias, true},
+		{"failure/sticky", casFailureStickyGate, false},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
